@@ -60,8 +60,6 @@ DEFAULTS = {
     "grid.ny": 50,
     "sde.sigma": 0.8,
     "sde.dt": 0.001,
-    "sde.boundary": "clamp",
-    "sde.antithetic": False,
     "eigen.k": 3,
     "membership.kind": "pcca_single",
     "membership.eigen_index": 3,
@@ -225,9 +223,7 @@ class ExperimentConfig:
             potential=self.potential(),
             sigma=float(self.values["sde.sigma"]),
             dt=float(self.values["sde.dt"]),
-            boundary=str(self.values["sde.boundary"]),
             seed=self.seed,
-            antithetic=bool(self.values["sde.antithetic"]),
         )
 
 
@@ -255,8 +251,6 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
             values[key] = _coerce(key, value, DEFAULTS[key])
     if len(values["membership.core_box"]) != 4:
         raise ConfigError("membership.core_box expects [x1min,x1max,x2min,x2max]")
-    if values["sde.antithetic"]:
-        raise ConfigError("sde.antithetic is reserved; set it to false")
     if str(values["rates.norm"]) not in ("ls", "lad"):
         raise ConfigError("rates.norm must be ls or lad")
     return ExperimentConfig(experiment=experiment, values=values)
@@ -388,14 +382,20 @@ def _select_cluster(chis, grid: RegularGrid, target: float = 0.4452):
     )
 
 
-def run_idea2(cfg: ExperimentConfig) -> int:
-    """Rate by regressing the generator action of a PCCA+ membership."""
+def _pcca_clusters(cfg: ExperimentConfig):
+    """PCCA+ memberships on the grid and the cluster selected for rates."""
     m = int(cfg["membership.n_clusters"])
     grid, gen, eig = _spectral_setup(cfg, max(3, m))
     chis = _stage("pcca_multi", pcca_multi, eig, m)
     for c in chis:
         c.grid = grid
-    chi = _select_cluster(chis, grid)
+    return grid, gen, eig, chis, _select_cluster(chis, grid)
+
+
+def run_idea2(cfg: ExperimentConfig) -> int:
+    """Rate by regressing the generator action of a PCCA+ membership."""
+    grid, gen, eig, chis, chi = _pcca_clusters(cfg)
+    m = len(chis)
     report = _stage("rates", regress_generator_action, gen, chi, cfg.norm)
     header = ["cell", "x1", "x2"] + ["chi%d" % (j + 1) for j in range(m)]
     centers = grid.centers
@@ -445,15 +445,20 @@ def run_idea3(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _idea4_scatter(cfg: ExperimentConfig):
+def _mc_membership(cfg: ExperimentConfig):
+    """The dynamics and the Monte Carlo core-hitting membership."""
     dyn = cfg.sde()
-    box = tuple(cfg["membership.core_box"])
-    core = CoreSet(label="core", box=box)
+    core = CoreSet(label="core", box=tuple(cfg["membership.core_box"]))
     chi = _stage(
         "mc_membership", mc_hitting_membership, dyn, core,
         int(cfg["membership.n_traj"]), int(cfg["membership.max_steps"]),
         cfg.seed,
     )
+    return dyn, chi
+
+
+def _idea4_scatter(cfg: ExperimentConfig):
+    dyn, chi = _mc_membership(cfg)
     pts = _stage("sample_points", uniform_points, int(cfg["idea4.n_points"]),
                  dyn.potential.domain, cfg.seed)
     xs = _stage("chi_estimates", chi.evaluate_batch, pts, cfg.workers)
@@ -550,14 +555,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
     from the deepest cell of S, reported beside the grid-propagation
     exit rate of the same membership (both live on the generator clock).
     """
-    dyn = cfg.sde()
-    box = tuple(cfg["membership.core_box"])
-    core = CoreSet(label="core", box=box)
-    chi = _stage(
-        "mc_membership", mc_hitting_membership, dyn, core,
-        int(cfg["membership.n_traj"]), int(cfg["membership.max_steps"]),
-        cfg.seed,
-    )
+    dyn, chi = _mc_membership(cfg)
     grid = _stage("grid", cfg.grid)
     gen = _stage("generator", build_sqrt_generator, cfg.potential(), grid,
                  float(cfg["kbt"]))
@@ -664,12 +662,8 @@ def run_dump_chi(cfg: ExperimentConfig) -> int:
         grid, gen, eig, chi = _idea1_membership(cfg)
         values = chi.values
     elif kind == "pcca_multi":
-        m = int(cfg["membership.n_clusters"])
-        grid, gen, eig = _spectral_setup(cfg, max(3, m))
-        chis = _stage("pcca_multi", pcca_multi, eig, m)
-        for c in chis:
-            c.grid = grid
-        values = _select_cluster(chis, grid).values
+        grid, _, _, _, chi = _pcca_clusters(cfg)
+        values = chi.values
     elif kind == "committor":
         grid, gen, _ = _spectral_setup(cfg, 2)
         left, right = _stage(
@@ -678,13 +672,7 @@ def run_dump_chi(cfg: ExperimentConfig) -> int:
         )
         values = _stage("committor", committor, gen, left, right).values
     elif kind == "mc":
-        dyn = cfg.sde()
-        core = CoreSet(label="core", box=tuple(cfg["membership.core_box"]))
-        chi = _stage(
-            "mc_membership", mc_hitting_membership, dyn, core,
-            int(cfg["membership.n_traj"]), int(cfg["membership.max_steps"]),
-            cfg.seed,
-        )
+        _, chi = _mc_membership(cfg)
         grid = _stage("grid", cfg.grid)
         values = _stage("chi_field", chi.evaluate_batch, grid.centers,
                         cfg.workers)

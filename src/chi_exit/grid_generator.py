@@ -88,6 +88,9 @@ class RegularGrid:
 class GeneratorMatrix:
     """Sparse rate operator L* with its stationary distribution.
 
+    Everything derived from it stays sparse: ``symmetrized()`` builds
+    D L* D^-1 on each call, and only the jump-process tables are cached.
+
     Attributes
     ----------
     rates : scipy.sparse.csr_matrix
@@ -106,20 +109,16 @@ class GeneratorMatrix:
     grid: RegularGrid
     kbt: float = 1.0
     _jump_tables: Optional[tuple] = field(default=None, repr=False)
-    _symmetrized: Optional[Array] = field(default=None, repr=False)
-    _full_eigh: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.rates.shape[0]
 
-    def symmetrized(self) -> Array:
-        """Dense symmetric D L* D^-1 with D = diag(sqrt(pi)), cached."""
-        if self._symmetrized is None:
-            sq = np.sqrt(self.weights)
-            sym = self.rates.multiply(sq[:, None]).multiply(1.0 / sq[None, :])
-            self._symmetrized = np.asarray(sym.todense())
-        return self._symmetrized
+    def symmetrized(self) -> sp.csr_matrix:
+        """Sparse D L* D^-1 with D = diag(sqrt(pi)); symmetric exactly when
+        L* satisfies detailed balance (it is not symmetrized by force)."""
+        sq = np.sqrt(self.weights)
+        return self.rates.multiply(sq[:, None]).multiply(1.0 / sq[None, :]).tocsr()
 
     def jump_tables(self):
         """Tables for simulating the jump process generated by L*.

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
 from .grid_generator import GeneratorMatrix
 from .potential import PotentialSurface, potential_by_name
@@ -54,32 +54,22 @@ class SdeConfig:
     sigma : float
         Constant diffusion parameter, >= 0.
     dt : float
-        Time step of the Euler-Maruyama scheme.
-    boundary : str
-        Only "clamp" is supported: steps leaving the domain are clamped
-        to the boundary, mirroring the no-flux grid generator.
+        Time step of the Euler-Maruyama scheme; steps leaving the domain
+        are clamped to the boundary, mirroring the no-flux grid generator.
     seed : int
         Master seed for all streams derived from this configuration.
-    antithetic : bool
-        Reserved; must stay False (plain Monte Carlo).
     """
 
     potential: PotentialSurface
     sigma: float = 0.8
     dt: float = 1e-3
-    boundary: str = "clamp"
     seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.sigma) or self.sigma < 0:
             raise ValueError("sigma must be finite and >= 0")
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise ValueError("dt must be finite and positive")
-        if self.boundary != "clamp":
-            raise ValueError("unsupported boundary handling %r" % (self.boundary,))
-        if self.antithetic:
-            raise ValueError("antithetic variates are reserved, set antithetic=false")
 
     @property
     def bounds(self) -> Tuple[Array, Array]:
@@ -307,18 +297,6 @@ def uniform_points(n: int, domain, seed: int) -> Array:
     return rng.uniform((lo1, lo2), (hi1, hi2), size=(int(n), 2))
 
 
-def _evaluate_chi(chi, pts: Array, workers: int = 1) -> Array:
-    """Evaluate a membership (grid vector, point sampler, or callable)."""
-    kind = getattr(chi, "kind", None)
-    if kind == "grid_vector":
-        cells = chi.grid.cells_of(pts)
-        return chi.values[cells]
-    if kind == "point_sampler":
-        return chi.evaluate_batch(pts, workers=workers)
-    vals = chi(pts)
-    return np.asarray(vals, dtype=float)
-
-
 def _steps_for(tau: float, dt: float) -> int:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -365,13 +343,19 @@ def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     steps = _steps_for(tau, config.dt)
+
+    def evaluate(at):
+        # a Membership raises on positions outside its grid
+        if hasattr(chi, "evaluate_batch"):
+            return chi.evaluate_batch(at, workers)
+        return np.asarray(chi(at), dtype=float)
+
     if steps == 0:
-        vals = _evaluate_chi(chi, pts, workers)
+        vals = evaluate(pts)
         return float(vals[0]) if single else vals
     ends = endpoint_ensemble(config, pts, steps, n_traj, seed=seed,
                              tag=TAG_PTAU, workers=workers)
-    vals = _evaluate_chi(chi, ends.reshape(-1, 2), workers)
-    means = vals.reshape(len(pts), n_traj).mean(axis=1)
+    means = evaluate(ends.reshape(-1, 2)).reshape(len(pts), n_traj).mean(axis=1)
     return float(means[0]) if single else means
 
 
@@ -389,23 +373,16 @@ def _chi_vector(chi, gen: GeneratorMatrix) -> Array:
 
 
 def _fk_grid(gen: GeneratorMatrix, chi: Array, eps2: float, t: float) -> Array:
-    """Stiff ODE integration of dp/dt = -L* p - eps2 (1-chi)/chi p."""
+    """p(t) = exp(-t (L* + eps2 diag((1-chi)/chi))) chi on the cells with
+    chi >= CHI_MIN; the others carry an infinite penalty and hold 0."""
     if t == 0:
         return chi.copy()
     alive = chi >= CHI_MIN
-    sub = gen.rates[alive][:, alive].tocsc()
-    pen = eps2 * (1.0 - chi[alive]) / chi[alive]
-    op = (-(sub + sp.diags(pen))).tocsc()
-
-    def rhs(_t, y):
-        return op @ y
-
-    sol = solve_ivp(rhs, (0.0, float(t)), chi[alive], method="BDF",
-                    jac=op, rtol=1e-10, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError("holding-probability ODE failed: %s" % sol.message)
+    sub = gen.rates[alive][:, alive]
+    pen = (1.0 - chi[alive]) / chi[alive]
     out = np.zeros(gen.n)
-    out[alive] = sol.y[:, -1]
+    out[alive] = expm_multiply(-float(t) * (sub + eps2 * sp.diags(pen)),
+                               chi[alive])
     return out
 
 
@@ -452,9 +429,9 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
                         backend: str = "grid"):
     """Chi-holding probability p_chi(x, t) by either backend.
 
-    The grid backend integrates dp/dt = -L* p - eps2 (1-chi)/chi p from
-    p(0) = chi with a stiff adaptive integrator and returns the whole
-    vector (or the entry at x).  The MC backend averages
+    The grid backend solves dp/dt = -L* p - eps2 (1-chi)/chi p from
+    p(0) = chi by the action of the sparse matrix exponential and returns
+    the whole vector (or the entry at x).  The MC backend averages
     chi(X_t) exp(-eps2 * integral (1-chi)/chi) over trajectories of the
     jump process generated by L*, which shares the grid operator's time
     unit; states with chi below ``CHI_MIN`` carry an infinite penalty and

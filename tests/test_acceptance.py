@@ -270,7 +270,7 @@ def test_criterion_06_generator_properties(gen50):
     residual = (flux - flux.T).tocoo()
     if residual.nnz:
         assert np.max(np.abs(residual.data)) < 1e-12
-    sym = gen50.symmetrized()
+    sym = gen50.symmetrized().toarray()
     assert np.max(np.abs(sym - sym.T)) < 1e-12
     vals, vecs = np.linalg.eigh(sym)
     assert vals[0] > -1e-10

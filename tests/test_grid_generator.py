@@ -48,7 +48,7 @@ def test_detailed_balance(gen50):
 
 
 def test_symmetrized_is_symmetric(gen_small):
-    sym = gen_small.symmetrized()
+    sym = gen_small.symmetrized().toarray()
     assert np.max(np.abs(sym - sym.T)) < 1e-12
 
 
@@ -70,12 +70,12 @@ def test_weights_are_boltzmann(gen50, bench):
 
 
 def test_spectrum_nonnegative(gen_small):
-    vals = np.linalg.eigvalsh(gen_small.symmetrized())
+    vals = np.linalg.eigvalsh(gen_small.symmetrized().toarray())
     assert vals[0] > -1e-10
 
 
 def test_kernel_is_constant(gen_small):
-    sym = gen_small.symmetrized()
+    sym = gen_small.symmetrized().toarray()
     vals, vecs = np.linalg.eigh(sym)
     kernel = vecs[:, 0] / np.sqrt(gen_small.weights)
     kernel /= kernel[0]
@@ -88,7 +88,7 @@ def test_two_cell_chain_eigenvalues():
     pot = flat_potential()
     grid = RegularGrid(2, 1, pot.domain)
     gen = build_sqrt_generator(pot, grid, 1.0)
-    vals = np.linalg.eigvalsh(gen.symmetrized())
+    vals = np.linalg.eigvalsh(gen.symmetrized().toarray())
     np.testing.assert_allclose(vals, [0.0, 2.0], rtol=0, atol=1e-12)
 
 
@@ -149,5 +149,5 @@ def test_generator_properties_random(nx, ny, a1, a2, c1, c2, kbt):
     residual = (flux - flux.T).tocoo()
     if residual.nnz:
         assert np.max(np.abs(residual.data)) < 1e-12
-    vals = np.linalg.eigvalsh(gen.symmetrized())
+    vals = np.linalg.eigvalsh(gen.symmetrized().toarray())
     assert vals[0] > -1e-10

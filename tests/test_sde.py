@@ -68,9 +68,9 @@ def test_config_validation():
         SdeConfig(potential=pot, sigma=-0.1)
     with pytest.raises(ValueError):
         SdeConfig(potential=pot, dt=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SdeConfig(potential=pot, boundary="reflect")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SdeConfig(potential=pot, antithetic=True)
 
 
@@ -125,6 +125,13 @@ def test_estimate_ptau_chi_zero_tau(gen50, chi1):
     val = estimate_ptau_chi(cfg, chi1, x, 0.0, n_traj=10, seed=1)
     cell = gen50.grid.cell_of(x)
     np.testing.assert_allclose(val, chi1.values[cell], rtol=1e-12)
+
+
+def test_estimate_ptau_chi_outside_grid_raises(chi1):
+    # an outside point must not wrap around to the last cell's value
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    with pytest.raises(ValueError):
+        estimate_ptau_chi(cfg, chi1, [1.5, 1.5], tau=0.0, n_traj=5)
 
 
 def test_estimate_ptau_chi_requires_step_multiple(chi1):

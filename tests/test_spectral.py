@@ -52,8 +52,8 @@ def test_first_eigenvector_constant(eig3):
 
 
 def test_sparse_path_matches_chain_formula():
-    # 70x70 exceeds the dense cutoff; flat-potential eigenvalues are
-    # 2(1 - cos(pi k / n)) per axis
+    # 70x70, away from the default 50x50 grid; flat-potential
+    # eigenvalues are 2(1 - cos(pi k / n)) per axis
     pot = flat_potential()
     grid = RegularGrid(70, 70, pot.domain)
     gen = build_sqrt_generator(pot, grid, 1.0)
@@ -120,3 +120,5 @@ def test_negative_tau_rejected(gen50):
 def test_eigensolve_k_bounds(gen_small):
     with pytest.raises(ValueError):
         eigensolve(gen_small, 0)
+    with pytest.raises(ValueError):
+        eigensolve(gen_small, gen_small.n)
