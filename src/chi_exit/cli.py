@@ -577,19 +577,17 @@ def run_validate(cfg: ExperimentConfig) -> int:
 
     horizon = int(cfg["validate.horizon_steps"])
     n_traj = int(cfg["validate.n_traj"])
-    rows = []
-    means = []
-    for cell in picks:
-        start = grid.centers[cell]
-        stats = _stage("exit_times", sample_set_exit_times, dyn, region,
-                       start, n_traj, horizon, cfg.seed)
-        rows.append((int(cell), start[0], start[1], field[cell],
-                     stats.mean_exit_time(), stats.censoring_fraction))
-        means.append(stats.mean_exit_time())
+    starts = grid.centers[picks]
+    stats = _stage("exit_times", sample_set_exit_times, dyn, region,
+                   starts, n_traj, horizon, cfg.seed)
+    means = stats.mean_exit_time()
+    rows = [(int(cell), start[0], start[1], field[cell], mean, censored)
+            for cell, start, mean, censored in zip(
+                picks, starts, means, stats.censoring_fraction)]
     _write_csv(cfg, "exit_times.csv",
                ["cell", "x1", "x2", "chi", "mean_exit_time",
                 "censoring_fraction"], rows)
-    corr = float(np.corrcoef(field[picks], np.asarray(means))[0, 1])
+    corr = float(np.corrcoef(field[picks], means)[0, 1])
 
     # exit rate of the jump process from the deepest cell, generator clock
     deep = int(cells[np.argmax(field[cells])])

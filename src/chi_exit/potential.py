@@ -77,13 +77,13 @@ def _benchmark_gradient(x: Array) -> Array:
         - 3.0 * g2 * (-2.0 * a)
         - 5.0 * g3 * (-2.0 * d)
         - 5.0 * g4 * (-2.0 * e)
-    ) + 3.2 * a ** 3
+    ) + 3.2 * (a * a * a)
     dv2 = 4.0 * (
         3.0 * g1 * (-2.0 * b)
         - 3.0 * g2 * (-2.0 * c)
         - 5.0 * g3 * (-2.0 * f)
         - 5.0 * g4 * (-2.0 * f)
-    ) + 3.2 * b ** 3
+    ) + 3.2 * (b * b * b)
     return np.stack([dv1, dv2], axis=-1)
 
 

@@ -42,6 +42,9 @@ CHI_MIN = 1e-6
 #: Points per worker task; fixed so results do not depend on worker count.
 _CHUNK = 64
 
+#: Bytes of noise one kernel call holds at a time, its copies included.
+_NOISE_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SdeConfig:
@@ -79,44 +82,51 @@ class SdeConfig:
 
 @dataclass
 class TrajectoryStats:
-    """Hitting/exit statistics of one trajectory ensemble.
+    """Exit statistics of trajectory ensembles from one or m starts.
+
+    A single start gives the shapes below; a batch of m starts adds a
+    leading axis of length m to ``start``, ``endpoints`` and
+    ``exit_steps``, and the summaries then return one value per start.
 
     Attributes
     ----------
     start : ndarray, shape (2,)
         Common starting position.
     endpoints : ndarray, shape (n_traj, 2)
-        Positions at the horizon.
-    hit_steps : ndarray of int
-        First step entering the core, -1 when never hit.
-    exit_steps : ndarray of int
+        Positions at exit, or at the horizon when censored.
+    exit_steps : ndarray of int, shape (n_traj,)
         First step leaving the set, -1 when censored at the horizon.
     horizon_steps : int
-        Number of integration steps simulated.
+        Step budget of the integration.
     dt : float
         Time step, for converting steps to times.
     """
 
     start: Array
     endpoints: Array
-    hit_steps: Array
     exit_steps: Array
     horizon_steps: int
     dt: float
 
     @property
     def n_traj(self) -> int:
-        return self.endpoints.shape[0]
+        return self.exit_steps.shape[-1]
 
     @property
-    def censoring_fraction(self) -> float:
-        return float(np.mean(self.exit_steps < 0))
+    def censoring_fraction(self):
+        """Share of censored trajectories, per start for a batch."""
+        return _per_start(np.mean(self.exit_steps < 0, axis=-1))
 
-    def mean_exit_time(self) -> float:
-        """Censored-sample mean exit time (censored entries count as the
-        horizon, so this underestimates when censoring_fraction > 0)."""
+    def mean_exit_time(self):
+        """Censored-sample mean exit time, per start for a batch
+        (censored entries count as the horizon, so this underestimates
+        when censoring_fraction > 0)."""
         steps = np.where(self.exit_steps < 0, self.horizon_steps, self.exit_steps)
-        return float(steps.mean() * self.dt)
+        return _per_start(steps.mean(axis=-1) * self.dt)
+
+
+def _per_start(values):
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def step(config: SdeConfig, x, noise) -> Array:
@@ -135,16 +145,10 @@ def step(config: SdeConfig, x, noise) -> Array:
     ndarray, shape (2,)
         The next position, clamped to the domain.
     """
-    x = np.asarray(x, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    g = config.potential.grad(x)
-    if not np.all(np.isfinite(g)):
-        raise ValueError(
-            "non-finite gradient at (%g, %g); trajectory aborted" % (x[0], x[1])
-        )
     lo, hi = config.bounds
-    out = x - g * config.dt + config.sigma * math.sqrt(config.dt) * noise
-    return np.clip(out, lo, hi)
+    return _advance(config.potential, config.sigma, config.dt, lo, hi,
+                    np.asarray(x, dtype=float),
+                    np.asarray(noise, dtype=float))
 
 
 def _advance(potential, sigma, dt, lo, hi, pos, noise):
@@ -158,8 +162,68 @@ def _advance(potential, sigma, dt, lo, hi, pos, noise):
             "non-finite gradient at (%g, %g); trajectory aborted" % (bad[0], bad[1])
         )
     out = pos - g * dt + (sigma * math.sqrt(dt)) * noise
-    np.clip(out, lo, hi, out=out)
+    # one coordinate at a time: scalar bounds clip several times faster
+    # than bounds broadcast along a length-2 axis
+    for d in range(2):
+        col = out[..., d]
+        np.clip(col, lo[d], hi[d], out=col)
     return out
+
+
+def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
+         stop=None) -> Tuple[Array, Array]:
+    """The stepping kernel: ``n_traj`` trajectories from each start.
+
+    Start ``r`` draws its noise from ``rngs[r]`` in blocks of shape
+    (b, n_traj, 2), which yields the same values as b draws of (n_traj, 2),
+    so a start's stream never depends on the other starts or on b.  When
+    ``stop`` maps positions (k, 2) to booleans, a trajectory freezes at the
+    first step (step 0 included) where it is true, and a start with no
+    live trajectory draws no further blocks.
+
+    Returns
+    -------
+    pos : ndarray, shape (m, n_traj, 2)
+        Positions at the stop or after ``steps`` steps.
+    first_stop_step : ndarray of int, shape (m, n_traj)
+        First step where ``stop`` held, -1 when it never did.
+    """
+    m = len(starts)
+    # trajectory c of start r sits at flat index r * n_traj + c
+    pos = np.repeat(np.asarray(starts, dtype=float), n_traj, axis=0)
+    first = np.full(m * n_traj, -1, dtype=np.int64)
+    if stop is not None:
+        first[np.asarray(stop(pos), dtype=bool)] = 0
+    idx = np.flatnonzero(first < 0)
+    live = pos[idx]
+    # one step of the buffer is kept free for the gathered live noise
+    block = max(1, _NOISE_BYTES // (16 * m * n_traj) - 1)
+    noise = np.empty((m, min(block, steps), n_traj, 2))
+    flat_noise = noise.reshape(-1, 2)
+    for s0 in range(0, steps, block):
+        if idx.size == 0:
+            break
+        k = min(block, steps - s0)
+        for r in np.unique(idx // n_traj):
+            rngs[r].standard_normal((k, n_traj, 2), out=noise[r, :k])
+        # noise of trajectory (r, c) at step j of the block:
+        # flat_noise[(r * block + j) * n_traj + c]
+        at = idx + (idx // n_traj) * (noise.shape[1] - 1) * n_traj
+        for j in range(k):
+            live = _advance(potential, sigma, dt, lo, hi, live,
+                            np.take(flat_noise, at + j * n_traj, axis=0))
+            if stop is None:
+                continue
+            done = np.asarray(stop(live), dtype=bool)
+            if done.any():
+                pos[idx[done]] = live[done]
+                first[idx[done]] = s0 + j + 1
+                keep = ~done
+                idx, at, live = idx[keep], at[keep], live[keep]
+                if idx.size == 0:
+                    break
+    pos[idx] = live
+    return pos.reshape(m, n_traj, 2), first.reshape(m, n_traj)
 
 
 def _resolve_potential(spec):
@@ -174,43 +238,16 @@ def _in_box(pos: Array, box) -> Array:
     return (x1 >= x1lo) & (x1 <= x1hi) & (x2 >= x2lo) & (x2 <= x2hi)
 
 
-def _hit_chunk(args):
-    (pspec, sigma, dt, domain, box, pts, n_traj, max_steps, seed) = args
+def _chunk(args):
+    """One worker task: endpoints of a chunk of starts, or, given a box,
+    their fractions of trajectories entering it."""
+    (pspec, sigma, dt, domain, pts, n_traj, steps, seed, tag, box) = args
     potential = _resolve_potential(pspec)
-    lo, hi = np.array(domain[0]), np.array(domain[1])
-    pts = np.asarray(pts, dtype=float)
-    rngs = [generator_for(seed, TAG_CHI, p) for p in pts]
-    pos = np.repeat(pts[:, None, :], n_traj, axis=1)
-    hit = _in_box(pos, box)  # the start itself counts as step 0
-    alive = np.nonzero(~hit.all(axis=1))[0]
-    for _ in range(max_steps):
-        if alive.size == 0:
-            break
-        noise = np.empty((alive.size, n_traj, 2))
-        for r, i in enumerate(alive):
-            # one block of draws per still-running point and step, so the
-            # stream consumption never depends on other points
-            noise[r] = rngs[i].standard_normal((n_traj, 2))
-        moved = _advance(potential, sigma, dt, lo, hi, pos[alive], noise)
-        pos[alive] = moved
-        hit[alive] |= _in_box(moved, box)
-        alive = alive[~hit[alive].all(axis=1)]
-    return hit.mean(axis=1)
-
-
-def _endpoint_chunk(args):
-    (pspec, sigma, dt, domain, pts, steps, n_traj, seed, tag) = args
-    potential = _resolve_potential(pspec)
-    lo, hi = np.array(domain[0]), np.array(domain[1])
-    pts = np.asarray(pts, dtype=float)
     rngs = [generator_for(seed, tag, p) for p in pts]
-    pos = np.repeat(pts[:, None, :], n_traj, axis=1)
-    for _ in range(steps):
-        noise = np.empty_like(pos)
-        for r in range(len(pts)):
-            noise[r] = rngs[r].standard_normal((n_traj, 2))
-        pos = _advance(potential, sigma, dt, lo, hi, pos, noise)
-    return pos
+    stop = None if box is None else (lambda p: _in_box(p, box))
+    pos, first = _run(potential, sigma, dt, np.array(domain[0]),
+                      np.array(domain[1]), pts, rngs, n_traj, steps, stop)
+    return pos if box is None else (first >= 0).mean(axis=1)
 
 
 def _map_chunks(fn, tasks, workers: int):
@@ -218,6 +255,23 @@ def _map_chunks(fn, tasks, workers: int):
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
+
+
+def _chunked(config: SdeConfig, points: Array, n_traj: int, steps: int,
+             seed: Optional[int], tag: int, workers: int, box=None) -> Array:
+    """Run the kernel over ``points`` in chunks of ``_CHUNK`` starts."""
+    registered = config.potential.name in ("paper2d", "flat")
+    pspec = config.potential.name if registered else config.potential
+    if not registered:
+        workers = 1  # unregistered surfaces may not survive pickling
+    seed = config.seed if seed is None else seed
+    tasks = [
+        (pspec, config.sigma, config.dt, config.potential.domain,
+         points[i:i + _CHUNK], int(n_traj), int(steps), int(seed), int(tag),
+         box)
+        for i in range(0, len(points), _CHUNK)
+    ]
+    return np.concatenate(_map_chunks(_chunk, tasks, workers), axis=0)
 
 
 def hitting_fractions(config: SdeConfig, box, points, n_traj: int,
@@ -247,19 +301,8 @@ def hitting_fractions(config: SdeConfig, box, points, n_traj: int,
     if n_traj < 1 or max_steps < 1:
         raise ValueError("n_traj and max_steps must be >= 1")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    seed = config.seed if seed is None else seed
-    registered = config.potential.name in ("paper2d", "flat")
-    pspec = config.potential.name if registered else config.potential
-    if not registered:
-        workers = 1  # unregistered surfaces may not survive pickling
-    tasks = [
-        (pspec, config.sigma, config.dt, config.potential.domain,
-         tuple(box), points[i:i + _CHUNK], int(n_traj), int(max_steps),
-         int(seed))
-        for i in range(0, len(points), _CHUNK)
-    ]
-    parts = _map_chunks(_hit_chunk, tasks, workers)
-    return np.concatenate(parts)
+    return _chunked(config, points, n_traj, max_steps, seed, TAG_CHI,
+                    workers, box=tuple(box))
 
 
 def endpoint_ensemble(config: SdeConfig, points, steps: int, n_traj: int,
@@ -274,20 +317,9 @@ def endpoint_ensemble(config: SdeConfig, points, steps: int, n_traj: int,
     if n_traj < 1 or steps < 0:
         raise ValueError("n_traj must be >= 1 and steps >= 0")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    seed = config.seed if seed is None else seed
     if steps == 0:
         return np.repeat(points[:, None, :], n_traj, axis=1)
-    registered = config.potential.name in ("paper2d", "flat")
-    pspec = config.potential.name if registered else config.potential
-    if not registered:
-        workers = 1
-    tasks = [
-        (pspec, config.sigma, config.dt, config.potential.domain,
-         points[i:i + _CHUNK], int(steps), int(n_traj), int(seed), int(tag))
-        for i in range(0, len(points), _CHUNK)
-    ]
-    parts = _map_chunks(_endpoint_chunk, tasks, workers)
-    return np.concatenate(parts, axis=0)
+    return _chunked(config, points, n_traj, steps, seed, tag, workers)
 
 
 def uniform_points(n: int, domain, seed: int) -> Array:
@@ -514,16 +546,20 @@ def sample_set_exit_times(config: SdeConfig, region: Callable[[Array], Array],
                           seed: Optional[int] = None) -> TrajectoryStats:
     """First-exit steps from a region, censored at the horizon.
 
+    All trajectories of all starts advance together in one array; each
+    start draws from its own stream, so a start's results do not depend
+    on the batch it comes in.
+
     Parameters
     ----------
     config : SdeConfig
     region : callable
-        Predicate mapping positions of shape (m, 2) to booleans; True
+        Predicate mapping positions of shape (k, 2) to booleans; True
         means inside the set.
-    x : array-like, shape (2,)
-        Starting position, inside the region.
+    x : array-like, shape (2,) or (m, 2)
+        One starting position or a batch of m, each inside the region.
     n_traj : int
-        Ensemble size.
+        Ensemble size per start.
     horizon_steps : int
         Step budget; trajectories still inside are censored.
     seed : int, optional
@@ -533,29 +569,28 @@ def sample_set_exit_times(config: SdeConfig, region: Callable[[Array], Array],
     -------
     TrajectoryStats
         exit_steps holds the first step outside the region (-1 when
-        censored); endpoints are the positions at the horizon.
+        censored); endpoints are the positions at exit or at the horizon.
+        A batch adds a leading start axis of length m.
     """
     x = np.asarray(x, dtype=float)
-    if not bool(np.all(region(x[None, :]))):
+    starts = np.atleast_2d(x)
+    if len(starts) == 0:
+        raise ValueError("no starting position given")
+    if not bool(np.all(region(starts))):
         raise ValueError("starting position lies outside the region")
     if n_traj < 1 or horizon_steps < 1:
         raise ValueError("n_traj and horizon_steps must be >= 1")
     seed = config.seed if seed is None else seed
-    rng = generator_for(seed, TAG_EXIT, x)
+    rngs = [generator_for(seed, TAG_EXIT, p) for p in starts]
     lo, hi = config.bounds
-    pos = np.repeat(x[None, :], n_traj, axis=0)
-    exit_steps = np.full(n_traj, -1, dtype=np.int64)
-    inside = np.ones(n_traj, dtype=bool)
-    for s in range(1, horizon_steps + 1):
-        noise = rng.standard_normal((n_traj, 2))
-        pos = _advance(config.potential, config.sigma, config.dt, lo, hi,
-                       pos, noise)
-        now_out = inside & ~np.asarray(region(pos), dtype=bool)
-        exit_steps[now_out] = s
-        inside &= ~now_out
-    return TrajectoryStats(start=x, endpoints=pos, hit_steps=np.full(n_traj, -1, dtype=np.int64),
-                           exit_steps=exit_steps, horizon_steps=int(horizon_steps),
-                           dt=config.dt)
+    pos, exit_steps = _run(
+        config.potential, config.sigma, config.dt, lo, hi, starts, rngs,
+        int(n_traj), int(horizon_steps),
+        stop=lambda p: ~np.asarray(region(p), dtype=bool))
+    if x.ndim == 1:
+        pos, exit_steps = pos[0], exit_steps[0]
+    return TrajectoryStats(start=x, endpoints=pos, exit_steps=exit_steps,
+                           horizon_steps=int(horizon_steps), dt=config.dt)
 
 
 def sample_jump_exit_times(gen: GeneratorMatrix, region_cells, start_cell: int,

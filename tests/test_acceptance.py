@@ -373,12 +373,9 @@ def validation_artifacts(bench, gen50):
     cells = np.nonzero(mask)[0]
     order = cells[np.argsort(field[cells], kind="stable")]
     picks = order[np.linspace(0, order.size - 1, 25).astype(int)]
-    means = []
-    for cell in picks:
-        stats = sample_set_exit_times(
-            cfg, lambda pts: field[gen50.grid.cells_of(pts)] > threshold,
-            gen50.grid.centers[cell], n_traj=30, horizon_steps=4000, seed=0)
-        means.append(stats.mean_exit_time())
+    stats = sample_set_exit_times(
+        cfg, lambda pts: field[gen50.grid.cells_of(pts)] > threshold,
+        gen50.grid.centers[picks], n_traj=30, horizon_steps=4000, seed=0)
     fit = regress(field, propagate(gen50, np.clip(field, 0, 1), 100.0),
                   "least_squares")
     eps1_grid = gammas_to_rate(fit, 100.0).eps1
@@ -387,7 +384,7 @@ def validation_artifacts(bench, gen50):
         "field": field,
         "mask": mask,
         "picks": picks,
-        "means": np.asarray(means),
+        "means": stats.mean_exit_time(),
         "eps1_grid": eps1_grid,
         "deep": int(cells[np.argmax(field[cells])]),
     }

@@ -18,7 +18,9 @@ from chi_exit import (
     uniform_points,
 )
 from chi_exit.membership import CoreSet, mc_hitting_membership
+from chi_exit import sde
 from chi_exit.sde import TrajectoryStats, endpoint_ensemble, hitting_fractions
+from chi_exit.streams import TAG_CHI, TAG_EXIT, TAG_PTAU, generator_for
 
 # frozen gradient-descent endpoints (sigma = 0, dt = 1e-3, 20000 steps)
 DESCENT_RIGHT = (0.76201375, 0.48947658)
@@ -100,7 +102,6 @@ def test_trajectory_stats_summaries():
     stats = TrajectoryStats(
         start=np.array([0.5, 0.5]),
         endpoints=np.zeros((4, 2)),
-        hit_steps=np.array([-1, 3, -1, 7]),
         exit_steps=np.array([10, -1, 20, -1]),
         horizon_steps=50,
         dt=0.1,
@@ -188,6 +189,90 @@ def test_sample_set_exit_times_contract(gen50, chi1):
     with pytest.raises(ValueError):
         # a deep-well corner sits far outside the high-chi region
         sample_set_exit_times(cfg, region, np.array([0.05, 0.05]), 5, 10)
+
+
+def _high_chi_region(gen, chi):
+    field = chi.values
+    return lambda pts: field[gen.grid.cells_of(pts)] > 0.22
+
+
+def _naive_run(cfg, starts, tag, seed, n_traj, steps, stop):
+    """Reference for the kernel: every start draws every step and every
+    trajectory advances; returns final positions and first stop steps."""
+    lo, hi = cfg.bounds
+    rngs = [generator_for(seed, tag, p) for p in starts]
+    pos = np.repeat(starts[:, None, :], n_traj, axis=1)
+    first = np.where(stop(pos), 0, -1)
+    for s in range(1, steps + 1):
+        noise = np.stack([rng.standard_normal((n_traj, 2)) for rng in rngs])
+        pos = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, pos,
+                           noise)
+        first[(first < 0) & stop(pos)] = s
+    return pos, first
+
+
+@pytest.mark.parametrize("noise_bytes", [sde._NOISE_BYTES, 16 * 3 * 20 * 5])
+def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
+    # a small noise budget forces several blocks per call
+    monkeypatch.setattr(sde, "_NOISE_BYTES", noise_bytes)
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    box = (0.2, 0.3, 0.4, 0.5)
+    pts = np.array([[0.25, 0.45], [0.33, 0.45], [0.4, 0.55]])
+    ref_pos, ref_first = _naive_run(cfg, pts, TAG_CHI, 4, 20, 60,
+                                    lambda p: sde._in_box(p, box))
+    assert 0 < (ref_first >= 0).sum() < ref_first.size
+    np.testing.assert_array_equal(
+        hitting_fractions(cfg, box, pts, n_traj=20, max_steps=60, seed=4),
+        (ref_first >= 0).mean(axis=1))
+
+    ends = endpoint_ensemble(cfg, pts, steps=37, n_traj=20, seed=4)
+    ref_ends, _ = _naive_run(cfg, pts, TAG_PTAU, 4, 20, 37,
+                             lambda p: np.zeros(p.shape[:-1], dtype=bool))
+    np.testing.assert_array_equal(ends, ref_ends)
+
+    region = _high_chi_region(gen50, chi1)
+    starts = gen50.grid.centers[np.argsort(chi1.values)[-3:]]
+    stats = sample_set_exit_times(cfg, region, starts, n_traj=20,
+                                  horizon_steps=300, seed=2)
+    ref_pos, ref_exit = _naive_run(
+        cfg, starts, TAG_EXIT, 2, 20, 300,
+        lambda p: ~region(p.reshape(-1, 2)).reshape(p.shape[:-1]))
+    assert 0 < (ref_exit >= 0).sum() < ref_exit.size
+    np.testing.assert_array_equal(stats.exit_steps, ref_exit)
+    censored = ref_exit < 0
+    np.testing.assert_array_equal(stats.endpoints[censored],
+                                  ref_pos[censored])
+
+
+def test_sample_set_exit_times_batch_matches_single(gen50, chi1):
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    region = _high_chi_region(gen50, chi1)
+    inside = np.nonzero(chi1.values > 0.22)[0]
+    starts = gen50.grid.centers[inside[::max(1, inside.size // 4)][:4]]
+    batch = sample_set_exit_times(cfg, region, starts, n_traj=15,
+                                  horizon_steps=400, seed=3)
+    assert batch.exit_steps.shape == (len(starts), 15)
+    assert batch.endpoints.shape == (len(starts), 15, 2)
+    assert batch.mean_exit_time().shape == (len(starts),)
+    for i, start in enumerate(starts):
+        one = sample_set_exit_times(cfg, region, start, n_traj=15,
+                                    horizon_steps=400, seed=3)
+        np.testing.assert_array_equal(batch.start[i], one.start)
+        np.testing.assert_array_equal(batch.exit_steps[i], one.exit_steps)
+        np.testing.assert_array_equal(batch.endpoints[i], one.endpoints)
+        assert batch.mean_exit_time()[i] == one.mean_exit_time()
+        assert batch.censoring_fraction[i] == one.censoring_fraction
+
+
+def test_sample_set_exit_times_batch_rejects_outside_start(gen50, chi1):
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    region = _high_chi_region(gen50, chi1)
+    starts = np.array([gen50.grid.centers[int(np.argmax(chi1.values))],
+                       [0.05, 0.05]])
+    with pytest.raises(ValueError):
+        sample_set_exit_times(cfg, region, starts, 5, 10)
+    with pytest.raises(ValueError):
+        sample_set_exit_times(cfg, region, np.empty((0, 2)), 5, 10)
 
 
 def test_jump_exit_times_two_cell_chain():

@@ -35,6 +35,14 @@ def test_negative_zero_distinct_from_positive_zero():
     assert not np.array_equal(_draw(7, TAG_CHI, 0.0), _draw(7, TAG_CHI, -0.0))
 
 
+def test_block_draw_equals_successive_draws():
+    # the stepping kernel draws (b, n, 2) at once in place of b draws of (n, 2)
+    block = generator_for(7, TAG_CHI, 0.25, 0.5).standard_normal((9, 13, 2))
+    rng = generator_for(7, TAG_CHI, 0.25, 0.5)
+    steps = np.stack([rng.standard_normal((13, 2)) for _ in range(9)])
+    np.testing.assert_array_equal(block, steps)
+
+
 def test_extra_parts_change_stream():
     assert not np.array_equal(_draw(7, TAG_POINTS),
                               _draw(7, TAG_POINTS, 0))
