@@ -52,7 +52,7 @@ def main():
     picks = order[np.linspace(0, order.size - 1, 12).astype(int)]
     print("\n  chi(start)   mean exit time [sde units]   censored")
     stats = sample_set_exit_times(
-        dyn, lambda pts: field[grid.cells_of(pts)] > threshold,
+        dyn, lambda pts: mask[grid.cells_of(pts)],
         grid.centers[picks], n_traj=25, horizon_steps=4000, seed=0)
     means = stats.mean_exit_time()
     for cell, mean, censored in zip(picks, means, stats.censoring_fraction):

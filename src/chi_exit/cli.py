@@ -573,7 +573,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
     picks = order[np.linspace(0, order.size - 1, n_starts).astype(int)]
 
     def region(pts):
-        return field[grid.cells_of(pts)] > threshold
+        return mask[grid.cells_of(pts)]
 
     horizon = int(cfg["validate.horizon_steps"])
     n_traj = int(cfg["validate.n_traj"])

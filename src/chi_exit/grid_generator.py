@@ -133,21 +133,25 @@ class GeneratorMatrix:
             Cumulative jump probabilities aligned with ``neighbors``.
         """
         if self._jump_tables is None:
-            off = self.rates.tolil(copy=True)
-            off.setdiag(0.0)
-            off = off.tocsr()
+            r, n = self.rates, self.n
+            row = np.repeat(np.arange(n), np.diff(r.indptr))
+            keep = r.indices != row
+            row, js = row[keep], r.indices[keep].astype(np.int64)
+            count = np.bincount(row, minlength=n)
+            end = np.cumsum(count)
+            off = sp.csr_matrix((r.data[keep], js, np.append(0, end)),
+                                shape=(n, n))
             rate_out = np.asarray(-off.sum(axis=1)).ravel()
-            n = self.n
-            neighbors = np.zeros((n, 4), dtype=np.int64)
-            cum = np.ones((n, 4))
-            for i in range(n):
-                lo, hi = off.indptr[i], off.indptr[i + 1]
-                js = off.indices[lo:hi]
-                rs = -off.data[lo:hi]
-                c = np.cumsum(rs) / rs.sum()
-                neighbors[i, : len(js)] = js
-                neighbors[i, len(js):] = js[-1]
-                cum[i, : len(js)] = c
+            # each row is padded with its last neighbour at zero rate, so
+            # the row cumsum adds the rates in CSR order, its last column
+            # is their total, and the padded slots hold exactly 1
+            slot = np.arange(row.size) - (end - count)[row]
+            neighbors = np.broadcast_to(js[end - 1][:, None], (n, 4)).copy()
+            neighbors[row, slot] = js
+            cum = np.zeros((n, 4))
+            cum[row, slot] = -off.data
+            np.cumsum(cum, axis=1, out=cum)
+            cum /= cum[:, -1:]
             self._jump_tables = (rate_out, neighbors, cum)
         return self._jump_tables
 
@@ -193,18 +197,15 @@ def build_sqrt_generator(
     w = np.exp(-(v - v.min()))
     pi = w / w.sum()
 
-    nx, ny = grid.nx, grid.ny
     n = grid.n
-    rows, cols, vals = [], [], []
-    for i in range(nx):
-        for j in range(ny):
-            k = i * ny + j
-            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if 0 <= a < nx and 0 <= b < ny:
-                    m = a * ny + b
-                    rows.append(k)
-                    cols.append(m)
-                    vals.append(-np.sqrt(w[m] / w[k]))
+    # every 4-neighbour pair in both directions; the CSR conversion sorts
+    # the entries of each row, so their order here does not matter
+    ids = np.arange(n).reshape(grid.nx, grid.ny)
+    lo = np.concatenate([ids[:-1].ravel(), ids[:, :-1].ravel()])
+    hi = np.concatenate([ids[1:].ravel(), ids[:, 1:].ravel()])
+    rows = np.concatenate([lo, hi])
+    cols = np.concatenate([hi, lo])
+    vals = -np.sqrt(w[cols] / w[rows])
     off = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     diag = -np.asarray(off.sum(axis=1)).ravel()
     rates = (off + sp.diags(diag)).tocsr()

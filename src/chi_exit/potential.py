@@ -59,32 +59,49 @@ def _benchmark_energy(x: Array) -> Array:
     )
 
 
+# Offsets of the scaled coordinates a, d, e (from 4 x1) and b, c, f (from
+# 4 x2), and the Gaussian weights in the row order of the gradient below.
+_OFFSETS = (np.array([[2.0], [3.0], [1.0]]),
+            np.array([[7.0 / 3.0], [11.0 / 3.0], [2.0]]))
+_WEIGHTS = np.array([[5.0], [5.0], [3.0], [3.0]])
+
+
 def _benchmark_gradient(x: Array) -> Array:
-    x1, x2 = x[..., 0], x[..., 1]
-    a = 4.0 * x1 - 2.0
-    b = 4.0 * x2 - 7.0 / 3.0
-    c = 4.0 * x2 - 11.0 / 3.0
-    d = 4.0 * x1 - 3.0
-    e = 4.0 * x1 - 1.0
-    f = 4.0 * x2 - 2.0
-    g1 = np.exp(-a * a - b * b)
-    g2 = np.exp(-a * a - c * c)
-    g3 = np.exp(-d * d - f * f)
-    g4 = np.exp(-e * e - f * f)
-    # chain rule: each scaled coordinate contributes a factor 4
-    dv1 = 4.0 * (
-        3.0 * g1 * (-2.0 * a)
-        - 3.0 * g2 * (-2.0 * a)
-        - 5.0 * g3 * (-2.0 * d)
-        - 5.0 * g4 * (-2.0 * e)
-    ) + 3.2 * (a * a * a)
-    dv2 = 4.0 * (
-        3.0 * g1 * (-2.0 * b)
-        - 3.0 * g2 * (-2.0 * c)
-        - 5.0 * g3 * (-2.0 * f)
-        - 5.0 * g4 * (-2.0 * f)
-    ) + 3.2 * (b * b * b)
-    return np.stack([dv1, dv2], axis=-1)
+    # The gradient of _benchmark_energy,
+    #   dV/dx1 = 4 (3 g1 (-2a) - 3 g2 (-2a) - 5 g3 (-2d) - 5 g4 (-2e)) + 3.2 a^3
+    #   dV/dx2 = 4 (3 g1 (-2b) - 3 g2 (-2c) - 5 g3 (-2f) - 5 g4 (-2f)) + 3.2 b^3
+    # with g1 = exp(-a^2 - b^2), g2 = exp(-a^2 - c^2), g3 = exp(-d^2 - f^2)
+    # and g4 = exp(-e^2 - f^2), computed on stacked rows so that one ufunc
+    # call serves every like term.  Each value takes the same IEEE
+    # operations in the same order as the formula written out term by term
+    # (-(a a) - b b == (-a) a - b b, as rounding is symmetric in sign, and
+    # -f f - d d == -d d - f f, as addition commutes), so the two agree bit
+    # for bit.  The input is viewed as rows of (m, 2), so
+    # every slice below is at least 1-d and can take out=.
+    p = x.reshape(-1, 2)
+    tmp = np.multiply(p.T, 4.0, out=np.empty(p.shape[::-1]))
+    v = np.empty((6, len(p)))                 # a, d, e, b, c, f
+    np.subtract(tmp[0], _OFFSETS[0], out=v[:3])
+    np.subtract(tmp[1], _OFFSETS[1], out=v[3:])
+    sq = v * v                                # aa, dd, ee, bb, cc, ff
+    cube = sq[0:4:3] * v[0:4:3]               # a^3, b^3
+    cube *= 3.2
+    np.negative(sq[0:6:5], out=sq[0:6:5])     # -aa, -ff
+    np.subtract(sq[0], sq[3:5], out=sq[3:5])  # -aa - bb, -aa - cc
+    np.subtract(sq[5], sq[1:3], out=sq[1:3])  # -ff - dd, -ff - ee
+    g = np.exp(sq[1:5], out=sq[1:5])          # g3, g4, g1, g2
+    g *= _WEIGHTS
+    v *= -2.0
+    # one row per gradient component: 3 g1 (-2a) - 3 g2 (-2a) - ...
+    acc = np.multiply(g[2], v[0:4:3])
+    acc -= np.multiply(g[3], v[0:5:4], out=tmp)
+    acc -= np.multiply(g[0], v[1:6:4], out=tmp)
+    acc -= np.multiply(g[1], v[2:6:3], out=tmp)
+    # the chain rule gives every scaled coordinate a factor 4
+    acc *= 4.0
+    out = np.empty(p.shape)
+    np.add(acc, cube, out=out.T)
+    return out.reshape(x.shape)
 
 
 def benchmark_potential() -> PotentialSurface:

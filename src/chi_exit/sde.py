@@ -148,20 +148,30 @@ def step(config: SdeConfig, x, noise) -> Array:
     lo, hi = config.bounds
     return _advance(config.potential, config.sigma, config.dt, lo, hi,
                     np.asarray(x, dtype=float),
-                    np.asarray(noise, dtype=float))
+                    np.array(noise, dtype=float))
 
 
 def _advance(potential, sigma, dt, lo, hi, pos, noise):
-    """Vectorized Euler-Maruyama step with clamping, shape-preserving."""
+    """Vectorized Euler-Maruyama step with clamping, shape-preserving.
+
+    Overwrites ``noise`` with the scaled increment, so callers pass an
+    array they own; ``pos`` is only read.
+    """
     g = potential.grad(pos)
-    if not np.all(np.isfinite(g)):
-        bad = np.asarray(pos).reshape(-1, 2)[
-            ~np.isfinite(g).reshape(-1, 2).all(axis=1)
-        ][0]
-        raise ValueError(
-            "non-finite gradient at (%g, %g); trajectory aborted" % (bad[0], bad[1])
-        )
-    out = pos - g * dt + (sigma * math.sqrt(dt)) * noise
+    # one reduction covers the common case; a non-finite sum of finite
+    # values (overflow) falls through to the per-element check
+    if not math.isfinite(g.sum()):
+        bad_rows = ~np.isfinite(g).reshape(-1, 2).all(axis=1)
+        if bad_rows.any():
+            bad = np.asarray(pos).reshape(-1, 2)[bad_rows][0]
+            raise ValueError(
+                "non-finite gradient at (%g, %g); trajectory aborted"
+                % (bad[0], bad[1])
+            )
+    out = g * dt
+    np.subtract(pos, out, out=out)
+    noise *= sigma * math.sqrt(dt)
+    out += noise
     # one coordinate at a time: scalar bounds clip several times faster
     # than bounds broadcast along a length-2 axis
     for d in range(2):
@@ -178,8 +188,10 @@ def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
     (b, n_traj, 2), which yields the same values as b draws of (n_traj, 2),
     so a start's stream never depends on the other starts or on b.  When
     ``stop`` maps positions (k, 2) to booleans, a trajectory freezes at the
-    first step (step 0 included) where it is true, and a start with no
-    live trajectory draws no further blocks.
+    first step (step 0 included) where it is true: its position and step
+    are recorded then and never change.  A frozen trajectory still steps
+    until its block ends, where the live set is compacted once, and a
+    start with no live trajectory draws no further blocks.
 
     Returns
     -------
@@ -204,24 +216,30 @@ def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
         if idx.size == 0:
             break
         k = min(block, steps - s0)
-        for r in np.unique(idx // n_traj):
+        # the starts with a live trajectory (bincount is far cheaper than
+        # np.unique here)
+        for r in np.flatnonzero(np.bincount(idx // n_traj, minlength=m)):
             rngs[r].standard_normal((k, n_traj, 2), out=noise[r, :k])
         # noise of trajectory (r, c) at step j of the block:
         # flat_noise[(r * block + j) * n_traj + c]
         at = idx + (idx // n_traj) * (noise.shape[1] - 1) * n_traj
+        alive = np.ones(idx.size, dtype=bool)
+        n_alive = idx.size
         for j in range(k):
             live = _advance(potential, sigma, dt, lo, hi, live,
                             np.take(flat_noise, at + j * n_traj, axis=0))
             if stop is None:
                 continue
-            done = np.asarray(stop(live), dtype=bool)
-            if done.any():
-                pos[idx[done]] = live[done]
-                first[idx[done]] = s0 + j + 1
-                keep = ~done
-                idx, at, live = idx[keep], at[keep], live[keep]
-                if idx.size == 0:
+            hit = np.flatnonzero(np.logical_and(alive, stop(live)))
+            if hit.size:
+                pos[idx[hit]] = live[hit]
+                first[idx[hit]] = s0 + j + 1
+                alive[hit] = False
+                n_alive -= hit.size
+                if n_alive == 0:
                     break
+        if n_alive < idx.size:
+            idx, live = idx[alive], live[alive]
     pos[idx] = live
     return pos.reshape(m, n_traj, 2), first.reshape(m, n_traj)
 
@@ -347,7 +365,11 @@ def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
     Starts ``n_traj`` trajectories of time-length tau at x and averages
     chi over their endpoints.  When chi itself is a point sampler, the
     endpoint evaluations spawn the sampler's own ensembles, composing the
-    two sampling layers.
+    two sampling layers.  Those ensembles draw from streams keyed by the
+    endpoint's coordinate bits, so the estimate is bit-stable only while
+    the SDE arithmetic is: any last-ulp change in it (the gradient, the
+    step, another numpy or libm build) redraws chi at every endpoint it
+    moves.
 
     Parameters
     ----------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,3 +152,63 @@ def test_generator_properties_random(nx, ny, a1, a2, c1, c2, kbt):
         assert np.max(np.abs(residual.data)) < 1e-12
     vals = np.linalg.eigvalsh(gen.symmetrized().toarray())
     assert vals[0] > -1e-10
+
+
+def _loop_rates(potential, grid, kbt):
+    """Reference: the square-root rates built cell by cell with Python loops."""
+    v = potential(grid.centers) / kbt
+    w = np.exp(-(v - v.min()))
+    nx, ny, n = grid.nx, grid.ny, grid.n
+    rows, cols, vals = [], [], []
+    for i in range(nx):
+        for j in range(ny):
+            k = i * ny + j
+            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if 0 <= a < nx and 0 <= b < ny:
+                    m = a * ny + b
+                    rows.append(k)
+                    cols.append(m)
+                    vals.append(-np.sqrt(w[m] / w[k]))
+    off = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    diag = -np.asarray(off.sum(axis=1)).ravel()
+    rates = (off + sp.diags(diag)).tocsr()
+    rates.sort_indices()
+    return rates
+
+
+def _loop_jump_tables(rates):
+    """Reference: the jump-process tables filled one cell at a time."""
+    off = rates.tolil(copy=True)
+    off.setdiag(0.0)
+    off = off.tocsr()
+    rate_out = np.asarray(-off.sum(axis=1)).ravel()
+    n = rates.shape[0]
+    neighbors = np.zeros((n, 4), dtype=np.int64)
+    cum = np.ones((n, 4))
+    for i in range(n):
+        lo, hi = off.indptr[i], off.indptr[i + 1]
+        js = off.indices[lo:hi]
+        rs = -off.data[lo:hi]
+        neighbors[i, : len(js)] = js
+        neighbors[i, len(js):] = js[-1]
+        cum[i, : len(js)] = np.cumsum(rs) / rs.sum()
+    return rate_out, neighbors, cum
+
+
+def _assert_bits_equal(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint8),
+                                  expected.view(np.uint8))
+
+
+@pytest.mark.parametrize("nx, ny", [(50, 50), (7, 4), (2, 1), (1, 3)])
+def test_vectorized_builders_match_loops(bench, nx, ny):
+    # the vectorized generator and jump tables must equal the loops bit for
+    # bit: both feed seeded Monte Carlo and byte-compared outputs
+    grid = RegularGrid(nx, ny, bench.domain)
+    gen = build_sqrt_generator(bench, grid, 0.7)
+    ref = _loop_rates(bench, grid, 0.7)
+    for attr in ("indptr", "indices", "data"):
+        _assert_bits_equal(getattr(gen.rates, attr), getattr(ref, attr))
+    for table, expected in zip(gen.jump_tables(), _loop_jump_tables(ref)):
+        _assert_bits_equal(table, expected)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chi_exit import benchmark_potential, flat_potential
-from chi_exit.potential import potential_by_name
+from chi_exit.potential import _benchmark_gradient, potential_by_name
 
 coord = st.floats(min_value=0.05, max_value=0.95)
 
@@ -54,6 +54,61 @@ def test_batch_matches_pointwise():
     for k in range(20):
         np.testing.assert_allclose(vals[k], pot(pts[k]), rtol=1e-14)
         np.testing.assert_allclose(grads[k], pot.grad(pts[k]), rtol=1e-14)
+
+
+def _term_by_term_gradient(x):
+    """Reference: the benchmark gradient written out term by term."""
+    x1, x2 = x[..., 0], x[..., 1]
+    a = 4.0 * x1 - 2.0
+    b = 4.0 * x2 - 7.0 / 3.0
+    c = 4.0 * x2 - 11.0 / 3.0
+    d = 4.0 * x1 - 3.0
+    e = 4.0 * x1 - 1.0
+    f = 4.0 * x2 - 2.0
+    g1 = np.exp(-a * a - b * b)
+    g2 = np.exp(-a * a - c * c)
+    g3 = np.exp(-d * d - f * f)
+    g4 = np.exp(-e * e - f * f)
+    dv1 = 4.0 * (
+        3.0 * g1 * (-2.0 * a)
+        - 3.0 * g2 * (-2.0 * a)
+        - 5.0 * g3 * (-2.0 * d)
+        - 5.0 * g4 * (-2.0 * e)
+    ) + 3.2 * (a * a * a)
+    dv2 = 4.0 * (
+        3.0 * g1 * (-2.0 * b)
+        - 3.0 * g2 * (-2.0 * c)
+        - 5.0 * g3 * (-2.0 * f)
+        - 5.0 * g4 * (-2.0 * f)
+    ) + 3.2 * (b * b * b)
+    return np.stack([dv1, dv2], axis=-1)
+
+
+_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                     [0.5, 0.5], [0.25, 0.5], [0.75, 0.5], [0.5, 11 / 12]])
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (8, 2), (6400, 2),
+                                   (7, 3, 2), (3, 5, 4, 2)])
+def test_gradient_bits_match_term_by_term_formula(shape):
+    # the SDE kernel feeds endpoint bits into the chi streams, so the
+    # gradient must not move a single ulp
+    rng = np.random.default_rng(sum(shape))
+    x = rng.uniform(-0.05, 1.05, size=shape)
+    flat = x.reshape(-1, 2)
+    flat[:min(len(flat), len(_CORNERS))] = _CORNERS[:len(flat)]
+    before = x.copy()
+    got = _benchmark_gradient(x)
+    np.testing.assert_array_equal(x, before)  # works in its own arrays
+    want = _term_by_term_gradient(x)
+    assert got.shape == want.shape == shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    if x.ndim > 1:
+        # a reversed, strided view gives the same bits
+        view = x[..., ::-1, :]
+        np.testing.assert_array_equal(
+            _benchmark_gradient(view).view(np.uint64),
+            _term_by_term_gradient(view).view(np.uint64))
 
 
 def test_domain_is_unit_box():

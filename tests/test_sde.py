@@ -198,50 +198,80 @@ def _high_chi_region(gen, chi):
 
 def _naive_run(cfg, starts, tag, seed, n_traj, steps, stop):
     """Reference for the kernel: every start draws every step and every
-    trajectory advances; returns final positions and first stop steps."""
+    trajectory advances; returns each trajectory's position at its first
+    stop (at the horizon when it never stops) and its first stop step."""
     lo, hi = cfg.bounds
     rngs = [generator_for(seed, tag, p) for p in starts]
     pos = np.repeat(starts[:, None, :], n_traj, axis=1)
     first = np.where(stop(pos), 0, -1)
+    ends = pos.copy()
     for s in range(1, steps + 1):
         noise = np.stack([rng.standard_normal((n_traj, 2)) for rng in rngs])
         pos = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, pos,
                            noise)
-        first[(first < 0) & stop(pos)] = s
-    return pos, first
+        new = (first < 0) & stop(pos)
+        first[new] = s
+        ends[new] = pos[new]
+    running = first < 0
+    ends[running] = pos[running]
+    return ends, first
 
 
 @pytest.mark.parametrize("noise_bytes", [sde._NOISE_BYTES, 16 * 3 * 20 * 5])
 def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
-    # a small noise budget forces several blocks per call
+    # a small noise budget forces several 4-step blocks per call
     monkeypatch.setattr(sde, "_NOISE_BYTES", noise_bytes)
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    lo, hi = cfg.bounds
     box = (0.2, 0.3, 0.4, 0.5)
     pts = np.array([[0.25, 0.45], [0.33, 0.45], [0.4, 0.55]])
-    ref_pos, ref_first = _naive_run(cfg, pts, TAG_CHI, 4, 20, 60,
-                                    lambda p: sde._in_box(p, box))
-    assert 0 < (ref_first >= 0).sum() < ref_first.size
+    in_box = lambda p: sde._in_box(p, box)  # noqa: E731
+    ref_ends, ref_first = _naive_run(cfg, pts, TAG_CHI, 4, 20, 60, in_box)
+    assert (ref_first > 0).any() and (ref_first < 0).any()
     np.testing.assert_array_equal(
         hitting_fractions(cfg, box, pts, n_traj=20, max_steps=60, seed=4),
         (ref_first >= 0).mean(axis=1))
+    rngs = [generator_for(4, TAG_CHI, p) for p in pts]
+    pos, first = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi, pts, rngs,
+                          20, 60, in_box)
+    np.testing.assert_array_equal(first, ref_first)
+    # stopped trajectories keep the position of their first stop
+    np.testing.assert_array_equal(pos, ref_ends)
 
     ends = endpoint_ensemble(cfg, pts, steps=37, n_traj=20, seed=4)
     ref_ends, _ = _naive_run(cfg, pts, TAG_PTAU, 4, 20, 37,
                              lambda p: np.zeros(p.shape[:-1], dtype=bool))
     np.testing.assert_array_equal(ends, ref_ends)
 
-    region = _high_chi_region(gen50, chi1)
-    starts = gen50.grid.centers[np.argsort(chi1.values)[-3:]]
+    # every trajectory of the first start leaves its small box within the
+    # first 4-step block, before the block ends; the others run on
+    field = chi1.values
+    small = (0.485, 0.515, 0.085, 0.115)
+
+    def region(p):
+        return (field[gen50.grid.cells_of(p)] > 0.22) | sde._in_box(p, small)
+
+    starts = np.vstack([[0.5, 0.1],
+                        gen50.grid.centers[np.argsort(field)[-2:]]])
     stats = sample_set_exit_times(cfg, region, starts, n_traj=20,
                                   horizon_steps=300, seed=2)
-    ref_pos, ref_exit = _naive_run(
+    ref_ends, ref_exit = _naive_run(
         cfg, starts, TAG_EXIT, 2, 20, 300,
         lambda p: ~region(p.reshape(-1, 2)).reshape(p.shape[:-1]))
-    assert 0 < (ref_exit >= 0).sum() < ref_exit.size
+    assert np.all((ref_exit[0] > 0) & (ref_exit[0] < 4))
+    assert 0 < (ref_exit[1:] >= 0).sum() < ref_exit[1:].size
     np.testing.assert_array_equal(stats.exit_steps, ref_exit)
-    censored = ref_exit < 0
-    np.testing.assert_array_equal(stats.endpoints[censored],
-                                  ref_pos[censored])
+    np.testing.assert_array_equal(stats.endpoints, ref_ends)
+
+
+def test_step_leaves_its_arguments_unchanged():
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    x = np.array([0.3, 0.6])
+    noise = np.array([1.5, -0.5])
+    out = step(cfg, x, noise)
+    np.testing.assert_array_equal(x, [0.3, 0.6])
+    np.testing.assert_array_equal(noise, [1.5, -0.5])
+    assert not np.array_equal(out, x)
 
 
 def test_sample_set_exit_times_batch_matches_single(gen50, chi1):
