@@ -14,7 +14,6 @@ from .grid_generator import (
     GeneratorMatrix,
     RegularGrid,
     build_sqrt_generator,
-    stationary_weight_of,
 )
 from .spectral import EigenSystem, eigensolve, propagate
 from .membership import (
@@ -60,7 +59,6 @@ __all__ = [
     "RegularGrid",
     "GeneratorMatrix",
     "build_sqrt_generator",
-    "stationary_weight_of",
     "EigenSystem",
     "eigensolve",
     "propagate",

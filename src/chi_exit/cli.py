@@ -492,9 +492,11 @@ def run_idea4(cfg: ExperimentConfig) -> int:
     if report.note:
         print("idea4: %s" % report.note, file=sys.stderr)
     _write_report(cfg, report, reg)
+    # chi's paths, then the P^tau paths of idea4.steps + max_steps steps
+    max_steps = int(cfg["membership.max_steps"])
     cost = (
-        int(cfg["membership.n_traj"]) * int(cfg["membership.max_steps"])
-        + int(cfg["idea4.n_traj"]) * int(cfg["idea4.steps"])
+        int(cfg["membership.n_traj"]) * max_steps
+        + int(cfg["idea4.n_traj"]) * (int(cfg["idea4.steps"]) + max_steps)
     )
     print(
         "idea4: gamma1=%s gamma2=%s eps1=%s meaningful=%d "

@@ -212,13 +212,3 @@ def build_sqrt_generator(
     rates.sort_indices()
     return GeneratorMatrix(rates=rates, weights=pi, grid=grid, kbt=float(kbt))
 
-
-def stationary_weight_of(chi_values: Array, gen: GeneratorMatrix) -> float:
-    """Statistical weight pi_chi = <chi, 1>_pi of a grid membership."""
-    chi = np.asarray(chi_values, dtype=float)
-    if chi.shape != (gen.n,):
-        raise ValueError(
-            "membership has %d values, generator has %d cells"
-            % (chi.size, gen.n)
-        )
-    return float(chi @ gen.weights)

@@ -2,14 +2,13 @@
 
 A membership chi maps the state space to [0, 1] and generalizes the
 indicator of a metastable set.  Grid memberships carry one value per
-cell; point-sampler memberships evaluate lazily by simulation and
-memoize their results.  Construction routes: affine rescaling of a
-single eigenfunction (pcca_single), inner-simplex PCCA+ on several
-eigenfunctions (pcca_multi), the committor between two core sets, and
-Monte Carlo core-hitting probabilities (mc_hitting_membership).
+cell; point-sampler memberships evaluate lazily by simulation.
+Construction routes: affine rescaling of a single eigenfunction
+(pcca_single), inner-simplex PCCA+ on several eigenfunctions
+(pcca_multi), the committor between two core sets, and Monte Carlo
+core-hitting probabilities (mc_hitting_membership).
 """
 
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -87,11 +86,8 @@ class Membership:
         Per-cell values, grid_vector kind.
     grid : RegularGrid, optional
         The discretization of a grid_vector membership.
-    sampler : callable, optional
-        Position -> value evaluator, point_sampler kind.
     batch_sampler : callable, optional
-        (positions, workers) -> values evaluator sharing the sampler's
-        memo table.
+        (positions, workers) -> values evaluator, point_sampler kind.
     meta : dict
         Construction metadata (e.g. alpha_bar, beta_bar, eps_bar).
     """
@@ -100,7 +96,6 @@ class Membership:
     provenance: str
     values: Optional[Array] = None
     grid: Optional[RegularGrid] = None
-    sampler: Optional[Callable] = None
     batch_sampler: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
 
@@ -122,8 +117,8 @@ class Membership:
                     % (vals.min(), vals.max())
                 )
             self.values = np.clip(vals, 0.0, 1.0)
-        elif self.sampler is None:
-            raise ValueError("point_sampler membership needs a sampler")
+        elif self.batch_sampler is None:
+            raise ValueError("point_sampler membership needs a batch_sampler")
 
     def __call__(self, x):
         """Evaluate at one position (2,) or a batch (m, 2)."""
@@ -146,9 +141,7 @@ class Membership:
             if np.any(cells < 0):
                 raise ValueError("position outside the grid domain")
             return self.values[cells]
-        if self.batch_sampler is not None:
-            return np.asarray(self.batch_sampler(pts, workers), dtype=float)
-        return np.array([float(self.sampler(p)) for p in pts])
+        return np.asarray(self.batch_sampler(pts, workers), dtype=float)
 
 
 def _reject_degenerate(eig: EigenSystem, idx: int) -> None:
@@ -444,8 +437,7 @@ def mc_hitting_membership(dynamics: SdeConfig, core: CoreSet, n_traj: int,
     (the start itself counts as step 0).  Values are deterministic given
     (seed, x): each point draws from its own stream keyed by the master
     seed and the coordinate bits, so evaluation order and worker count
-    never matter.  Results are memoized per point; the memo is safe for
-    concurrent insertion.
+    never matter.
 
     Parameters
     ----------
@@ -460,7 +452,8 @@ def mc_hitting_membership(dynamics: SdeConfig, core: CoreSet, n_traj: int,
     Returns
     -------
     Membership
-        Point-sampler membership with provenance "mc_hitting".
+        Point-sampler membership with provenance "mc_hitting"; its meta
+        holds the dynamics, box, n_traj, max_steps and seed.
     """
     if core.box is None:
         raise ValueError("mc_hitting_membership needs a box-based core")
@@ -471,41 +464,17 @@ def mc_hitting_membership(dynamics: SdeConfig, core: CoreSet, n_traj: int,
     if not (lo1 <= x1lo and x1hi <= hi1 and lo2 <= x2lo and x2hi <= hi2):
         raise ValueError("core box leaves the potential domain")
     seed = dynamics.seed if seed is None else int(seed)
-    memo = {}
-    lock = threading.Lock()
 
     def batch(pts, workers=1):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        keys = [(float(p[0]).hex(), float(p[1]).hex()) for p in pts]
-        out = np.empty(len(pts))
-        missing = []
-        with lock:
-            for i, key in enumerate(keys):
-                val = memo.get(key)
-                if val is None:
-                    missing.append(i)
-                else:
-                    out[i] = val
-        if missing:
-            fresh = hitting_fractions(
-                dynamics, core.box, pts[missing], n_traj, max_steps,
-                seed=seed, workers=workers,
-            )
-            with lock:
-                for i, val in zip(missing, fresh):
-                    memo[keys[i]] = float(val)
-            out[missing] = fresh
-        return out
-
-    def sampler(x):
-        return float(batch(np.asarray(x, dtype=float)[None, :])[0])
+        return hitting_fractions(dynamics, core.box, pts, n_traj, max_steps,
+                                 seed=seed, workers=workers)
 
     return Membership(
         kind="point_sampler",
         provenance="mc_hitting",
-        sampler=sampler,
         batch_sampler=batch,
         meta={
+            "dynamics": dynamics,
             "core": core.label or "core",
             "box": core.box,
             "n_traj": int(n_traj),

@@ -181,17 +181,18 @@ def _advance(potential, sigma, dt, lo, hi, pos, noise):
 
 
 def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
-         stop=None) -> Tuple[Array, Array]:
+         stop=None, stop_from: int = 0) -> Tuple[Array, Array]:
     """The stepping kernel: ``n_traj`` trajectories from each start.
 
     Start ``r`` draws its noise from ``rngs[r]`` in blocks of shape
     (b, n_traj, 2), which yields the same values as b draws of (n_traj, 2),
     so a start's stream never depends on the other starts or on b.  When
     ``stop`` maps positions (k, 2) to booleans, a trajectory freezes at the
-    first step (step 0 included) where it is true: its position and step
-    are recorded then and never change.  A frozen trajectory still steps
-    until its block ends, where the live set is compacted once, and a
-    start with no live trajectory draws no further blocks.
+    first step from ``stop_from`` on (step 0 included when it is 0) where
+    it is true: its position and step are recorded then and never change.
+    A frozen trajectory still steps until its block ends, where the live
+    set is compacted once, and a start with no live trajectory draws no
+    further blocks.
 
     Returns
     -------
@@ -204,7 +205,7 @@ def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
     # trajectory c of start r sits at flat index r * n_traj + c
     pos = np.repeat(np.asarray(starts, dtype=float), n_traj, axis=0)
     first = np.full(m * n_traj, -1, dtype=np.int64)
-    if stop is not None:
+    if stop is not None and stop_from == 0:
         first[np.asarray(stop(pos), dtype=bool)] = 0
     idx = np.flatnonzero(first < 0)
     live = pos[idx]
@@ -228,7 +229,7 @@ def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
         for j in range(k):
             live = _advance(potential, sigma, dt, lo, hi, live,
                             np.take(flat_noise, at + j * n_traj, axis=0))
-            if stop is None:
+            if stop is None or s0 + j + 1 < stop_from:
                 continue
             hit = np.flatnonzero(np.logical_and(alive, stop(live)))
             if hit.size:
@@ -258,13 +259,16 @@ def _in_box(pos: Array, box) -> Array:
 
 def _chunk(args):
     """One worker task: endpoints of a chunk of starts, or, given a box,
-    their fractions of trajectories entering it."""
-    (pspec, sigma, dt, domain, pts, n_traj, steps, seed, tag, box) = args
+    their fractions of trajectories in it at some step from ``stop_from``
+    on."""
+    (pspec, sigma, dt, domain, pts, n_traj, steps, seed, tag, box,
+     stop_from) = args
     potential = _resolve_potential(pspec)
     rngs = [generator_for(seed, tag, p) for p in pts]
     stop = None if box is None else (lambda p: _in_box(p, box))
     pos, first = _run(potential, sigma, dt, np.array(domain[0]),
-                      np.array(domain[1]), pts, rngs, n_traj, steps, stop)
+                      np.array(domain[1]), pts, rngs, n_traj, steps, stop,
+                      stop_from)
     return pos if box is None else (first >= 0).mean(axis=1)
 
 
@@ -276,7 +280,8 @@ def _map_chunks(fn, tasks, workers: int):
 
 
 def _chunked(config: SdeConfig, points: Array, n_traj: int, steps: int,
-             seed: Optional[int], tag: int, workers: int, box=None) -> Array:
+             seed: Optional[int], tag: int, workers: int, box=None,
+             stop_from: int = 0) -> Array:
     """Run the kernel over ``points`` in chunks of ``_CHUNK`` starts."""
     registered = config.potential.name in ("paper2d", "flat")
     pspec = config.potential.name if registered else config.potential
@@ -286,7 +291,7 @@ def _chunked(config: SdeConfig, points: Array, n_traj: int, steps: int,
     tasks = [
         (pspec, config.sigma, config.dt, config.potential.domain,
          points[i:i + _CHUNK], int(n_traj), int(steps), int(seed), int(tag),
-         box)
+         box, int(stop_from))
         for i in range(0, len(points), _CHUNK)
     ]
     return np.concatenate(_map_chunks(_chunk, tasks, workers), axis=0)
@@ -362,20 +367,25 @@ def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
                       seed: Optional[int] = None, workers: int = 1):
     """Monte Carlo estimate of (P^tau chi)(x).
 
-    Starts ``n_traj`` trajectories of time-length tau at x and averages
-    chi over their endpoints.  When chi itself is a point sampler, the
-    endpoint evaluations spawn the sampler's own ensembles, composing the
-    two sampling layers.  Those ensembles draw from streams keyed by the
-    endpoint's coordinate bits, so the estimate is bit-stable only while
-    the SDE arithmetic is: any last-ulp change in it (the gradient, the
-    step, another numpy or libm build) redraws chi at every endpoint it
-    moves.
+    For a hitting membership (provenance "mc_hitting"), chi(y) is the
+    chance of entering its core box within T = ``max_steps`` steps from y.
+    The Euler-Maruyama chain is Markov, so (P^tau chi)(x) is the chance of
+    being in the box at some step in [k, k + T], k = tau/dt.  The estimate
+    is the share of ``n_traj`` paths of k + T steps from x that are, and
+    the paths draw from the stream chi itself uses at x.  With the
+    ``n_traj`` and ``seed`` of chi, their first T steps are exactly the
+    paths behind chi(x), so the two estimates share their noise.  The
+    paths follow ``config``, which must carry chi's dynamics.
+
+    Any other chi is averaged over the endpoints of ``n_traj``
+    trajectories of time-length tau started at x.
 
     Parameters
     ----------
     config : SdeConfig
     chi : Membership or callable
-        Evaluated at the endpoint positions.
+        A hitting membership, or a membership or callable evaluated at
+        the endpoint positions.
     x : array-like
         One position (2,) or a batch (m, 2).
     tau : float
@@ -407,9 +417,22 @@ def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
     if steps == 0:
         vals = evaluate(pts)
         return float(vals[0]) if single else vals
-    ends = endpoint_ensemble(config, pts, steps, n_traj, seed=seed,
-                             tag=TAG_PTAU, workers=workers)
-    means = evaluate(ends.reshape(-1, 2)).reshape(len(pts), n_traj).mean(axis=1)
+    if getattr(chi, "provenance", None) == "mc_hitting":
+        dyn = chi.meta["dynamics"]
+        if (dyn.potential, dyn.sigma, dyn.dt) != (
+                config.potential, config.sigma, config.dt):
+            raise ValueError("P^tau of a hitting membership must follow the "
+                             "membership's own dynamics")
+        if n_traj < 1:
+            raise ValueError("n_traj must be >= 1")
+        means = _chunked(config, pts, n_traj, steps + chi.meta["max_steps"],
+                         seed, TAG_CHI, workers, box=chi.meta["box"],
+                         stop_from=steps)
+    else:
+        ends = endpoint_ensemble(config, pts, steps, n_traj, seed=seed,
+                                 tag=TAG_PTAU, workers=workers)
+        means = evaluate(ends.reshape(-1, 2)).reshape(
+            len(pts), n_traj).mean(axis=1)
     return float(means[0]) if single else means
 
 

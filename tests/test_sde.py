@@ -1,5 +1,7 @@
 """Euler-Maruyama dynamics, MC estimators, holding probabilities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,34 @@ def test_estimate_ptau_chi_batch_matches_single(chi1):
     np.testing.assert_array_equal(batch[1], single)
 
 
+def test_estimate_ptau_chi_runs_on_the_hitting_paths():
+    # for a hitting membership, (P^tau chi)(x) is the share of chi's own
+    # paths at x that are in the box at some step in [k, k + T]; their
+    # first T steps are the paths behind chi(x)
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    lo, hi = cfg.bounds
+    box, k, horizon, n = (0.2, 0.3, 0.4, 0.5), 8, 6, 50
+    chi = mc_hitting_membership(cfg, CoreSet(box=box), n, horizon, seed=3)
+    pts = np.array([[0.25, 0.45], [0.34, 0.47], [0.16, 0.52], [0.3, 0.36]])
+    chi_ref, ptau_ref = [], []
+    for x in pts:
+        rng = generator_for(3, TAG_CHI, x)
+        pos = np.repeat(x[None, :], n, axis=0)
+        seen = [sde._in_box(pos, box)]
+        for _ in range(k + horizon):
+            pos = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, pos,
+                               rng.standard_normal((n, 2)))
+            seen.append(sde._in_box(pos, box))
+        seen = np.array(seen)
+        chi_ref.append(seen[:horizon + 1].any(axis=0).mean())
+        ptau_ref.append(seen[k:].any(axis=0).mean())
+    np.testing.assert_array_equal(chi.evaluate_batch(pts), chi_ref)
+    np.testing.assert_array_equal(
+        estimate_ptau_chi(cfg, chi, pts, k * cfg.dt, n, seed=3), ptau_ref)
+    with pytest.raises(ValueError):
+        estimate_ptau_chi(replace(cfg, sigma=0.5), chi, pts, k * cfg.dt, n)
+
+
 def test_hitting_fractions_batch_matches_single():
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     box = (0.2, 0.3, 0.4, 0.5)
@@ -196,20 +226,21 @@ def _high_chi_region(gen, chi):
     return lambda pts: field[gen.grid.cells_of(pts)] > 0.22
 
 
-def _naive_run(cfg, starts, tag, seed, n_traj, steps, stop):
+def _naive_run(cfg, starts, tag, seed, n_traj, steps, stop, stop_from=0):
     """Reference for the kernel: every start draws every step and every
     trajectory advances; returns each trajectory's position at its first
-    stop (at the horizon when it never stops) and its first stop step."""
+    stop from step ``stop_from`` on (at the horizon when it never stops)
+    and that step."""
     lo, hi = cfg.bounds
     rngs = [generator_for(seed, tag, p) for p in starts]
     pos = np.repeat(starts[:, None, :], n_traj, axis=1)
-    first = np.where(stop(pos), 0, -1)
+    first = np.where(stop(pos) & (stop_from == 0), 0, -1)
     ends = pos.copy()
     for s in range(1, steps + 1):
         noise = np.stack([rng.standard_normal((n_traj, 2)) for rng in rngs])
         pos = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, pos,
                            noise)
-        new = (first < 0) & stop(pos)
+        new = (first < 0) & stop(pos) & (s >= stop_from)
         first[new] = s
         ends[new] = pos[new]
     running = first < 0
@@ -236,6 +267,16 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
                           20, 60, in_box)
     np.testing.assert_array_equal(first, ref_first)
     # stopped trajectories keep the position of their first stop
+    np.testing.assert_array_equal(pos, ref_ends)
+
+    # a window from step 21 on: stops before it do not count
+    ref_ends, ref_first = _naive_run(cfg, pts, TAG_CHI, 4, 20, 60, in_box,
+                                     stop_from=21)
+    assert (ref_first > 21).any() and (ref_first < 0).any()
+    rngs = [generator_for(4, TAG_CHI, p) for p in pts]
+    pos, first = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi, pts, rngs,
+                          20, 60, in_box, stop_from=21)
+    np.testing.assert_array_equal(first, ref_first)
     np.testing.assert_array_equal(pos, ref_ends)
 
     ends = endpoint_ensemble(cfg, pts, steps=37, n_traj=20, seed=4)
