@@ -338,12 +338,15 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, err) from err
 
 
-def _spectral_setup(cfg: ExperimentConfig, k: int):
+def _generator(cfg: ExperimentConfig):
     grid = _stage("grid", cfg.grid)
-    gen = _stage("generator", build_sqrt_generator, cfg.potential(), grid,
-                 float(cfg["kbt"]))
-    eig = _stage("eigensolve", eigensolve, gen, k)
-    return grid, gen, eig
+    return grid, _stage("generator", build_sqrt_generator, cfg.potential(),
+                        grid, float(cfg["kbt"]))
+
+
+def _spectral_setup(cfg: ExperimentConfig, k: int):
+    grid, gen = _generator(cfg)
+    return grid, gen, _stage("eigensolve", eigensolve, gen, k)
 
 
 def _idea1_membership(cfg: ExperimentConfig):
@@ -558,9 +561,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
     exit rate of the same membership (both live on the generator clock).
     """
     dyn, chi = _mc_membership(cfg)
-    grid = _stage("grid", cfg.grid)
-    gen = _stage("generator", build_sqrt_generator, cfg.potential(), grid,
-                 float(cfg["kbt"]))
+    grid, gen = _generator(cfg)
     field = _stage("chi_field", chi.evaluate_batch, grid.centers, cfg.workers)
     threshold = float(cfg["validate.threshold"])
     mask = field > threshold
@@ -634,9 +635,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
 
 def run_dump_generator(cfg: ExperimentConfig) -> int:
     """Write the generator matrix as (i, j, value) triplets."""
-    grid = _stage("grid", cfg.grid)
-    gen = _stage("generator", build_sqrt_generator, cfg.potential(), grid,
-                 float(cfg["kbt"]))
+    grid, gen = _generator(cfg)
     mat = gen.rates.tocoo()
     rows = list(zip(mat.row.tolist(), mat.col.tolist(), mat.data.tolist()))
     rows.sort(key=lambda r: (r[0], r[1]))

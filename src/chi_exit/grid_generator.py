@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .potential import PotentialSurface
 
@@ -90,6 +91,8 @@ class GeneratorMatrix:
 
     Everything derived from it stays sparse: ``symmetrized()`` builds
     D L* D^-1 on each call, and only the jump-process tables are cached.
+    Cells, cell sets and per-cell values are checked against it, and
+    ``restricted`` gives L* on a cell set.
 
     Attributes
     ----------
@@ -119,6 +122,62 @@ class GeneratorMatrix:
         L* satisfies detailed balance (it is not symmetrized by force)."""
         sq = np.sqrt(self.weights)
         return self.rates.multiply(sq[:, None]).multiply(1.0 / sq[None, :]).tocsr()
+
+    def cell_indices(self, cells) -> Array:
+        """Integer cells as int64, shape kept; ValueError for a non-integer
+        array or a cell outside [0, n), such as the -1 that
+        ``RegularGrid.cells_of`` gives a position off the grid."""
+        cells = np.asarray(cells)
+        if cells.size and cells.dtype.kind not in "iu":
+            raise ValueError("cell indices must be integers, not %s"
+                             % cells.dtype)
+        bad = (cells < 0) | (cells >= self.n)
+        if bad.any():
+            raise ValueError("cell %d is not in [0, %d); -1 marks a position "
+                             "off the grid" % (cells[bad].flat[0], self.n))
+        return cells.astype(np.int64)
+
+    def cell_mask(self, cells) -> Array:
+        """A cell set, a boolean (n,) mask or integer cells, as a new (n,)
+        mask; ValueError for a mask of another shape or for cells that
+        ``cell_indices`` rejects."""
+        cells = np.asarray(cells)
+        if cells.dtype != bool:
+            mask = np.zeros(self.n, dtype=bool)
+            mask[self.cell_indices(cells)] = True
+            return mask
+        if cells.shape != (self.n,):
+            raise ValueError("cell mask has shape %s, not (%d,)"
+                             % (cells.shape, self.n))
+        return cells.copy()
+
+    def cell_values(self, chi) -> Array:
+        """Per-cell floats of a grid membership or an array; ValueError for
+        a point-sampler membership or values that do not match the grid."""
+        if getattr(chi, "kind", None) == "point_sampler":
+            raise ValueError("needs a grid membership, not a point sampler")
+        vals = getattr(chi, "values", None)
+        vals = np.asarray(chi if vals is None else vals, dtype=float)
+        if vals.shape != (self.n,):
+            raise ValueError("membership does not match the generator grid")
+        return vals
+
+    def restricted(self, cells) -> sp.csr_matrix:
+        """L* on a cell set (as for ``cell_mask``), the generator killed on
+        leaving it; ValueError when a connected component of the set has
+        no rate to the other cells, where the restriction is singular."""
+        mask = self.cell_mask(cells)
+        sub = self.rates[mask][:, mask]
+        touch = np.asarray(
+            np.abs(self.rates[mask][:, ~mask]).sum(axis=1)).ravel() > 0
+        ncomp, labels = connected_components(sub != 0, directed=False)
+        stuck = np.bincount(labels, weights=touch, minlength=ncomp) == 0
+        if stuck.any():
+            cells = np.flatnonzero(mask)[labels == np.argmax(stuck)]
+            raise ValueError(
+                "singular restricted system: component without exit "
+                "(%d cells, e.g. %s)" % (cells.size, cells[:8].tolist()))
+        return sub
 
     def jump_tables(self):
         """Tables for simulating the jump process generated by L*.

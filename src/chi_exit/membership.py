@@ -21,7 +21,7 @@ from scipy.sparse.linalg import spsolve
 
 from .grid_generator import GeneratorMatrix, RegularGrid
 from .spectral import EigenSystem
-from .sde import SdeConfig, hitting_fractions
+from .sde import SdeConfig, _in_box, hitting_fractions
 
 Array = np.ndarray
 
@@ -65,10 +65,7 @@ class CoreSet:
         """Boolean membership of positions (box cores only)."""
         if self.box is None:
             raise ValueError("cell-based core has no position predicate")
-        x1lo, x1hi, x2lo, x2hi = self.box
-        pts = np.asarray(pts, dtype=float)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        return (x1 >= x1lo) & (x1 <= x1hi) & (x2 >= x2lo) & (x2 <= x2hi)
+        return _in_box(np.asarray(pts, dtype=float), self.box)
 
 
 @dataclass(eq=False)
@@ -349,30 +346,22 @@ def committor(gen: GeneratorMatrix, core_a: CoreSet, core_b: CoreSet) -> Members
     -------
     Membership
         Grid membership with provenance "committor".
+
+    Raises
+    ------
+    ValueError
+        For a box core, a core cell outside [0, n), overlapping cores, or
+        non-core cells that reach neither core.
     """
     for core in (core_a, core_b):
         if core.cells is None:
             raise ValueError("committor needs cell-based cores")
-    a = np.zeros(gen.n, dtype=bool)
-    b = np.zeros(gen.n, dtype=bool)
-    a[core_a.cells] = True
-    b[core_b.cells] = True
+    a, b = gen.cell_mask(core_a.cells), gen.cell_mask(core_b.cells)
     if np.any(a & b):
         raise ValueError("core sets overlap")
     free = ~(a | b)
-    L = gen.rates.tocsr()
-    sub = L[free][:, free]
-    touch = np.asarray(np.abs(L[free][:, a | b]).sum(axis=1)).ravel() > 0
-    ncomp, labels = connected_components(sub != 0, directed=False)
-    for comp in range(ncomp):
-        members = labels == comp
-        if not touch[members].any():
-            cells = np.nonzero(free)[0][members]
-            raise ValueError(
-                "non-core region has a component disconnected from both "
-                "cores (%d cells, e.g. %s)" % (cells.size, cells[:8].tolist())
-            )
-    rhs = -np.asarray(L[free][:, a].sum(axis=1)).ravel()
+    sub = gen.restricted(free)
+    rhs = -np.asarray(gen.rates[free][:, a].sum(axis=1)).ravel()
     q = np.zeros(gen.n)
     q[a] = 1.0
     q[free] = spsolve(sub.tocsc(), rhs)

@@ -17,7 +17,6 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .grid_generator import GeneratorMatrix
@@ -180,24 +179,25 @@ def gammas_to_rate(reg: RegressionResult, tau: float,
         raise ValueError(
             "lag time too long / noise dominated: gamma1 = %.6g <= 0" % g1
         )
-    nan = float("nan")
     if g1 >= 1:
-        return ExitRateReport(
-            alpha=nan, beta=nan, eps1=nan, eps2=nan, pi_chi=nan,
-            meaningful=False, provenance=provenance, tau=float(tau),
-            residual_norm=reg.residual_norm, n_points=reg.n_points,
-            norm_kind=reg.norm_kind, note="no decay detected",
-        )
+        return _fit_report(math.nan, math.nan, reg, provenance, float(tau),
+                           "no decay detected")
     alpha = -math.log(g1) / tau
-    beta = alpha * g2 / (g1 - 1.0)
-    eps1 = alpha + beta
-    eps2 = -beta
-    pi_chi = eps2 / (eps1 + eps2)
+    return _fit_report(alpha, alpha * g2 / (g1 - 1.0), reg, provenance,
+                       float(tau))
+
+
+def _fit_report(alpha: float, beta: float, reg: RegressionResult,
+                provenance: str, tau: Optional[float] = None,
+                note: str = "") -> ExitRateReport:
+    """Report from fitted generator coefficients L* chi ~ alpha chi + beta."""
+    eps1, eps2 = alpha + beta, -beta
     return ExitRateReport(
-        alpha=alpha, beta=beta, eps1=eps1, eps2=eps2, pi_chi=pi_chi,
-        meaningful=bool(eps2 < eps1), provenance=provenance, tau=float(tau),
+        alpha=alpha, beta=beta, eps1=eps1, eps2=eps2,
+        pi_chi=eps2 / (eps1 + eps2) if alpha > 0 else float("nan"),
+        meaningful=bool(eps2 < eps1), provenance=provenance, tau=tau,
         residual_norm=reg.residual_norm, n_points=reg.n_points,
-        norm_kind=reg.norm_kind,
+        norm_kind=reg.norm_kind, note=note,
     )
 
 
@@ -253,23 +253,15 @@ def regress_generator_action(gen: GeneratorMatrix, chi,
     Returns
     -------
     ExitRateReport
+
+    Raises
+    ------
+    ValueError
+        For a point-sampler membership or values off the generator grid.
     """
-    vals = getattr(chi, "values", None)
-    if vals is None:
-        vals = np.asarray(chi, dtype=float)
-    if vals.shape != (gen.n,):
-        raise ValueError("membership does not match the generator grid")
-    action = gen.rates @ vals
-    reg = regress(vals, action, norm_kind)
-    alpha, beta = reg.gamma1, reg.gamma2
-    eps1, eps2 = alpha + beta, -beta
-    pi_chi = eps2 / (eps1 + eps2) if alpha > 0 else float("nan")
-    return ExitRateReport(
-        alpha=alpha, beta=beta, eps1=eps1, eps2=eps2, pi_chi=pi_chi,
-        meaningful=bool(eps2 < eps1), provenance="generator_action",
-        residual_norm=reg.residual_norm, n_points=reg.n_points,
-        norm_kind=reg.norm_kind,
-    )
+    vals = gen.cell_values(chi)
+    reg = regress(vals, gen.rates @ vals, norm_kind)
+    return _fit_report(reg.gamma1, reg.gamma2, reg, "generator_action")
 
 
 def holding_probability(report: ExitRateReport, chi_at_x, t: float):
@@ -294,41 +286,27 @@ def set_mean_holding_time(gen: GeneratorMatrix, region_cells) -> Array:
     Parameters
     ----------
     gen : GeneratorMatrix
-    region_cells : boolean mask (n,) or index array
+    region_cells : boolean mask (n,) or integer index array
         The set S; both S and its complement must be non-empty.
 
     Returns
     -------
     ndarray
         Mean holding time per cell, zero outside S.
+
+    Raises
+    ------
+    ValueError
+        For cells ``GeneratorMatrix.cell_mask`` rejects, an empty S or
+        complement, or a component of S without exit.
     """
-    mask = np.zeros(gen.n, dtype=bool)
-    region_cells = np.asarray(region_cells)
-    if region_cells.dtype == bool:
-        if region_cells.shape != (gen.n,):
-            raise ValueError("region mask does not match the grid")
-        mask[:] = region_cells
-    else:
-        mask[region_cells.astype(np.int64)] = True
+    mask = gen.cell_mask(region_cells)
     if not mask.any():
         raise ValueError("region is empty")
     if mask.all():
         raise ValueError("region complement is empty; no absorbing boundary")
-    L = gen.rates.tocsr()
-    sub = L[mask][:, mask]
-    # a region component with no edge to the complement never exits
-    touch = np.asarray(np.abs(L[mask][:, ~mask]).sum(axis=1)).ravel() > 0
-    ncomp, labels = connected_components(sub != 0, directed=False)
-    for comp in range(ncomp):
-        members = labels == comp
-        if not touch[members].any():
-            cells = np.nonzero(mask)[0][members]
-            raise ValueError(
-                "singular restricted system: region component without "
-                "exit (%d cells, e.g. %s)" % (cells.size, cells[:8].tolist())
-            )
     t = np.zeros(gen.n)
-    t[mask] = spsolve(sub.tocsc(), np.ones(int(mask.sum())))
+    t[mask] = spsolve(gen.restricted(mask).tocsc(), np.ones(int(mask.sum())))
     return t
 
 

@@ -10,7 +10,9 @@ seed, a role tag, and the starting point, so results are reproducible
 and independent of evaluation order and worker count.  Rate-magnitude
 comparisons against generator quantities use the generator's own jump
 process (``sample_jump_exit_times``, ``feynman_kac_holding`` MC backend)
-because the grid operator carries its own time unit.
+because the grid operator carries its own time unit.  One kernel,
+``_jump_run``, simulates that process for both, and the cell sets and
+cells they take are checked by the ``GeneratorMatrix`` they run on.
 """
 
 import math
@@ -436,19 +438,6 @@ def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
     return float(means[0]) if single else means
 
 
-def _chi_vector(chi, gen: GeneratorMatrix) -> Array:
-    kind = getattr(chi, "kind", None)
-    if kind == "grid_vector":
-        vals = chi.values
-    elif kind == "point_sampler":
-        raise ValueError("feynman_kac_holding needs a grid membership")
-    else:
-        vals = np.asarray(chi, dtype=float)
-    if vals.shape != (gen.n,):
-        raise ValueError("membership does not match the generator grid")
-    return vals
-
-
 def _fk_grid(gen: GeneratorMatrix, chi: Array, eps2: float, t: float) -> Array:
     """p(t) = exp(-t (L* + eps2 diag((1-chi)/chi))) chi on the cells with
     chi >= CHI_MIN; the others carry an infinite penalty and hold 0."""
@@ -463,39 +452,42 @@ def _fk_grid(gen: GeneratorMatrix, chi: Array, eps2: float, t: float) -> Array:
     return out
 
 
-def _fk_mc_cell(gen: GeneratorMatrix, chi: Array, eps2: float, cell: int,
-                t: float, n_traj: int, seed: int) -> Tuple[float, float]:
+def _jump_run(gen: GeneratorMatrix, rng, cell: int, n_traj: int,
+              horizon: float, stop: Array, pen: Optional[Array] = None):
+    """The jump-process kernel: ``n_traj`` paths of the chain of L* from
+    ``cell``, each ending at ``horizon`` or on a jump into a cell where the
+    boolean table ``stop`` holds (``cell`` is not one).  Returns the final
+    cells, the end times, the stop flags, and the integrals of the table
+    ``pen`` along the paths (zeros without ``pen``)."""
+    rate_out, neighbors, cum = gen.jump_tables()
+    cells = np.full(n_traj, cell, dtype=np.int64)
+    clock, integral = np.zeros(n_traj), np.zeros(n_traj)
+    idx = np.arange(n_traj)
+    while idx.size:
+        at = cells[idx]
+        hold = rng.exponential(size=idx.size) / rate_out[at]
+        end = clock[idx] + hold >= horizon
+        if pen is not None:
+            integral[idx] += np.where(end, horizon - clock[idx], hold) * pen[at]
+        clock[idx] = np.where(end, horizon, clock[idx] + hold)
+        go, at = idx[~end], at[~end]
+        u = rng.random(go.size)
+        nxt = neighbors[at, (u[:, None] > cum[at]).sum(axis=1)]
+        cells[go] = nxt
+        idx = go[~stop[nxt]]
+    return cells, clock, stop[cells], integral
+
+
+def _fk_mc_cell(gen: GeneratorMatrix, chi: Array, pen: Array, eps2: float,
+                cell: int, t: float, n_traj: int, seed: int
+                ) -> Tuple[float, float]:
     """Jump-process Feynman-Kac average started from one cell."""
     if chi[cell] < CHI_MIN:
         return 0.0, 0.0
-    rate_out, neighbors, cum = gen.jump_tables()
-    pen = np.where(chi >= CHI_MIN, (1.0 - chi) / np.maximum(chi, CHI_MIN), np.inf)
     rng = generator_for(seed, TAG_FK, int(cell))
-    cells = np.full(n_traj, cell, dtype=np.int64)
-    clock = np.zeros(n_traj)
-    integral = np.zeros(n_traj)
-    weight_dead = np.zeros(n_traj, dtype=bool)
-    active = np.ones(n_traj, dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        hold = rng.exponential(size=idx.size) / rate_out[cells[idx]]
-        finish = clock[idx] + hold >= t
-        fin, go = idx[finish], idx[~finish]
-        integral[fin] += (t - clock[fin]) * pen[cells[fin]]
-        clock[fin] = t
-        active[fin] = False
-        if go.size:
-            integral[go] += hold[~finish] * pen[cells[go]]
-            clock[go] += hold[~finish]
-            u = rng.random(go.size)
-            pick = (u[:, None] > cum[cells[go]]).sum(axis=1)
-            nxt = neighbors[cells[go], pick]
-            cells[go] = nxt
-            died = chi[nxt] < CHI_MIN
-            weight_dead[go[died]] = True
-            active[go[died]] = False
-    values = np.where(weight_dead, 0.0,
-                      chi[cells] * np.exp(-eps2 * integral))
+    cells, _, dead, integral = _jump_run(gen, rng, cell, n_traj, t,
+                                         chi < CHI_MIN, pen)
+    values = np.where(dead, 0.0, chi[cells] * np.exp(-eps2 * integral))
     est = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
     return est, se
@@ -522,8 +514,9 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
         Grid membership values.
     eps2 : float
         Penalty rate, >= 0.
-    x : position, int cell, array of cells, or None
-        None returns the whole vector (grid backend only).
+    x : position, int cell, array of cells or positions, or None
+        Integers denote cells, floats positions.  None returns the whole
+        vector (grid backend only).
     t : float
         Horizon, >= 0.
     n_traj : int
@@ -538,6 +531,11 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
     ndarray or float
         Grid backend: vector over cells, or the value at x.
         MC backend: (estimate, stderr) pair, vectorized over cells.
+
+    Raises
+    ------
+    ValueError
+        For negative eps2 or t, a point-sampler chi, or an x off the grid.
     """
     if not isinstance(config_or_gen, GeneratorMatrix):
         raise TypeError(
@@ -549,19 +547,16 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
         raise ValueError("eps2 must be nonnegative")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    vals = _chi_vector(chi, gen)
+    vals = gen.cell_values(chi)
 
-    # integers denote cells, float pairs denote positions
     if x is None:
         cells = None
     else:
-        arr = np.asarray(x)
-        if arr.dtype.kind in "iu":
-            cells = np.atleast_1d(arr).astype(np.int64).ravel()
-        elif arr.shape == (2,):
-            cells = np.array([gen.grid.cell_of(arr.astype(float))])
-        else:
-            cells = gen.grid.cells_of(np.atleast_2d(arr.astype(float)))
+        cells = np.asarray(x)
+        if cells.dtype.kind not in "iu":
+            # positions; cells_of marks one off the grid by -1
+            cells = gen.grid.cells_of(np.atleast_2d(cells.astype(float)))
+        cells = gen.cell_indices(np.atleast_1d(cells).ravel())
     if backend == "grid":
         p = _fk_grid(gen, vals, eps2, t)
         if cells is None:
@@ -573,14 +568,13 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
     if cells is None:
         raise ValueError("mc backend needs starting cells or positions")
     seed = 0 if seed is None else seed
-    if t == 0:
-        ests = vals[cells].copy()
-        ses = np.zeros_like(ests)
-    else:
-        pairs = [_fk_mc_cell(gen, vals, eps2, int(c), t, int(n_traj), int(seed))
-                 for c in cells]
-        ests = np.array([p[0] for p in pairs])
-        ses = np.array([p[1] for p in pairs])
+    ests, ses = vals[cells].copy(), np.zeros(cells.size)
+    if t > 0:
+        pen = np.where(vals >= CHI_MIN,
+                       (1.0 - vals) / np.maximum(vals, CHI_MIN), np.inf)
+        for k, c in enumerate(cells):
+            ests[k], ses[k] = _fk_mc_cell(gen, vals, pen, eps2, int(c), t,
+                                          int(n_traj), int(seed))
     if ests.size == 1:
         return float(ests[0]), float(ses[0])
     return ests, ses
@@ -651,7 +645,7 @@ def sample_jump_exit_times(gen: GeneratorMatrix, region_cells, start_cell: int,
     Parameters
     ----------
     gen : GeneratorMatrix
-    region_cells : boolean mask (n,) or index array
+    region_cells : boolean mask (n,) or integer index array
         The set S; True/included means inside.
     start_cell : int
         Starting cell, inside S.
@@ -668,39 +662,19 @@ def sample_jump_exit_times(gen: GeneratorMatrix, region_cells, start_cell: int,
         Exit times; censored entries equal horizon_time.
     censored : ndarray of bool
         True where no exit occurred before the horizon.
+
+    Raises
+    ------
+    ValueError
+        For cells ``GeneratorMatrix.cell_mask`` rejects or a start off S.
     """
-    mask = np.zeros(gen.n, dtype=bool)
-    region_cells = np.asarray(region_cells)
-    if region_cells.dtype == bool:
-        mask[:] = region_cells
-    else:
-        mask[region_cells.astype(np.int64)] = True
+    mask = gen.cell_mask(region_cells)
+    start_cell = int(gen.cell_indices(start_cell))
     if not mask[start_cell]:
         raise ValueError("start cell lies outside the region")
     if n_traj < 1 or horizon_time <= 0:
         raise ValueError("n_traj must be >= 1 and horizon_time positive")
-    rate_out, neighbors, cum = gen.jump_tables()
-    rng = generator_for(seed, TAG_JUMP, int(start_cell))
-    cells = np.full(n_traj, start_cell, dtype=np.int64)
-    clock = np.zeros(n_traj)
-    times = np.full(n_traj, float(horizon_time))
-    censored = np.ones(n_traj, dtype=bool)
-    active = np.ones(n_traj, dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        hold = rng.exponential(size=idx.size) / rate_out[cells[idx]]
-        clock[idx] += hold
-        timed_out = clock[idx] >= horizon_time
-        active[idx[timed_out]] = False
-        go = idx[~timed_out]
-        if go.size:
-            u = rng.random(go.size)
-            pick = (u[:, None] > cum[cells[go]]).sum(axis=1)
-            nxt = neighbors[cells[go], pick]
-            cells[go] = nxt
-            left = ~mask[nxt]
-            out = go[left]
-            times[out] = clock[out]
-            censored[out] = False
-            active[out] = False
-    return times, censored
+    rng = generator_for(seed, TAG_JUMP, start_cell)
+    _, times, exited, _ = _jump_run(gen, rng, start_cell, int(n_traj),
+                                    float(horizon_time), ~mask)
+    return times, ~exited

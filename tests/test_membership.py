@@ -131,6 +131,10 @@ def test_committor_rejects_overlapping_cores(flat_chain3):
     b = CoreSet(label="b", cells=np.array([1, 2]))
     with pytest.raises(ValueError):
         committor(flat_chain3, a, b)
+    # a core cell of -1 must not wrap to the last cell
+    with pytest.raises(ValueError, match="-1"):
+        committor(flat_chain3, CoreSet(cells=np.array([-1])),
+                  CoreSet(cells=np.array([0])))
 
 
 def test_committor_rejects_disconnected_free_cells():

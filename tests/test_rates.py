@@ -167,6 +167,10 @@ def test_set_mean_holding_time_validation(flat_chain3):
         set_mean_holding_time(flat_chain3, np.zeros(3, dtype=bool))
     with pytest.raises(ValueError):
         set_mean_holding_time(flat_chain3, np.ones(3, dtype=bool))
+    # no cell index may wrap: -1 is not the last cell
+    for cells in ([-1], [3], np.array([1.0]), np.array([True])):
+        with pytest.raises(ValueError):
+            set_mean_holding_time(flat_chain3, cells)
 
 
 def test_set_mean_holding_time_benchmark(gen50, chi1):

@@ -14,6 +14,7 @@ from chi_exit import (
     estimate_ptau_chi,
     feynman_kac_holding,
     flat_potential,
+    regress_generator_action,
     sample_jump_exit_times,
     sample_set_exit_times,
     step,
@@ -22,7 +23,14 @@ from chi_exit import (
 from chi_exit.membership import CoreSet, mc_hitting_membership
 from chi_exit import sde
 from chi_exit.sde import TrajectoryStats, endpoint_ensemble, hitting_fractions
-from chi_exit.streams import TAG_CHI, TAG_EXIT, TAG_PTAU, generator_for
+from chi_exit.streams import (
+    TAG_CHI,
+    TAG_EXIT,
+    TAG_FK,
+    TAG_JUMP,
+    TAG_PTAU,
+    generator_for,
+)
 
 # frozen gradient-descent endpoints (sigma = 0, dt = 1e-3, 20000 steps)
 DESCENT_RIGHT = (0.76201375, 0.48947658)
@@ -371,6 +379,134 @@ def test_jump_exit_times_censoring():
     assert np.all(times <= 0.05 + 1e-15)
     with pytest.raises(ValueError):
         sample_jump_exit_times(gen, np.array([0]), 1, 10, 1.0)
+    # a length-1 mask must not broadcast to the grid, nor a start of -1
+    # wrap to the last cell
+    with pytest.raises(ValueError, match="shape"):
+        sample_jump_exit_times(gen, np.array([True]), 0, 10, 1.0)
+    with pytest.raises(ValueError, match="-1"):
+        sample_jump_exit_times(gen, np.array([1]), -1, 10, 1.0)
+
+
+def _loop_jump_exit_times(gen, mask, start_cell, n_traj, horizon_time, rng):
+    """Reference: the exit-time loop the jump kernel replaced, frozen."""
+    rate_out, neighbors, cum = gen.jump_tables()
+    cells = np.full(n_traj, start_cell, dtype=np.int64)
+    clock = np.zeros(n_traj)
+    times = np.full(n_traj, float(horizon_time))
+    censored = np.ones(n_traj, dtype=bool)
+    active = np.ones(n_traj, dtype=bool)
+    while active.any():
+        idx = np.nonzero(active)[0]
+        hold = rng.exponential(size=idx.size) / rate_out[cells[idx]]
+        clock[idx] += hold
+        timed_out = clock[idx] >= horizon_time
+        active[idx[timed_out]] = False
+        go = idx[~timed_out]
+        if go.size:
+            u = rng.random(go.size)
+            pick = (u[:, None] > cum[cells[go]]).sum(axis=1)
+            nxt = neighbors[cells[go], pick]
+            cells[go] = nxt
+            left = ~mask[nxt]
+            out = go[left]
+            times[out] = clock[out]
+            censored[out] = False
+            active[out] = False
+    return times, censored
+
+
+def _loop_fk_mc_cell(gen, chi, eps2, cell, t, n_traj, rng):
+    """Reference: the Feynman-Kac loop the jump kernel replaced, frozen."""
+    if chi[cell] < sde.CHI_MIN:
+        return 0.0, 0.0
+    rate_out, neighbors, cum = gen.jump_tables()
+    pen = np.where(chi >= sde.CHI_MIN,
+                   (1.0 - chi) / np.maximum(chi, sde.CHI_MIN), np.inf)
+    cells = np.full(n_traj, cell, dtype=np.int64)
+    clock = np.zeros(n_traj)
+    integral = np.zeros(n_traj)
+    weight_dead = np.zeros(n_traj, dtype=bool)
+    active = np.ones(n_traj, dtype=bool)
+    while active.any():
+        idx = np.nonzero(active)[0]
+        hold = rng.exponential(size=idx.size) / rate_out[cells[idx]]
+        finish = clock[idx] + hold >= t
+        fin, go = idx[finish], idx[~finish]
+        integral[fin] += (t - clock[fin]) * pen[cells[fin]]
+        clock[fin] = t
+        active[fin] = False
+        if go.size:
+            integral[go] += hold[~finish] * pen[cells[go]]
+            clock[go] += hold[~finish]
+            u = rng.random(go.size)
+            pick = (u[:, None] > cum[cells[go]]).sum(axis=1)
+            nxt = neighbors[cells[go], pick]
+            cells[go] = nxt
+            died = chi[nxt] < sde.CHI_MIN
+            weight_dead[go[died]] = True
+            active[go[died]] = False
+    values = np.where(weight_dead, 0.0,
+                      chi[cells] * np.exp(-eps2 * integral))
+    est = float(values.mean())
+    se = float(values.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
+    return est, se
+
+
+def _assert_jump_kernel_matches_loops(gen, mask, start, horizon, chi, eps2,
+                                      probes, t, rng_for, seed=0):
+    times, censored = sample_jump_exit_times(gen, mask, start, 200, horizon,
+                                             seed)
+    ref_times, ref_censored = _loop_jump_exit_times(
+        gen, mask, start, 200, horizon, rng_for(TAG_JUMP, start))
+    assert 0 < ref_censored.sum() < ref_censored.size
+    np.testing.assert_array_equal(times, ref_times)
+    np.testing.assert_array_equal(censored, ref_censored)
+    est, se = feynman_kac_holding(gen, chi, eps2, x=probes, t=t, n_traj=200,
+                                  seed=seed, backend="mc")
+    ref = np.array([_loop_fk_mc_cell(gen, chi, eps2, int(c), t, 200,
+                                     rng_for(TAG_FK, int(c)))
+                    for c in probes])
+    np.testing.assert_array_equal(est, ref[:, 0])
+    np.testing.assert_array_equal(se, ref[:, 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_jump_kernel_matches_frozen_loops(gen50, chi1, report1, seed):
+    # exit times, censoring flags and Feynman-Kac estimates equal the two
+    # loops the kernel replaced, bit for bit; the probes run from a dead
+    # cell, from one beside it, and up to the deepest cell
+    field = chi1.values
+    order = np.argsort(field)
+    probes = order[[0, 2, 40, 800, 1600, 2499]]
+    assert field[probes[0]] < sde.CHI_MIN <= field[probes[1]]
+    _assert_jump_kernel_matches_loops(
+        gen50, field > 0.22, int(order[-1]), 200.0, field, report1.eps2,
+        probes, 50.0, lambda tag, cell: generator_for(seed, tag, cell), seed)
+
+
+class _DyadicDraws:
+    """Holding draws of exactly 1: on a flat chain, whose cells jump at
+    rate 1 or 2, every clock is dyadic and lands on an integer horizon."""
+
+    def __init__(self, cell):
+        self._uniform = np.random.default_rng(cell)
+
+    def exponential(self, size):
+        return np.ones(size)
+
+    def random(self, size):
+        return self._uniform.random(size)
+
+
+def test_jump_kernel_ends_paths_on_the_horizon(monkeypatch):
+    pot = flat_potential()
+    gen = build_sqrt_generator(pot, RegularGrid(6, 1, pot.domain), 1.0)
+    monkeypatch.setattr(sde, "generator_for",
+                        lambda seed, tag, cell: _DyadicDraws(cell))
+    chi = np.array([0.0, 0.3, 0.6, 0.9, 1.0, 0.8])
+    _assert_jump_kernel_matches_loops(
+        gen, np.arange(6) < 4, 1, 3.0, chi, 0.5, np.array([0, 1, 3, 5]),
+        3.0, lambda tag, cell: _DyadicDraws(cell))
 
 
 def test_feynman_kac_grid_backend(gen50, chi1, report1):
@@ -390,6 +526,19 @@ def test_feynman_kac_requires_generator(gen50, chi1, report1):
         feynman_kac_holding(cfg, chi1.values, report1.eps2, t=1.0)
     with pytest.raises(ValueError):
         feynman_kac_holding(gen50, chi1.values, -0.01, t=1.0)
+    # a point off the grid and a cell of -1 must not wrap to the last cell
+    for backend in ("grid", "mc"):
+        for x in ((2.0, 2.0), -1, [0, gen50.n]):
+            with pytest.raises(ValueError):
+                feynman_kac_holding(gen50, chi1.values, report1.eps2, x=x,
+                                    t=10.0, n_traj=4, backend=backend)
+    # a point sampler has no grid values, for either grid-operator route
+    sampler = mc_hitting_membership(cfg, CoreSet(box=(0.2, 0.3, 0.4, 0.5)),
+                                    5, 5)
+    with pytest.raises(ValueError, match="needs a grid membership"):
+        feynman_kac_holding(gen50, sampler, report1.eps2, t=1.0)
+    with pytest.raises(ValueError, match="needs a grid membership"):
+        regress_generator_action(gen50, sampler)
 
 
 def test_feynman_kac_mc_matches_grid(gen50, chi1, report1):
