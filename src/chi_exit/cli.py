@@ -9,8 +9,8 @@ outputs are CSV files carrying a comment row with the config hash and
 seed, and every run is byte-deterministic for a fixed config and seed,
 independent of the worker count.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (the failing
-stage is named on standard error).
+Exit codes: 0 success, 2 config error, 3 numerical failure or an output
+that cannot be written (the failing stage is named on standard error).
 """
 
 import argparse
@@ -268,17 +268,43 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(cfg: ExperimentConfig, name: str, header: List[str], rows,
-               extra_comments: List[str] = ()) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
+#: Rows formatted and written at a time, so no whole-file text is held.
+_BLOCK_ROWS = 512
+
+
+def _column_text(col) -> List[str]:
+    """``_fmt`` of each value; a numeric array in one pass, as ``tolist``
+    yields the float or int that ``_fmt`` converts each value to."""
+    if isinstance(col, np.ndarray):
+        if col.dtype == bool:
+            col = col.astype(np.uint8)
+        if col.dtype.kind == "f":
+            return list(map(repr, col.tolist()))
+        if col.dtype.kind in "iu":
+            return list(map(str, col.tolist()))
+    return [_fmt(v) for v in col]
+
+
+def _write_csv(cfg: ExperimentConfig, name: str, header: List[str], columns,
+               comments: List[str] = ()) -> str:
+    """Write one sequence per column under a comment row with the config
+    hash and seed; an OS error is the failure of stage ``write``."""
+    n = len(columns[0]) if columns else 0
+    if any(len(col) != n for col in columns):
+        raise ValueError("columns of %s differ in length" % name)
     path = os.path.join(cfg.output_dir, name)
-    with open(path, "w") as fh:
-        fh.write("# config=%s seed=%d\n" % (cfg.config_hash(), cfg.seed))
-        for comment in extra_comments:
-            fh.write("# %s\n" % comment)
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        with open(path, "w") as fh:
+            first = "config=%s seed=%d" % (cfg.config_hash(), cfg.seed)
+            fh.writelines("# %s\n" % c for c in [first, *comments])
+            fh.write(",".join(header) + "\n")
+            for lo in range(0, n, _BLOCK_ROWS):
+                cells = [_column_text(col[lo:lo + _BLOCK_ROWS])
+                         for col in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    except OSError as err:
+        raise StageError("write", err) from err
     return path
 
 
@@ -289,44 +315,36 @@ _REPORT_HEADER = [
 ]
 
 
-def _report_row(report, reg=None) -> list:
-    row = report.as_row()
-    out = [row[key] for key in _REPORT_HEADER[:-2]]
-    if reg is None:
-        out.extend(["", ""])
-    else:
-        out.extend([reg.gamma1, reg.gamma2])
-    return out
-
-
 def _write_report(cfg: ExperimentConfig, report, reg=None) -> str:
+    row = report.as_row()
+    values = [row[key] for key in _REPORT_HEADER[:-2]]
+    values += ["", ""] if reg is None else [reg.gamma1, reg.gamma2]
     return _write_csv(cfg, "report.csv", _REPORT_HEADER,
-                      [_report_row(report, reg)])
+                      [[v] for v in values])
 
 
-def _write_chi(cfg: ExperimentConfig, grid: RegularGrid, values,
-               name: str = "chi.csv", extra: List[str] = ()) -> str:
+def _write_summary(cfg: ExperimentConfig, summary: Dict[str, object]) -> str:
+    return _write_csv(cfg, "summary.csv", ["quantity", "value"],
+                      [list(summary), list(summary.values())])
+
+
+def _write_cells(cfg: ExperimentConfig, name: str, grid: RegularGrid,
+                 header: List[str], columns, comments: List[str] = ()) -> str:
+    """A per-cell table: cell, x1 and x2 of the cell center, then columns."""
     centers = grid.centers
-    rows = [
-        (k, centers[k, 0], centers[k, 1], values[k])
-        for k in range(grid.n)
-    ]
-    return _write_csv(cfg, name, ["cell", "x1", "x2", "chi"], rows, extra)
+    return _write_csv(cfg, name, ["cell", "x1", "x2"] + header,
+                      [np.arange(grid.n), centers[:, 0], centers[:, 1]]
+                      + list(columns), comments)
 
 
-def _write_eigen(cfg: ExperimentConfig, grid: RegularGrid, eig,
-                 name: str = "eigen.csv") -> str:
+def _write_eigen(cfg: ExperimentConfig, grid: RegularGrid, eig) -> str:
     comments = [
         "eigenvalue,%d,%s" % (i + 1, repr(float(v)))
         for i, v in enumerate(eig.eigenvalues)
     ]
-    header = ["cell", "x1", "x2"] + ["f%d" % (i + 1) for i in range(eig.count)]
-    centers = grid.centers
-    rows = [
-        [k, centers[k, 0], centers[k, 1]] + list(eig.eigenvectors[k])
-        for k in range(grid.n)
-    ]
-    return _write_csv(cfg, name, header, rows, comments)
+    header = ["f%d" % (i + 1) for i in range(eig.count)]
+    return _write_cells(cfg, "eigen.csv", grid, header, eig.eigenvectors.T,
+                        comments)
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -364,7 +382,7 @@ def run_idea1(cfg: ExperimentConfig) -> int:
         "rates", rate_from_eigenpair,
         chi.meta["eps_bar"], chi.meta["beta_bar"], "idea1",
     )
-    _write_chi(cfg, grid, chi.values)
+    _write_cells(cfg, "chi.csv", grid, ["chi"], [chi.values])
     _write_eigen(cfg, grid, eig)
     _write_report(cfg, report)
     print(
@@ -400,16 +418,11 @@ def run_idea2(cfg: ExperimentConfig) -> int:
     grid, gen, eig, chis, chi = _pcca_clusters(cfg)
     m = len(chis)
     report = _stage("rates", regress_generator_action, gen, chi, cfg.norm)
-    header = ["cell", "x1", "x2"] + ["chi%d" % (j + 1) for j in range(m)]
-    centers = grid.centers
-    rows = [
-        [k, centers[k, 0], centers[k, 1]] + [c.values[k] for c in chis]
-        for k in range(grid.n)
-    ]
     selected = chis.index(chi) + 1
-    _write_csv(cfg, "chi.csv", header, rows,
-               ["selected_cluster,%d" % selected,
-                "weights," + ",".join(repr(c.meta["weight"]) for c in chis)])
+    _write_cells(cfg, "chi.csv", grid, ["chi%d" % (j + 1) for j in range(m)],
+                 [c.values for c in chis],
+                 ["selected_cluster,%d" % selected,
+                  "weights," + ",".join(repr(c.meta["weight"]) for c in chis)])
     _write_report(cfg, report)
     print(
         "idea2: lambda2=%s weight=%s eps1=%s meaningful=%d"
@@ -431,14 +444,9 @@ def run_idea3(cfg: ExperimentConfig) -> int:
     ptau = _stage("propagate", propagate, gen, chi.values, tau)
     reg = _stage("regress", regress, chi.values, ptau, cfg.norm)
     report = _stage("rates", gammas_to_rate, reg, tau, "idea3")
-    centers = grid.centers
-    rows = [
-        (k, centers[k, 0], centers[k, 1], chi.values[k], ptau[k])
-        for k in range(grid.n)
-    ]
-    _write_csv(cfg, "scatter.csv", ["cell", "x1", "x2", "chi", "ptau_chi"],
-               rows, ["cores,left=%d,right=%d"
-                      % (left.cells.size, right.cells.size)])
+    _write_cells(cfg, "scatter.csv", grid, ["chi", "ptau_chi"],
+                 [chi.values, ptau], ["cores,left=%d,right=%d"
+                                      % (left.cells.size, right.cells.size)])
     _write_report(cfg, report, reg)
     print(
         "idea3: gamma1=%s gamma2=%s eps1=%s meaningful=%d"
@@ -476,12 +484,8 @@ def _idea4_scatter(cfg: ExperimentConfig):
 def run_idea4(cfg: ExperimentConfig) -> int:
     """Rate from short-time simulations only: MC chi and MC P^tau chi."""
     chi, pts, xs, ys, tau = _idea4_scatter(cfg)
-    rows = [
-        (i, pts[i, 0], pts[i, 1], xs[i], ys[i])
-        for i in range(len(pts))
-    ]
     _write_csv(cfg, "scatter.csv", ["point", "x1", "x2", "chi", "ptau_chi"],
-               rows)
+               [np.arange(len(pts)), pts[:, 0], pts[:, 1], xs, ys])
     reg = _stage("regress", regress, xs, ys, cfg.norm)
     try:
         report = gammas_to_rate(reg, tau, "idea4")
@@ -523,27 +527,20 @@ def run_compare_mht(cfg: ExperimentConfig) -> int:
     t_set = _stage("set_mean_holding_time", set_mean_holding_time, gen, mask)
     t_fuzzy = _stage("chi_mean_holding_time", chi_mean_holding_time,
                      report, chi.values)
-    centers = grid.centers
-    rows = [
-        (k, centers[k, 0], centers[k, 1], chi.values[k], int(mask[k]),
-         t_fuzzy[k], t_set[k])
-        for k in range(grid.n)
-    ]
-    _write_csv(cfg, "mht.csv",
-               ["cell", "x1", "x2", "chi", "in_region", "t1", "t"], rows)
+    _write_cells(cfg, "mht.csv", grid, ["chi", "in_region", "t1", "t"],
+                 [chi.values, mask, t_fuzzy, t_set])
     high = chi.values > 0.4
     pearson = float(np.corrcoef(t_set[high], t_fuzzy[high])[0, 1])
     inside = mask
     median_diff = float(np.median(t_set[inside] - t_fuzzy[inside]))
-    summary = [
-        ("threshold", threshold),
-        ("eps1", report.eps1),
-        ("t1_at_threshold", threshold / report.eps1),
-        ("n_region", int(mask.sum())),
-        ("pearson_high_chi", pearson),
-        ("median_t_minus_t1_inside", median_diff),
-    ]
-    _write_csv(cfg, "summary.csv", ["quantity", "value"], summary)
+    _write_summary(cfg, {
+        "threshold": threshold,
+        "eps1": report.eps1,
+        "t1_at_threshold": threshold / report.eps1,
+        "n_region": int(mask.sum()),
+        "pearson_high_chi": pearson,
+        "median_t_minus_t1_inside": median_diff,
+    })
     print(
         "compare-mht: t1_at_threshold=%s pearson_high_chi=%s n_region=%d"
         % (repr(threshold / report.eps1), repr(pearson), int(mask.sum()))
@@ -584,12 +581,11 @@ def run_validate(cfg: ExperimentConfig) -> int:
     stats = _stage("exit_times", sample_set_exit_times, dyn, region,
                    starts, n_traj, horizon, cfg.seed)
     means = stats.mean_exit_time()
-    rows = [(int(cell), start[0], start[1], field[cell], mean, censored)
-            for cell, start, mean, censored in zip(
-                picks, starts, means, stats.censoring_fraction)]
     _write_csv(cfg, "exit_times.csv",
                ["cell", "x1", "x2", "chi", "mean_exit_time",
-                "censoring_fraction"], rows)
+                "censoring_fraction"],
+               [picks, starts[:, 0], starts[:, 1], field[picks], means,
+                stats.censoring_fraction])
     corr = float(np.corrcoef(field[picks], means)[0, 1])
 
     # exit rate of the jump process from the deepest cell, generator clock
@@ -614,17 +610,16 @@ def run_validate(cfg: ExperimentConfig) -> int:
     reg = _stage("regress", regress, field, ptau, cfg.norm)
     report = _stage("rates", gammas_to_rate, reg, tau, "validate")
     ratio = set_rate / report.eps1 if np.isfinite(set_rate) else float("nan")
-    summary = [
-        ("threshold", threshold),
-        ("n_region", int(mask.sum())),
-        ("corr_chi_exit_time", corr),
-        ("set_exit_rate", set_rate),
-        ("eps1_grid", report.eps1),
-        ("rate_ratio", ratio),
-        ("jump_censoring_fraction", censor_frac),
-        ("note", note),
-    ]
-    _write_csv(cfg, "summary.csv", ["quantity", "value"], summary)
+    _write_summary(cfg, {
+        "threshold": threshold,
+        "n_region": int(mask.sum()),
+        "corr_chi_exit_time": corr,
+        "set_exit_rate": set_rate,
+        "eps1_grid": report.eps1,
+        "rate_ratio": ratio,
+        "jump_censoring_fraction": censor_frac,
+        "note": note,
+    })
     _write_report(cfg, report, reg)
     print(
         "validate: corr=%s set_rate=%s eps1_grid=%s ratio=%s"
@@ -637,10 +632,10 @@ def run_dump_generator(cfg: ExperimentConfig) -> int:
     """Write the generator matrix as (i, j, value) triplets."""
     grid, gen = _generator(cfg)
     mat = gen.rates.tocoo()
-    rows = list(zip(mat.row.tolist(), mat.col.tolist(), mat.data.tolist()))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(cfg, "generator.csv", ["i", "j", "value"], rows)
-    print("dump-generator: %d cells, %d entries" % (gen.n, len(rows)))
+    order = np.lexsort((mat.col, mat.row))  # (i, j) pairs are unique
+    _write_csv(cfg, "generator.csv", ["i", "j", "value"],
+               [mat.row[order], mat.col[order], mat.data[order]])
+    print("dump-generator: %d cells, %d entries" % (gen.n, order.size))
     return 0
 
 
@@ -680,7 +675,7 @@ def run_dump_chi(cfg: ExperimentConfig) -> int:
             "membership.kind must be pcca_single, pcca_multi, committor, "
             "or mc (got %r)" % kind
         )
-    _write_chi(cfg, grid, values, extra=["kind,%s" % kind])
+    _write_cells(cfg, "chi.csv", grid, ["chi"], [values], ["kind,%s" % kind])
     print("dump-chi: kind=%s cells=%d" % (kind, grid.n))
     return 0
 

@@ -38,7 +38,7 @@ class CoreSet:
     label : str
         Name, e.g. "left".
     cells : ndarray of int, optional
-        Cell indices on the grid.
+        Cell indices on the grid, of an integer dtype (else ValueError).
     box : tuple, optional
         (x1_min, x1_max, x2_min, x2_max) axis-aligned box.
     """
@@ -51,10 +51,13 @@ class CoreSet:
         if (self.cells is None) == (self.box is None):
             raise ValueError("CoreSet needs exactly one of cells or box")
         if self.cells is not None:
-            cells = np.asarray(self.cells, dtype=np.int64)
+            cells = np.asarray(self.cells)
             if cells.size == 0:
                 raise ValueError("core cell set is empty")
-            self.cells = cells
+            if cells.dtype.kind not in "iu":
+                raise ValueError("core cells must be integers, not %s"
+                                 % cells.dtype)
+            self.cells = cells.astype(np.int64)
         else:
             x1lo, x1hi, x2lo, x2hi = map(float, self.box)
             if not (x1hi > x1lo and x2hi > x2lo):

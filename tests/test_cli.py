@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from chi_exit.cli import (
+    _BLOCK_ROWS,
+    _REPORT_HEADER,
     ConfigError,
     DEFAULTS,
+    _fmt,
+    _write_csv,
+    _write_report,
     load_config,
     main,
     parse_config_text,
 )
+from chi_exit.rates import rate_from_eigenpair, regress
 
 SMALL = """
 # small grid for fast runs
@@ -191,6 +197,16 @@ def test_exit_code_empty_region(tmp_path, capsys):
     assert "stage region" in capsys.readouterr().err
 
 
+def test_exit_code_unwritable_output(tmp_path, capsys):
+    cfg = _cfg(tmp_path, SMALL)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert main(["idea1", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "stage write" in err and str(out) in err
+
+
 def test_missing_config_file():
     assert main(["idea1", "--config", "/does/not/exist.cfg"]) == 2
 
@@ -202,3 +218,62 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["idea1", "--config", cfg, "--out", str(out2)]) == 0
     for name in ("report.csv", "chi.csv", "eigen.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _row_writer_bytes(cfg, header, rows, comments=()) -> bytes:
+    """The row writer the column-wise one replaced: ``_fmt`` per value."""
+    lines = ["# config=%s seed=%d" % (cfg.config_hash(), cfg.seed)]
+    lines += ["# %s" % comment for comment in comments]
+    lines.append(",".join(header))
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def _out_cfg(tmp_path):
+    return load_config("idea1", None, {"output_dir": str(tmp_path)})
+
+
+_FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-05, 1e16,
+                    0.1 + 0.2, 1.0, -2.5])
+_FLOATS32 = np.array([0.1, 1 / 3, -2.5e-8, np.nan, np.inf, 0.0],
+                     dtype=np.float32)
+_INTS = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 7])
+_UINTS = np.array([np.iinfo(np.uint64).max, 0, 3], dtype=np.uint64)
+_MASK = np.array([True, False, False])
+_MIXED = ["note", 0.25, 3, "", np.float64(0.1 + 0.2), np.int64(-7),
+          float("nan"), None]
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                               _BLOCK_ROWS + 1])
+def test_column_writer_matches_row_writer(tmp_path, n):
+    columns = [np.resize(c, n) for c in (_FLOATS, _FLOATS32, _INTS, _UINTS,
+                                         _MASK)]
+    columns.append([_MIXED[i % len(_MIXED)] for i in range(n)])
+    header = ["f64", "f32", "i64", "u64", "mask", "mixed"]
+    cfg = _out_cfg(tmp_path)
+    path = _write_csv(cfg, "t.csv", header, columns, ["kind,test", "x,1"])
+    expected = _row_writer_bytes(cfg, header, list(zip(*columns)),
+                                 ["kind,test", "x,1"])
+    with open(path, "rb") as fh:
+        assert fh.read() == expected
+
+
+def test_one_row_report_matches_row_writer(tmp_path):
+    cfg = _out_cfg(tmp_path)
+    report = rate_from_eigenpair(0.0086, 0.1965, "idea1")
+    x = np.linspace(0.0, 1.0, 9)
+    reg = regress(x, 0.8 * x + 0.05, cfg.norm)
+    for fit in (None, reg):
+        row = report.as_row()
+        values = [row[key] for key in _REPORT_HEADER[:-2]]
+        values += ["", ""] if fit is None else [fit.gamma1, fit.gamma2]
+        with open(_write_report(cfg, report, fit), "rb") as fh:
+            assert fh.read() == _row_writer_bytes(cfg, _REPORT_HEADER,
+                                                  [values])
+
+
+def test_column_writer_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="length"):
+        _write_csv(_out_cfg(tmp_path), "t.csv", ["a", "b"],
+                   [np.zeros(3), np.zeros(2)])

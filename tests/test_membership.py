@@ -135,6 +135,11 @@ def test_committor_rejects_overlapping_cores(flat_chain3):
     with pytest.raises(ValueError, match="-1"):
         committor(flat_chain3, CoreSet(cells=np.array([-1])),
                   CoreSet(cells=np.array([0])))
+    # float cells must not truncate to 0 and 2, nor a mask read as cells
+    for cells in ([0.7, 2.9], np.array([True, False, True])):
+        with pytest.raises(ValueError, match="integers"):
+            committor(flat_chain3, CoreSet(cells=cells),
+                      CoreSet(cells=np.array([1])))
 
 
 def test_committor_rejects_disconnected_free_cells():
