@@ -16,6 +16,7 @@ that cannot be written (the failing stage is named on standard error).
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -144,6 +145,14 @@ def parse_config_text(text: str) -> Dict[str, object]:
     return data
 
 
+def _finite(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError("key %s expects a number" % key)
+    if not math.isfinite(value):
+        raise ConfigError("key %s expects a finite number" % key)
+    return float(value)
+
+
 def _coerce(key: str, value, default):
     if isinstance(default, bool):
         if not isinstance(value, bool):
@@ -154,13 +163,11 @@ def _coerce(key: str, value, default):
             raise ConfigError("key %s expects an integer" % key)
         return value
     if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError("key %s expects a number" % key)
-        return float(value)
+        return _finite(key, value)
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError("key %s expects a list like [a, b, c]" % key)
-        return [float(v) for v in value]
+        return [_finite(key, v) for v in value]
     if not isinstance(value, str):
         raise ConfigError("key %s expects a string" % key)
     return value

@@ -22,10 +22,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .grid_generator import GeneratorMatrix
 from .potential import PotentialSurface, potential_by_name
+from .spectral import expm_action
 from .streams import (
     TAG_CHI,
     TAG_EXIT,
@@ -440,15 +440,17 @@ def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
 
 def _fk_grid(gen: GeneratorMatrix, chi: Array, eps2: float, t: float) -> Array:
     """p(t) = exp(-t (L* + eps2 diag((1-chi)/chi))) chi on the cells with
-    chi >= CHI_MIN; the others carry an infinite penalty and hold 0."""
+    chi >= CHI_MIN; the others carry an infinite penalty and hold 0, so
+    with no such cell p(t) is 0.  The restricted, penalized operator stays
+    similar to a symmetric matrix, so ``expm_action`` applies it."""
     if t == 0:
         return chi.copy()
     alive = chi >= CHI_MIN
-    sub = gen.rates[alive][:, alive]
-    pen = (1.0 - chi[alive]) / chi[alive]
     out = np.zeros(gen.n)
-    out[alive] = expm_multiply(-float(t) * (sub + eps2 * sp.diags(pen)),
-                               chi[alive])
+    if alive.any():
+        pen = (1.0 - chi[alive]) / chi[alive]
+        out[alive] = expm_action(gen.rates[alive][:, alive]
+                                 + eps2 * sp.diags(pen), chi[alive], float(t))
     return out
 
 
@@ -499,8 +501,9 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
     """Chi-holding probability p_chi(x, t) by either backend.
 
     The grid backend solves dp/dt = -L* p - eps2 (1-chi)/chi p from
-    p(0) = chi by the action of the sparse matrix exponential and returns
-    the whole vector (or the entry at x).  The MC backend averages
+    p(0) = chi by the Chebyshev propagator ``spectral.expm_action`` and
+    returns the whole vector (or the entry at x); its error is absolute,
+    near the unit roundoff.  The MC backend averages
     chi(X_t) exp(-eps2 * integral (1-chi)/chi) over trajectories of the
     jump process generated by L*, which shares the grid operator's time
     unit; states with chi below ``CHI_MIN`` carry an infinite penalty and
@@ -513,12 +516,12 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
     chi : Membership or ndarray
         Grid membership values.
     eps2 : float
-        Penalty rate, >= 0.
+        Penalty rate, finite and >= 0.
     x : position, int cell, array of cells or positions, or None
         Integers denote cells, floats positions.  None returns the whole
         vector (grid backend only).
     t : float
-        Horizon, >= 0.
+        Horizon, finite and >= 0.
     n_traj : int
         MC ensemble size per cell.
     seed : int, optional
@@ -535,7 +538,8 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
     Raises
     ------
     ValueError
-        For negative eps2 or t, a point-sampler chi, or an x off the grid.
+        For a negative or non-finite eps2 or t, a point-sampler chi, or an
+        x off the grid.
     """
     if not isinstance(config_or_gen, GeneratorMatrix):
         raise TypeError(
@@ -543,10 +547,10 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
             "run on the grid operator's time unit"
         )
     gen = config_or_gen
-    if eps2 < 0:
-        raise ValueError("eps2 must be nonnegative")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(eps2) and eps2 >= 0):
+        raise ValueError("eps2 must be finite and nonnegative (got %r)" % eps2)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and nonnegative (got %r)" % t)
     vals = gen.cell_values(chi)
 
     if x is None:

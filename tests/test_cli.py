@@ -76,6 +76,17 @@ def test_load_config_type_checks(tmp_path):
         load_config("idea1", _cfg(tmp_path, "sde.antithetic = true\n"), {})
 
 
+@pytest.mark.parametrize("key,value", [("rates.tau", "nan"),
+                                       ("rates.tau", "inf"),
+                                       ("sde.sigma", "-inf"),
+                                       ("membership.core_box", "[0, nan, 0, 1]")])
+def test_load_config_rejects_nonfinite(tmp_path, key, value):
+    cfg = _cfg(tmp_path, "%s = %s\n" % (key, value))
+    with pytest.raises(ConfigError, match="key %s expects a finite number"
+                       % key):
+        load_config("idea3", cfg, {})
+
+
 def test_load_config_experiment_tag(tmp_path):
     path = _cfg(tmp_path, "experiment = idea2\n")
     with pytest.raises(ConfigError, match="experiment"):
@@ -180,6 +191,12 @@ def test_exit_code_zero_tau(tmp_path, capsys):
     cfg = _cfg(tmp_path, "rates.tau = 0\n")
     assert main(["idea3", "--config", cfg]) == 2
     assert "tau" in capsys.readouterr().err
+
+
+def test_exit_code_nonfinite_tau(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "rates.tau = nan\n")
+    assert main(["idea3", "--config", cfg]) == 2
+    assert "key rates.tau expects a finite number" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Euler-Maruyama dynamics, MC estimators, holding probabilities."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from chi_exit import (
     PotentialSurface,
@@ -518,6 +521,49 @@ def test_feynman_kac_grid_backend(gen50, chi1, report1):
         for t in (0.0, 25.0, 50.0, 100.0)
     ]
     assert all(a > b > 0 for a, b in zip(levels, levels[1:]))
+
+
+def test_feynman_kac_grid_without_live_cells(bench):
+    gen = build_sqrt_generator(bench, RegularGrid(10, 10, bench.domain), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = feynman_kac_holding(gen, np.zeros(gen.n), 0.01, t=2.0)
+    np.testing.assert_array_equal(p, np.zeros(gen.n))
+    # one live cell: the restricted operator is the number L*_ii + eps2 pen_i
+    chi = np.zeros(gen.n)
+    chi[37] = 0.6
+    p = feynman_kac_holding(gen, chi, 0.01, t=2.0)
+    expected = np.exp(-2.0 * (gen.rates[37, 37] + 0.01 * 0.4 / 0.6)) * 0.6
+    np.testing.assert_allclose(p[37], expected, rtol=1e-14)
+    assert np.count_nonzero(p) == 1
+
+
+def test_feynman_kac_grid_matches_expm_multiply(bench):
+    gen = build_sqrt_generator(bench, RegularGrid(12, 12, bench.domain), 1.0)
+    x = gen.grid.centers
+    chi = 0.9 * np.exp(-((x[:, 0] - 0.25) ** 2 + (x[:, 1] - 0.5) ** 2) / 0.05)
+    chi[chi < 0.01] = 0.0
+    alive = chi >= sde.CHI_MIN
+    eps2, t = 0.1, 50.0
+    op = gen.rates[alive][:, alive] + eps2 * sp.diags(
+        (1.0 - chi[alive]) / chi[alive])
+    # chi <= 0.9 keeps the Gershgorin interval of op away from 0, so the
+    # factor exp(-t lo) of the series is exercised
+    diag = op.diagonal()
+    radius = np.asarray(abs(op).sum(axis=1)).ravel() - np.abs(diag)
+    assert np.min(diag - radius) > 0.01
+    expected = np.zeros(gen.n)
+    expected[alive] = expm_multiply(-t * op.tocsc(), chi[alive])
+    np.testing.assert_allclose(feynman_kac_holding(gen, chi, eps2, t=t),
+                               expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name,value", [("t", np.nan), ("t", np.inf),
+                                        ("eps2", np.nan), ("eps2", np.inf)])
+def test_feynman_kac_rejects_nonfinite(gen_small, name, value):
+    kwargs = {"eps2": 0.01, "t": 1.0, name: value}
+    with pytest.raises(ValueError, match="%s must be finite" % name):
+        feynman_kac_holding(gen_small, np.full(gen_small.n, 0.5), **kwargs)
 
 
 def test_feynman_kac_requires_generator(gen50, chi1, report1):

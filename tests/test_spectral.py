@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from chi_exit import (
@@ -112,9 +113,32 @@ def test_propagate_matches_expm(bench):
                                atol=1e-9)
 
 
+@pytest.mark.parametrize("tau", [2.5, 30.0, 100.0, 1000.0])
+def test_propagate_matches_dense_expm(bench, tau):
+    grid = RegularGrid(30, 30, bench.domain)
+    gen = build_sqrt_generator(bench, grid, 1.0)
+    rng = np.random.default_rng(8)
+    v = rng.uniform(0, 1, gen.n)
+    expected = expm(-tau * gen.rates.toarray()) @ v
+    np.testing.assert_allclose(propagate(gen, v, tau), expected, rtol=0,
+                               atol=1e-12)
+
+
 def test_negative_tau_rejected(gen50):
     with pytest.raises(ValueError):
         propagate(gen50, np.ones(gen50.n), -1.0)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_nonfinite_tau_rejected(gen50, tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        propagate(gen50, np.ones(gen50.n), tau)
+
+
+def test_propagate_shape_error_names_the_shape(gen50):
+    with pytest.raises(ValueError, match=r"shape \(2500, 1\) does not match "
+                                         r"grid shape \(2500,\)"):
+        propagate(gen50, np.ones((gen50.n, 1)), 1.0)
 
 
 def test_eigensolve_k_bounds(gen_small):
