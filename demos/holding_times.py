@@ -29,7 +29,6 @@ def main():
     grid = RegularGrid(50, 50, pot.domain)
     gen = build_sqrt_generator(pot, grid, 1.0)
     chi = pcca_single(eigensolve(gen, 3), 3)
-    chi.grid = grid
     report = rate_from_eigenpair(chi.meta["eps_bar"], chi.meta["beta_bar"])
 
     threshold = 0.22

@@ -46,7 +46,6 @@ def main():
 
     # route 1: a single eigenpair gives the rate in closed form
     chi = pcca_single(eig, 3)
-    chi.grid = grid
     r1 = rate_from_eigenpair(chi.meta["eps_bar"], chi.meta["beta_bar"],
                              "eigenpair")
     print("\n[1] eigenpair      eps1=%.6f  eps2=%.6f  pi_chi=%.4f"
@@ -62,8 +61,7 @@ def main():
 
     # route 2: regress the generator action of a PCCA+ cluster
     chis = pcca_multi(eig, 3)
-    cluster = min(chis, key=lambda c: abs(c.meta["weight"] - 0.4452))
-    cluster.grid = grid
+    cluster = max(chis, key=lambda c: c.meta["weight"])
     r2 = regress_generator_action(gen, cluster, "least_squares")
     print("[2] pcca cluster   eps1=%.6f  (weight %.4f)"
           % (r2.eps1, cluster.meta["weight"]))

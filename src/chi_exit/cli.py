@@ -27,7 +27,6 @@ import numpy as np
 from .grid_generator import RegularGrid, build_sqrt_generator
 from .membership import (
     CoreSet,
-    Membership,
     committor,
     find_weight_cores,
     mc_hitting_membership,
@@ -230,13 +229,14 @@ class ExperimentConfig:
             potential=self.potential(),
             sigma=float(self.values["sde.sigma"]),
             dt=float(self.values["sde.dt"]),
-            seed=self.seed,
         )
 
 
 def load_config(experiment: str, path: Optional[str], overrides: Dict[str, object]
                 ) -> ExperimentConfig:
-    """Merge defaults, an optional config file, and CLI overrides."""
+    """Merge defaults, an optional config file, and CLI overrides.  For
+    every subcommand, a core_box without four entries, a rates.norm other
+    than ls or lad, rates.tau <= 0 or idea4.steps < 1 is a ConfigError."""
     values = dict(DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
@@ -260,6 +260,10 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
         raise ConfigError("membership.core_box expects [x1min,x1max,x2min,x2max]")
     if str(values["rates.norm"]) not in ("ls", "lad"):
         raise ConfigError("rates.norm must be ls or lad")
+    if values["rates.tau"] <= 0:
+        raise ConfigError("rates.tau must be positive (no decay at tau=0)")
+    if values["idea4.steps"] < 1:
+        raise ConfigError("idea4.steps must be >= 1")
     return ExperimentConfig(experiment=experiment, values=values)
 
 
@@ -378,7 +382,6 @@ def _idea1_membership(cfg: ExperimentConfig):
     which = int(cfg["membership.eigen_index"])
     grid, gen, eig = _spectral_setup(cfg, max(3, which))
     chi = _stage("pcca_single", pcca_single, eig, which)
-    chi.grid = grid
     return grid, gen, eig, chi
 
 
@@ -400,14 +403,13 @@ def run_idea1(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _select_cluster(chis, grid: RegularGrid, target: float = 0.4452):
-    """The membership with weight nearest the target; ties go left."""
-    dists = [abs(m.meta["weight"] - target) for m in chis]
-    best = min(dists)
-    tied = [m for m, d in zip(chis, dists) if d <= best + 1e-9]
-    return min(
-        tied, key=lambda m: grid.centers[int(np.argmax(m.values)), 0]
-    )
+def _select_cluster(chis):
+    """The heaviest membership; among weights within 1e-9 of the largest,
+    the one whose peak cell lies furthest left."""
+    best = max(m.meta["weight"] for m in chis)
+    tied = [m for m in chis if m.meta["weight"] >= best - 1e-9]
+    return min(tied,
+               key=lambda m: m.grid.centers[int(np.argmax(m.values)), 0])
 
 
 def _pcca_clusters(cfg: ExperimentConfig):
@@ -415,9 +417,7 @@ def _pcca_clusters(cfg: ExperimentConfig):
     m = int(cfg["membership.n_clusters"])
     grid, gen, eig = _spectral_setup(cfg, max(3, m))
     chis = _stage("pcca_multi", pcca_multi, eig, m)
-    for c in chis:
-        c.grid = grid
-    return grid, gen, eig, chis, _select_cluster(chis, grid)
+    return grid, gen, eig, chis, _select_cluster(chis)
 
 
 def run_idea2(cfg: ExperimentConfig) -> int:
@@ -442,8 +442,6 @@ def run_idea2(cfg: ExperimentConfig) -> int:
 def run_idea3(cfg: ExperimentConfig) -> int:
     """Rate from the committor: propagate, regress, invert the gammas."""
     tau = float(cfg["rates.tau"])
-    if tau <= 0:
-        raise ConfigError("rates.tau must be positive (no decay at tau=0)")
     grid, gen, _ = _spectral_setup(cfg, 2)
     threshold = float(cfg["membership.core_weight_threshold"])
     left, right = _stage("find_weight_cores", find_weight_cores, gen, threshold)
@@ -604,9 +602,9 @@ def run_validate(cfg: ExperimentConfig) -> int:
     )
     censor_frac = float(censored.mean())
     note = ""
-    if censored.all():
+    if np.count_nonzero(~censored) < 2:
         set_rate = float("nan")
-        note = "all exits censored; no rate fitted"
+        note = "fewer than two exits observed; no rate fitted"
         print("validate: %s" % note, file=sys.stderr)
     else:
         set_rate = _stage("survival_fit", fit_survival_rate, times, censored)

@@ -2,7 +2,7 @@
 
 A membership chi maps the state space to [0, 1] and generalizes the
 indicator of a metastable set.  Grid memberships carry one value per
-cell; point-sampler memberships evaluate lazily by simulation.
+cell and their grid; the point sampler evaluates lazily by simulation.
 Construction routes: affine rescaling of a single eigenfunction
 (pcca_single), inner-simplex PCCA+ on several eigenfunctions
 (pcca_multi), the committor between two core sets, and Monte Carlo
@@ -11,7 +11,7 @@ core-hitting probabilities (mc_hitting_membership).
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,50 +75,56 @@ class CoreSet:
 class Membership:
     """A fuzzy set chi with values in [0, 1].
 
+    A grid membership holds one value per cell of its grid.  One without
+    values is the core-hitting sampler: its meta holds the dynamics, box,
+    n_traj, max_steps and seed that ``evaluate_batch`` passes to
+    ``hitting_fractions``.
+
     Attributes
     ----------
-    kind : str
-        "grid_vector" (values per cell) or "point_sampler" (lazy MC).
     provenance : str
         Which construction produced it: pcca_single, pcca_multi,
         committor, or mc_hitting.
     values : ndarray, optional
-        Per-cell values, grid_vector kind.
+        Per-cell values; None for the sampler.
     grid : RegularGrid, optional
-        The discretization of a grid_vector membership.
-    batch_sampler : callable, optional
-        (positions, workers) -> values evaluator, point_sampler kind.
+        The discretization of the values, required with them.
     meta : dict
         Construction metadata (e.g. alpha_bar, beta_bar, eps_bar).
     """
 
-    kind: str
     provenance: str
     values: Optional[Array] = None
     grid: Optional[RegularGrid] = None
-    batch_sampler: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("grid_vector", "point_sampler"):
-            raise ValueError("unknown membership kind %r" % (self.kind,))
-        if self.kind == "grid_vector":
-            if self.values is None:
-                raise ValueError("grid_vector membership needs values")
-            vals = np.asarray(self.values, dtype=float)
-            if self.grid is not None and vals.shape != (self.grid.n,):
-                raise ValueError(
-                    "membership has %d values for a %d-cell grid"
-                    % (vals.size, self.grid.n)
-                )
-            if vals.min() < -1e-9 or vals.max() > 1 + 1e-9:
-                raise ValueError(
-                    "membership values leave [0,1]: min %.3e max %.3e"
-                    % (vals.min(), vals.max())
-                )
-            self.values = np.clip(vals, 0.0, 1.0)
-        elif self.batch_sampler is None:
-            raise ValueError("point_sampler membership needs a batch_sampler")
+        if self.values is None:
+            keys = ("dynamics", "box", "n_traj", "max_steps", "seed")
+            missing = [key for key in keys if key not in self.meta]
+            if missing:
+                raise ValueError("point_sampler membership needs meta %s"
+                                 % ", ".join(missing))
+            return
+        if self.grid is None:
+            raise ValueError("grid membership needs its grid")
+        vals = np.asarray(self.values, dtype=float)
+        if vals.shape != (self.grid.n,):
+            raise ValueError(
+                "membership has %d values for a %d-cell grid"
+                % (vals.size, self.grid.n)
+            )
+        if vals.min() < -1e-9 or vals.max() > 1 + 1e-9:
+            raise ValueError(
+                "membership values leave [0,1]: min %.3e max %.3e"
+                % (vals.min(), vals.max())
+            )
+        self.values = np.clip(vals, 0.0, 1.0)
+
+    @property
+    def kind(self) -> str:
+        """Kind "grid_vector" with per-cell values, else "point_sampler"."""
+        return "point_sampler" if self.values is None else "grid_vector"
 
     def __call__(self, x):
         """Evaluate at one position (2,) or a batch (m, 2)."""
@@ -131,17 +137,15 @@ class Membership:
     def evaluate_batch(self, pts: Array, workers: int = 1) -> Array:
         """Vectorized evaluation; workers only affects speed."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "grid_vector":
-            if self.grid is None:
-                raise ValueError(
-                    "grid membership has no grid attached; evaluate via "
-                    "cell indices or set .grid"
-                )
+        if self.values is not None:
             cells = self.grid.cells_of(pts)
             if np.any(cells < 0):
                 raise ValueError("position outside the grid domain")
             return self.values[cells]
-        return np.asarray(self.batch_sampler(pts, workers), dtype=float)
+        m = self.meta
+        return hitting_fractions(m["dynamics"], m["box"], pts, m["n_traj"],
+                                 m["max_steps"], seed=m["seed"],
+                                 workers=workers)
 
 
 def _reject_degenerate(eig: EigenSystem, idx: int) -> None:
@@ -197,10 +201,9 @@ def pcca_single(eig: EigenSystem, which: int) -> Membership:
     chi = (f - fmin) / (fmax - fmin)
     assert chi.min() > -1e-12 and chi.max() < 1 + 1e-12
     return Membership(
-        kind="grid_vector",
         provenance="pcca_single",
         values=chi,
-        grid=None,
+        grid=eig.grid,
         meta={
             "alpha_bar": alpha_bar,
             "beta_bar": beta_bar,
@@ -276,14 +279,12 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
     m = int(n_clusters)
     if m < 1 or m > eig.count:
         raise ValueError("n_clusters must be between 1 and %d" % eig.count)
-    n = eig.eigenvectors.shape[0]
     if m == 1:
         return [
             Membership(
-                kind="grid_vector",
                 provenance="pcca_multi",
-                values=np.ones(n),
-                grid=None,
+                values=np.ones(eig.grid.n),
+                grid=eig.grid,
                 meta={"coefficients": np.array([1.0]), "weight": 1.0},
             )
         ]
@@ -319,10 +320,9 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
     for j in range(m):
         out.append(
             Membership(
-                kind="grid_vector",
                 provenance="pcca_multi",
                 values=np.clip(chis[:, j], 0.0, 1.0),
-                grid=None,
+                grid=eig.grid,
                 meta={
                     "coefficients": a[:, j].copy(),
                     "weight": float(a[0, j]),
@@ -370,7 +370,6 @@ def committor(gen: GeneratorMatrix, core_a: CoreSet, core_b: CoreSet) -> Members
     q[free] = spsolve(sub.tocsc(), rhs)
     q = np.clip(q, 0.0, 1.0)
     return Membership(
-        kind="grid_vector",
         provenance="committor",
         values=q,
         grid=gen.grid,
@@ -420,8 +419,7 @@ def find_weight_cores(gen: GeneratorMatrix, threshold: float = 0.0025
 
 
 def mc_hitting_membership(dynamics: SdeConfig, core: CoreSet, n_traj: int,
-                          max_steps: int, seed: Optional[int] = None
-                          ) -> Membership:
+                          max_steps: int, seed: int = 0) -> Membership:
     """Membership as the probability of hitting a core within a budget.
 
     The sampler, given x, runs n_traj Euler-Maruyama trajectories from x
@@ -438,8 +436,8 @@ def mc_hitting_membership(dynamics: SdeConfig, core: CoreSet, n_traj: int,
         Box-based hitting target inside the domain.
     n_traj, max_steps : int
         Ensemble size and step budget per point, both >= 1.
-    seed : int, optional
-        Defaults to dynamics.seed.
+    seed : int
+        Master seed of the per-point streams.
 
     Returns
     -------
@@ -455,22 +453,14 @@ def mc_hitting_membership(dynamics: SdeConfig, core: CoreSet, n_traj: int,
     x1lo, x1hi, x2lo, x2hi = core.box
     if not (lo1 <= x1lo and x1hi <= hi1 and lo2 <= x2lo and x2hi <= hi2):
         raise ValueError("core box leaves the potential domain")
-    seed = dynamics.seed if seed is None else int(seed)
-
-    def batch(pts, workers=1):
-        return hitting_fractions(dynamics, core.box, pts, n_traj, max_steps,
-                                 seed=seed, workers=workers)
-
     return Membership(
-        kind="point_sampler",
         provenance="mc_hitting",
-        batch_sampler=batch,
         meta={
             "dynamics": dynamics,
             "core": core.label or "core",
             "box": core.box,
             "n_traj": int(n_traj),
             "max_steps": int(max_steps),
-            "seed": seed,
+            "seed": int(seed),
         },
     )

@@ -52,6 +52,8 @@ _NOISE_BYTES = 1 << 20
 class SdeConfig:
     """Overdamped Langevin dynamics dX = -grad V dt + sigma dB.
 
+    No seed: each Monte Carlo call takes its master seed as an argument.
+
     Attributes
     ----------
     potential : PotentialSurface
@@ -61,14 +63,11 @@ class SdeConfig:
     dt : float
         Time step of the Euler-Maruyama scheme; steps leaving the domain
         are clamped to the boundary, mirroring the no-flux grid generator.
-    seed : int
-        Master seed for all streams derived from this configuration.
     """
 
     potential: PotentialSurface
     sigma: float = 0.8
     dt: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.sigma) or self.sigma < 0:
@@ -282,14 +281,13 @@ def _map_chunks(fn, tasks, workers: int):
 
 
 def _chunked(config: SdeConfig, points: Array, n_traj: int, steps: int,
-             seed: Optional[int], tag: int, workers: int, box=None,
+             seed: int, tag: int, workers: int, box=None,
              stop_from: int = 0) -> Array:
     """Run the kernel over ``points`` in chunks of ``_CHUNK`` starts."""
     registered = config.potential.name in ("paper2d", "flat")
     pspec = config.potential.name if registered else config.potential
     if not registered:
         workers = 1  # unregistered surfaces may not survive pickling
-    seed = config.seed if seed is None else seed
     tasks = [
         (pspec, config.sigma, config.dt, config.potential.domain,
          points[i:i + _CHUNK], int(n_traj), int(steps), int(seed), int(tag),
@@ -300,7 +298,7 @@ def _chunked(config: SdeConfig, points: Array, n_traj: int, steps: int,
 
 
 def hitting_fractions(config: SdeConfig, box, points, n_traj: int,
-                      max_steps: int, seed: Optional[int] = None,
+                      max_steps: int, seed: int = 0,
                       workers: int = 1) -> Array:
     """Fraction of trajectories from each point entering a box core.
 
@@ -313,8 +311,8 @@ def hitting_fractions(config: SdeConfig, box, points, n_traj: int,
         Starting positions.
     n_traj, max_steps : int
         Ensemble size and step budget per point.
-    seed : int, optional
-        Defaults to config.seed.
+    seed : int
+        Master seed of the per-point streams.
     workers : int
         Worker processes; does not affect the values.
 
@@ -331,9 +329,9 @@ def hitting_fractions(config: SdeConfig, box, points, n_traj: int,
 
 
 def endpoint_ensemble(config: SdeConfig, points, steps: int, n_traj: int,
-                      seed: Optional[int] = None, tag: int = TAG_PTAU,
-                      workers: int = 1) -> Array:
-    """Endpoints after ``steps`` integration steps, per point and trajectory.
+                      seed: int = 0, workers: int = 1) -> Array:
+    """Endpoints after ``steps`` integration steps, per point and trajectory,
+    on per-point streams keyed by ``seed`` (``workers`` changes no value).
 
     Returns
     -------
@@ -344,7 +342,7 @@ def endpoint_ensemble(config: SdeConfig, points, steps: int, n_traj: int,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if steps == 0:
         return np.repeat(points[:, None, :], n_traj, axis=1)
-    return _chunked(config, points, n_traj, steps, seed, tag, workers)
+    return _chunked(config, points, n_traj, steps, seed, TAG_PTAU, workers)
 
 
 def uniform_points(n: int, domain, seed: int) -> Array:
@@ -366,28 +364,28 @@ def _steps_for(tau: float, dt: float) -> int:
 
 
 def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
-                      seed: Optional[int] = None, workers: int = 1):
+                      seed: int = 0, workers: int = 1):
     """Monte Carlo estimate of (P^tau chi)(x).
 
-    For a hitting membership (provenance "mc_hitting"), chi(y) is the
-    chance of entering its core box within T = ``max_steps`` steps from y.
-    The Euler-Maruyama chain is Markov, so (P^tau chi)(x) is the chance of
+    For the hitting membership (the point sampler), chi(y) is the chance
+    of entering its core box within T = ``max_steps`` steps from y.  The
+    Euler-Maruyama chain is Markov, so (P^tau chi)(x) is the chance of
     being in the box at some step in [k, k + T], k = tau/dt.  The estimate
     is the share of ``n_traj`` paths of k + T steps from x that are, and
     the paths draw from the stream chi itself uses at x.  With the
     ``n_traj`` and ``seed`` of chi, their first T steps are exactly the
     paths behind chi(x), so the two estimates share their noise.  The
-    paths follow ``config``, which must carry chi's dynamics.
+    paths follow ``config``, which must equal chi's dynamics.
 
-    Any other chi is averaged over the endpoints of ``n_traj``
-    trajectories of time-length tau started at x.
+    A grid chi is averaged over the endpoints of ``n_traj`` trajectories
+    of time-length tau started at x.
 
     Parameters
     ----------
     config : SdeConfig
-    chi : Membership or callable
-        A hitting membership, or a membership or callable evaluated at
-        the endpoint positions.
+    chi : Membership
+        A hitting membership, or a grid membership evaluated at the
+        endpoint positions.
     x : array-like
         One position (2,) or a batch (m, 2).
     tau : float
@@ -395,8 +393,8 @@ def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
         returns chi(x) exactly.
     n_traj : int
         Trajectories per point.
-    seed : int, optional
-        Defaults to config.seed.
+    seed : int
+        Master seed of the trajectories from x.
     workers : int
         Worker processes; does not affect the values.
 
@@ -409,20 +407,12 @@ def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     steps = _steps_for(tau, config.dt)
-
-    def evaluate(at):
-        # a Membership raises on positions outside its grid
-        if hasattr(chi, "evaluate_batch"):
-            return chi.evaluate_batch(at, workers)
-        return np.asarray(chi(at), dtype=float)
-
     if steps == 0:
-        vals = evaluate(pts)
+        # a grid membership raises on positions outside its grid
+        vals = chi.evaluate_batch(pts, workers)
         return float(vals[0]) if single else vals
-    if getattr(chi, "provenance", None) == "mc_hitting":
-        dyn = chi.meta["dynamics"]
-        if (dyn.potential, dyn.sigma, dyn.dt) != (
-                config.potential, config.sigma, config.dt):
+    if chi.values is None:
+        if chi.meta["dynamics"] != config:
             raise ValueError("P^tau of a hitting membership must follow the "
                              "membership's own dynamics")
         if n_traj < 1:
@@ -432,8 +422,8 @@ def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
                          stop_from=steps)
     else:
         ends = endpoint_ensemble(config, pts, steps, n_traj, seed=seed,
-                                 tag=TAG_PTAU, workers=workers)
-        means = evaluate(ends.reshape(-1, 2)).reshape(
+                                 workers=workers)
+        means = chi.evaluate_batch(ends.reshape(-1, 2), workers).reshape(
             len(pts), n_traj).mean(axis=1)
     return float(means[0]) if single else means
 
@@ -496,7 +486,7 @@ def _fk_mc_cell(gen: GeneratorMatrix, chi: Array, pen: Array, eps2: float,
 
 
 def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
-                        n_traj: int = 1000, seed: Optional[int] = None,
+                        n_traj: int = 1000, seed: int = 0,
                         backend: str = "grid"):
     """Chi-holding probability p_chi(x, t) by either backend.
 
@@ -524,8 +514,8 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
         Horizon, finite and >= 0.
     n_traj : int
         MC ensemble size per cell.
-    seed : int, optional
-        Master seed for the MC backend (default 0).
+    seed : int
+        Master seed of the MC backend's per-cell streams.
     backend : str
         "grid" or "mc".
 
@@ -571,7 +561,6 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
         raise ValueError("backend must be 'grid' or 'mc'")
     if cells is None:
         raise ValueError("mc backend needs starting cells or positions")
-    seed = 0 if seed is None else seed
     ests, ses = vals[cells].copy(), np.zeros(cells.size)
     if t > 0:
         pen = np.where(vals >= CHI_MIN,
@@ -586,7 +575,7 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
 
 def sample_set_exit_times(config: SdeConfig, region: Callable[[Array], Array],
                           x, n_traj: int, horizon_steps: int,
-                          seed: Optional[int] = None) -> TrajectoryStats:
+                          seed: int = 0) -> TrajectoryStats:
     """First-exit steps from a region, censored at the horizon.
 
     All trajectories of all starts advance together in one array; each
@@ -605,8 +594,8 @@ def sample_set_exit_times(config: SdeConfig, region: Callable[[Array], Array],
         Ensemble size per start.
     horizon_steps : int
         Step budget; trajectories still inside are censored.
-    seed : int, optional
-        Defaults to config.seed.
+    seed : int
+        Master seed of the per-start streams.
 
     Returns
     -------
@@ -623,7 +612,6 @@ def sample_set_exit_times(config: SdeConfig, region: Callable[[Array], Array],
         raise ValueError("starting position lies outside the region")
     if n_traj < 1 or horizon_steps < 1:
         raise ValueError("n_traj and horizon_steps must be >= 1")
-    seed = config.seed if seed is None else seed
     rngs = [generator_for(seed, TAG_EXIT, p) for p in starts]
     lo, hi = config.bounds
     pos, exit_steps = _run(
@@ -658,7 +646,7 @@ def sample_jump_exit_times(gen: GeneratorMatrix, region_cells, start_cell: int,
     horizon_time : float
         Censoring horizon on the generator clock.
     seed : int
-        Master seed.
+        Master seed of the start cell's stream.
 
     Returns
     -------

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import ive
 
-from .grid_generator import GeneratorMatrix
+from .grid_generator import GeneratorMatrix, RegularGrid
 
 Array = np.ndarray
 
@@ -40,11 +40,14 @@ class EigenSystem:
         magnitude is positive.
     weights : ndarray
         The stationary vector the orthonormality refers to.
+    grid : RegularGrid
+        The generator's grid, which memberships built from the pairs carry.
     """
 
     eigenvalues: Array
     eigenvectors: Array
     weights: Array
+    grid: RegularGrid
 
     @property
     def count(self) -> int:
@@ -109,7 +112,7 @@ def eigensolve(gen: GeneratorMatrix, k: int) -> EigenSystem:
     order = np.argsort(vals)
     f = _fix_signs(vecs[:, order] / np.sqrt(gen.weights)[:, None])
     return EigenSystem(eigenvalues=vals[order], eigenvectors=f,
-                       weights=gen.weights)
+                       weights=gen.weights, grid=gen.grid)
 
 
 def _chebyshev_weights(c: float) -> Array:

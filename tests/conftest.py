@@ -39,10 +39,8 @@ def eig3(gen50):
 
 
 @pytest.fixture(scope="session")
-def chi1(eig3, gen50):
-    chi = pcca_single(eig3, 3)
-    chi.grid = gen50.grid
-    return chi
+def chi1(eig3):
+    return pcca_single(eig3, 3)
 
 
 @pytest.fixture(scope="session")

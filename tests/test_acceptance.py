@@ -81,7 +81,6 @@ def test_criterion_02_idea2_golden_numbers(gen50, eig3):
     assert abs(eig3.eigenvalues[1] - 0.0025) < 0.0003
     chis = pcca_multi(eig3, 3)
     chi = min(chis, key=lambda c: abs(c.meta["weight"] - 0.4452))
-    chi.grid = gen50.grid
     assert abs(chi.meta["weight"] - 0.4452) < 0.01
     report = regress_generator_action(gen50, chi, "least_squares")
     assert abs(report.eps1 - 0.0014) < 0.0003
@@ -286,11 +285,12 @@ def test_criterion_06_generator_properties(gen50):
 def test_criterion_07_sde_weak_order():
     from chi_exit import flat_potential
 
-    cfg = SdeConfig(potential=flat_potential(), sigma=0.8, dt=0.001, seed=0)
+    cfg = SdeConfig(potential=flat_potential(), sigma=0.8, dt=0.001)
     start = np.array([[0.5, 0.5]])
     # 50 steps keeps the walk ~2.8 sigma from the clamped walls
     steps = 50
-    ends = endpoint_ensemble(cfg, start, steps=steps, n_traj=100000)[0]
+    ends = endpoint_ensemble(cfg, start, steps=steps, n_traj=100000,
+                             seed=0)[0]
     expected = 0.8 ** 2 * steps * 0.001
     var = ends.var(axis=0)
     assert np.all(np.abs(var - expected) / expected < 0.05), str(var)

@@ -9,18 +9,40 @@ from chi_exit.cli import (
     ConfigError,
     DEFAULTS,
     _fmt,
+    _select_cluster,
     _write_csv,
     _write_report,
     load_config,
     main,
     parse_config_text,
 )
+from chi_exit.grid_generator import RegularGrid
+from chi_exit.membership import Membership
 from chi_exit.rates import rate_from_eigenpair, regress
 
 SMALL = """
 # small grid for fast runs
 grid.nx = 16
 grid.ny = 16
+"""
+
+#: A validate run of a few seconds.
+VALIDATE_SMALL = """
+grid.nx = 20
+grid.ny = 20
+membership.n_traj = 15
+membership.max_steps = 25
+validate.n_starts = 5
+validate.n_traj = 6
+validate.horizon_steps = 200
+"""
+
+#: An idea4 run of a fraction of a second.
+IDEA4_SMALL = """
+idea4.n_points = 6
+membership.n_traj = 10
+membership.max_steps = 15
+idea4.n_traj = 8
 """
 
 
@@ -191,6 +213,52 @@ def test_exit_code_zero_tau(tmp_path, capsys):
     cfg = _cfg(tmp_path, "rates.tau = 0\n")
     assert main(["idea3", "--config", cfg]) == 2
     assert "tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("validate", VALIDATE_SMALL + "rates.tau = 0\n", "rates.tau"),
+    ("idea4", IDEA4_SMALL + "idea4.steps = 0\n", "idea4.steps"),
+    ("idea4", IDEA4_SMALL + "idea4.steps = -5\n", "idea4.steps"),
+], ids=["validate-tau-0", "idea4-steps-0", "idea4-steps-negative"])
+def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
+                                               text, key):
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: %s" % key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_one_exit_fits_no_rate(tmp_path, capsys):
+    # the single jump trajectory exits: one exit is as short of a survival
+    # fit as none
+    cfg = _cfg(tmp_path, VALIDATE_SMALL + "validate.jump_n_traj = 1\n"
+               "validate.jump_horizon = 600\n")
+    out = tmp_path / "v"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = _read_csv(out / "summary.csv")
+    summary = dict(rows)
+    assert summary["jump_censoring_fraction"] == "0.0"
+    assert summary["set_exit_rate"] == "nan"
+    assert summary["note"] == "fewer than two exits observed; no rate fitted"
+    assert "no rate fitted" in capsys.readouterr().err
+
+
+def _peaked(grid, cell, weight):
+    values = np.zeros(grid.n)
+    values[cell] = 1.0
+    return Membership(provenance="test", values=values, grid=grid,
+                      meta={"weight": weight})
+
+
+@pytest.mark.parametrize("cells,weights,chosen", [
+    ((0, 1, 2), (0.44, 0.56, 0.0), 1),  # the heaviest, not one near 0.4452
+    ((2, 0, 1), (0.45, 0.45 - 1e-12, 0.1), 1),  # a tie goes left
+])
+def test_select_cluster_takes_the_heaviest(cells, weights, chosen):
+    grid = RegularGrid(3, 1)
+    chis = [_peaked(grid, c, w) for c, w in zip(cells, weights)]
+    assert _select_cluster(chis) is chis[chosen]
 
 
 def test_exit_code_nonfinite_tau(tmp_path, capsys):

@@ -27,10 +27,10 @@ BETA_BAR = 0.19627817964037228
 
 def test_membership_range_validation():
     with pytest.raises(ValueError):
-        Membership(kind="grid_vector", provenance="test",
-                   values=np.array([-0.1, 0.5]))
-    chi = Membership(kind="grid_vector", provenance="test",
-                     values=np.array([0.0, 1.0 + 5e-10]))
+        Membership(provenance="test", values=np.array([-0.1, 0.5]),
+                   grid=RegularGrid(2, 1))
+    chi = Membership(provenance="test", values=np.array([0.0, 1.0 + 5e-10]),
+                     grid=RegularGrid(2, 1))
     assert chi.values.max() == 1.0
 
 
@@ -91,6 +91,12 @@ def test_pcca_multi_weights(eig3):
 def test_pcca_multi_single_cluster(eig3):
     (chi,) = pcca_multi(eig3, 1)
     np.testing.assert_array_equal(chi.values, np.ones_like(chi.values))
+
+
+def test_grid_memberships_carry_their_grid(gen50, eig3):
+    assert pcca_single(eig3, 3).grid is gen50.grid
+    for m in (1, 3):
+        assert all(c.grid is gen50.grid for c in pcca_multi(eig3, m))
 
 
 def test_find_weight_cores(gen50):
@@ -184,8 +190,18 @@ def test_mc_membership_box_must_be_inside_domain():
         mc_hitting_membership(cfg, core, 10, 10, seed=0)
 
 
+@pytest.mark.parametrize("key", ["dynamics", "box", "n_traj", "max_steps",
+                                 "seed"])
+def test_point_sampler_needs_its_parameters(key):
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    core = CoreSet(label="core", box=(0.2, 0.3, 0.4, 0.5))
+    meta = dict(mc_hitting_membership(cfg, core, 10, 10, seed=0).meta)
+    Membership(provenance="test", meta=meta)
+    del meta[key]
+    with pytest.raises(ValueError, match=key):
+        Membership(provenance="test", meta=meta)
+
+
 def test_grid_membership_needs_grid_for_points():
-    chi = Membership(kind="grid_vector", provenance="test",
-                     values=np.array([0.2, 0.8]))
     with pytest.raises(ValueError):
-        chi(np.array([0.5, 0.5]))
+        Membership(provenance="test", values=np.array([0.2, 0.8]))

@@ -30,7 +30,6 @@ def test_idea2_rate_is_meaningful(gen50, eig3):
     chis = pcca_multi(eig3, 3)
     weights = [c.meta["weight"] for c in chis]
     chi = chis[int(np.argsort(weights)[-1])]
-    chi.grid = gen50.grid
     report = regress_generator_action(gen50, chi, "least_squares")
     assert report.eps1 > 0
     assert report.meaningful

@@ -91,9 +91,10 @@ def test_config_validation():
 
 def test_flat_weak_order_variance():
     # free diffusion: Var[X_k - X_0] = sigma^2 k dt per coordinate
-    cfg = SdeConfig(potential=flat_potential(), sigma=0.8, dt=0.001, seed=11)
+    cfg = SdeConfig(potential=flat_potential(), sigma=0.8, dt=0.001)
     start = np.array([0.5, 0.5])
-    ends = endpoint_ensemble(cfg, start[None, :], steps=50, n_traj=10000)[0]
+    ends = endpoint_ensemble(cfg, start[None, :], steps=50, n_traj=10000,
+                             seed=11)[0]
     var = ends.var(axis=0)
     expected = 0.8 ** 2 * 50 * 0.001
     np.testing.assert_allclose(var, expected, rtol=0.1)
@@ -128,9 +129,7 @@ def test_trajectory_stats_summaries():
 def _grid_membership(gen, values):
     from chi_exit.membership import Membership
 
-    chi = Membership(kind="grid_vector", provenance="test", values=values)
-    chi.grid = gen.grid
-    return chi
+    return Membership(provenance="test", values=values, grid=gen.grid)
 
 
 def test_estimate_ptau_chi_zero_tau(gen50, chi1):
@@ -189,6 +188,16 @@ def test_estimate_ptau_chi_runs_on_the_hitting_paths():
         estimate_ptau_chi(cfg, chi, pts, k * cfg.dt, n, seed=3), ptau_ref)
     with pytest.raises(ValueError):
         estimate_ptau_chi(replace(cfg, sigma=0.5), chi, pts, k * cfg.dt, n)
+
+
+@pytest.mark.parametrize("change", [{"dt": 0.002},
+                                    {"potential": flat_potential()}])
+def test_estimate_ptau_chi_rejects_other_dynamics(change):
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    chi = mc_hitting_membership(cfg, CoreSet(box=(0.2, 0.3, 0.4, 0.5)), 5, 6,
+                                seed=3)
+    with pytest.raises(ValueError, match="own dynamics"):
+        estimate_ptau_chi(replace(cfg, **change), chi, [0.3, 0.45], 0.008, 5)
 
 
 def test_hitting_fractions_batch_matches_single():
