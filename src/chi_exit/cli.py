@@ -184,21 +184,15 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.values["seed"])
+        return self.values["seed"]
 
     @property
     def workers(self) -> int:
-        return int(self.values["workers"])
+        return self.values["workers"]
 
     @property
     def output_dir(self) -> str:
-        return str(self.values["output_dir"])
-
-    @property
-    def norm(self) -> str:
-        return {"ls": "least_squares", "lad": "least_absolute"}.get(
-            str(self.values["rates.norm"]), str(self.values["rates.norm"])
-        )
+        return self.values["output_dir"]
 
     def config_hash(self) -> str:
         # workers and output_dir must not influence results
@@ -218,18 +212,16 @@ class ExperimentConfig:
         return digest[:16]
 
     def potential(self):
-        return potential_by_name(str(self.values["potential"]))
+        return potential_by_name(self.values["potential"])
 
     def grid(self) -> RegularGrid:
-        nx, ny = int(self.values["grid.nx"]), int(self.values["grid.ny"])
-        return RegularGrid(nx, ny, self.potential().domain)
+        return RegularGrid(self.values["grid.nx"], self.values["grid.ny"],
+                           self.potential().domain)
 
     def sde(self) -> SdeConfig:
-        return SdeConfig(
-            potential=self.potential(),
-            sigma=float(self.values["sde.sigma"]),
-            dt=float(self.values["sde.dt"]),
-        )
+        return SdeConfig(potential=self.potential(),
+                         sigma=self.values["sde.sigma"],
+                         dt=self.values["sde.dt"])
 
 
 def load_config(experiment: str, path: Optional[str], overrides: Dict[str, object]
@@ -258,7 +250,7 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
             values[key] = _coerce(key, value, DEFAULTS[key])
     if len(values["membership.core_box"]) != 4:
         raise ConfigError("membership.core_box expects [x1min,x1max,x2min,x2max]")
-    if str(values["rates.norm"]) not in ("ls", "lad"):
+    if values["rates.norm"] not in ("ls", "lad"):
         raise ConfigError("rates.norm must be ls or lad")
     if values["rates.tau"] <= 0:
         raise ConfigError("rates.tau must be positive (no decay at tau=0)")
@@ -327,9 +319,9 @@ _REPORT_HEADER = [
 
 
 def _write_report(cfg: ExperimentConfig, report, reg=None) -> str:
-    row = report.as_row()
-    values = [row[key] for key in _REPORT_HEADER[:-2]]
-    values += ["", ""] if reg is None else [reg.gamma1, reg.gamma2]
+    """The report's fields, then the fit's gammas (empty without a fit)."""
+    values = [getattr(report, key) for key in _REPORT_HEADER[:-2]]
+    values += [getattr(reg, key, None) for key in _REPORT_HEADER[-2:]]
     return _write_csv(cfg, "report.csv", _REPORT_HEADER,
                       [[v] for v in values])
 
@@ -370,7 +362,7 @@ def _stage(name: str, fn, *args, **kwargs):
 def _generator(cfg: ExperimentConfig):
     grid = _stage("grid", cfg.grid)
     return grid, _stage("generator", build_sqrt_generator, cfg.potential(),
-                        grid, float(cfg["kbt"]))
+                        grid, cfg["kbt"])
 
 
 def _spectral_setup(cfg: ExperimentConfig, k: int):
@@ -379,19 +371,40 @@ def _spectral_setup(cfg: ExperimentConfig, k: int):
 
 
 def _idea1_membership(cfg: ExperimentConfig):
-    which = int(cfg["membership.eigen_index"])
+    which = cfg["membership.eigen_index"]
     grid, gen, eig = _spectral_setup(cfg, max(3, which))
     chi = _stage("pcca_single", pcca_single, eig, which)
     return grid, gen, eig, chi
 
 
+def _idea1_rate(cfg: ExperimentConfig):
+    """The idea1 membership and the rate of its eigenpair."""
+    grid, gen, eig, chi = _idea1_membership(cfg)
+    return grid, gen, eig, chi, _stage(
+        "rates", rate_from_eigenpair,
+        chi.meta["eps_bar"], chi.meta["beta_bar"], "idea1")
+
+
+def _region(values, threshold: float):
+    """The cells with chi > threshold; an empty set fails stage region."""
+    mask = values > threshold
+    if not mask.any():
+        raise StageError("region", ValueError(
+            "no cells with chi > %g; empty set rejected" % threshold))
+    return mask
+
+
+def _lag_rate(cfg: ExperimentConfig, gen, values, provenance: str):
+    """P^tau chi at tau = rates.tau, its fit against chi, and the rate."""
+    tau = cfg["rates.tau"]
+    ptau = _stage("propagate", propagate, gen, values, tau)
+    reg = _stage("regress", regress, values, ptau, cfg["rates.norm"])
+    return ptau, reg, _stage("rates", gammas_to_rate, reg, tau, provenance)
+
+
 def run_idea1(cfg: ExperimentConfig) -> int:
     """Rate from a single eigenpair: eigensolve, pcca_single, eps1."""
-    grid, gen, eig, chi = _idea1_membership(cfg)
-    report = _stage(
-        "rates", rate_from_eigenpair,
-        chi.meta["eps_bar"], chi.meta["beta_bar"], "idea1",
-    )
+    grid, gen, eig, chi, report = _idea1_rate(cfg)
     _write_cells(cfg, "chi.csv", grid, ["chi"], [chi.values])
     _write_eigen(cfg, grid, eig)
     _write_report(cfg, report)
@@ -414,7 +427,7 @@ def _select_cluster(chis):
 
 def _pcca_clusters(cfg: ExperimentConfig):
     """PCCA+ memberships on the grid and the cluster selected for rates."""
-    m = int(cfg["membership.n_clusters"])
+    m = cfg["membership.n_clusters"]
     grid, gen, eig = _spectral_setup(cfg, max(3, m))
     chis = _stage("pcca_multi", pcca_multi, eig, m)
     return grid, gen, eig, chis, _select_cluster(chis)
@@ -424,7 +437,8 @@ def run_idea2(cfg: ExperimentConfig) -> int:
     """Rate by regressing the generator action of a PCCA+ membership."""
     grid, gen, eig, chis, chi = _pcca_clusters(cfg)
     m = len(chis)
-    report = _stage("rates", regress_generator_action, gen, chi, cfg.norm)
+    report = _stage("rates", regress_generator_action, gen, chi,
+                    cfg["rates.norm"])
     selected = chis.index(chi) + 1
     _write_cells(cfg, "chi.csv", grid, ["chi%d" % (j + 1) for j in range(m)],
                  [c.values for c in chis],
@@ -439,16 +453,19 @@ def run_idea2(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _committor(cfg: ExperimentConfig):
+    """The committor between the two weight cores; needs no eigenpairs."""
+    grid, gen = _generator(cfg)
+    left, right = _stage("find_weight_cores", find_weight_cores, gen,
+                         cfg["membership.core_weight_threshold"])
+    chi = _stage("committor", committor, gen, left, right)
+    return grid, gen, left, right, chi
+
+
 def run_idea3(cfg: ExperimentConfig) -> int:
     """Rate from the committor: propagate, regress, invert the gammas."""
-    tau = float(cfg["rates.tau"])
-    grid, gen, _ = _spectral_setup(cfg, 2)
-    threshold = float(cfg["membership.core_weight_threshold"])
-    left, right = _stage("find_weight_cores", find_weight_cores, gen, threshold)
-    chi = _stage("committor", committor, gen, left, right)
-    ptau = _stage("propagate", propagate, gen, chi.values, tau)
-    reg = _stage("regress", regress, chi.values, ptau, cfg.norm)
-    report = _stage("rates", gammas_to_rate, reg, tau, "idea3")
+    grid, gen, left, right, chi = _committor(cfg)
+    ptau, reg, report = _lag_rate(cfg, gen, chi.values, "idea3")
     _write_cells(cfg, "scatter.csv", grid, ["chi", "ptau_chi"],
                  [chi.values, ptau], ["cores,left=%d,right=%d"
                                       % (left.cells.size, right.cells.size)])
@@ -467,21 +484,30 @@ def _mc_membership(cfg: ExperimentConfig):
     core = CoreSet(label="core", box=tuple(cfg["membership.core_box"]))
     chi = _stage(
         "mc_membership", mc_hitting_membership, dyn, core,
-        int(cfg["membership.n_traj"]), int(cfg["membership.max_steps"]),
-        cfg.seed,
+        cfg["membership.n_traj"], cfg["membership.max_steps"], cfg.seed,
     )
     return dyn, chi
 
 
+def _mc_field(cfg: ExperimentConfig, with_generator: bool):
+    """The Monte Carlo membership at the cell centers, with the grid and
+    its generator (None unless with_generator)."""
+    dyn, chi = _mc_membership(cfg)
+    grid, gen = (_generator(cfg) if with_generator
+                 else (_stage("grid", cfg.grid), None))
+    field = _stage("chi_field", chi.evaluate_batch, grid.centers, cfg.workers)
+    return dyn, grid, gen, field
+
+
 def _idea4_scatter(cfg: ExperimentConfig):
     dyn, chi = _mc_membership(cfg)
-    pts = _stage("sample_points", uniform_points, int(cfg["idea4.n_points"]),
+    pts = _stage("sample_points", uniform_points, cfg["idea4.n_points"],
                  dyn.potential.domain, cfg.seed)
     xs = _stage("chi_estimates", chi.evaluate_batch, pts, cfg.workers)
-    tau = int(cfg["idea4.steps"]) * dyn.dt
+    tau = cfg["idea4.steps"] * dyn.dt
     ys = _stage(
         "ptau_estimates", estimate_ptau_chi, dyn, chi, pts, tau,
-        int(cfg["idea4.n_traj"]), cfg.seed, cfg.workers,
+        cfg["idea4.n_traj"], cfg.seed, cfg.workers,
     )
     return chi, pts, xs, ys, tau
 
@@ -491,7 +517,7 @@ def run_idea4(cfg: ExperimentConfig) -> int:
     chi, pts, xs, ys, tau = _idea4_scatter(cfg)
     _write_csv(cfg, "scatter.csv", ["point", "x1", "x2", "chi", "ptau_chi"],
                [np.arange(len(pts)), pts[:, 0], pts[:, 1], xs, ys])
-    reg = _stage("regress", regress, xs, ys, cfg.norm)
+    reg = _stage("regress", regress, xs, ys, cfg["rates.norm"])
     try:
         report = gammas_to_rate(reg, tau, "idea4")
     except ValueError as err:
@@ -505,11 +531,9 @@ def run_idea4(cfg: ExperimentConfig) -> int:
         print("idea4: %s" % report.note, file=sys.stderr)
     _write_report(cfg, report, reg)
     # chi's paths, then the P^tau paths of idea4.steps + max_steps steps
-    max_steps = int(cfg["membership.max_steps"])
-    cost = (
-        int(cfg["membership.n_traj"]) * max_steps
-        + int(cfg["idea4.n_traj"]) * (int(cfg["idea4.steps"]) + max_steps)
-    )
+    max_steps = cfg["membership.max_steps"]
+    cost = (cfg["membership.n_traj"] * max_steps
+            + cfg["idea4.n_traj"] * (cfg["idea4.steps"] + max_steps))
     print(
         "idea4: gamma1=%s gamma2=%s eps1=%s meaningful=%d "
         "per_point_step_budget=%d"
@@ -521,14 +545,9 @@ def run_idea4(cfg: ExperimentConfig) -> int:
 
 def run_compare_mht(cfg: ExperimentConfig) -> int:
     """Set-based versus fuzzy mean holding times on one grid."""
-    grid, gen, eig, chi = _idea1_membership(cfg)
-    report = rate_from_eigenpair(chi.meta["eps_bar"], chi.meta["beta_bar"],
-                                 "idea1")
-    threshold = float(cfg["compare.threshold"])
-    mask = chi.values > threshold
-    if not mask.any():
-        raise StageError("region", ValueError(
-            "no cells with chi > %g; empty set rejected" % threshold))
+    grid, gen, eig, chi, report = _idea1_rate(cfg)
+    threshold = cfg["compare.threshold"]
+    mask = _region(chi.values, threshold)
     t_set = _stage("set_mean_holding_time", set_mean_holding_time, gen, mask)
     t_fuzzy = _stage("chi_mean_holding_time", chi_mean_holding_time,
                      report, chi.values)
@@ -536,8 +555,7 @@ def run_compare_mht(cfg: ExperimentConfig) -> int:
                  [chi.values, mask, t_fuzzy, t_set])
     high = chi.values > 0.4
     pearson = float(np.corrcoef(t_set[high], t_fuzzy[high])[0, 1])
-    inside = mask
-    median_diff = float(np.median(t_set[inside] - t_fuzzy[inside]))
+    median_diff = float(np.median(t_set[mask] - t_fuzzy[mask]))
     _write_summary(cfg, {
         "threshold": threshold,
         "eps1": report.eps1,
@@ -562,29 +580,23 @@ def run_validate(cfg: ExperimentConfig) -> int:
     from the deepest cell of S, reported beside the grid-propagation
     exit rate of the same membership (both live on the generator clock).
     """
-    dyn, chi = _mc_membership(cfg)
-    grid, gen = _generator(cfg)
-    field = _stage("chi_field", chi.evaluate_batch, grid.centers, cfg.workers)
-    threshold = float(cfg["validate.threshold"])
-    mask = field > threshold
-    if not mask.any():
-        raise StageError("region", ValueError(
-            "no cells with chi > %g; empty set rejected" % threshold))
+    dyn, grid, gen, field = _mc_field(cfg, with_generator=True)
+    threshold = cfg["validate.threshold"]
+    mask = _region(field, threshold)
 
     # spread starting cells evenly over the chi range inside S
     cells = np.nonzero(mask)[0]
     order = cells[np.argsort(field[cells], kind="stable")]
-    n_starts = min(int(cfg["validate.n_starts"]), order.size)
+    n_starts = min(cfg["validate.n_starts"], order.size)
     picks = order[np.linspace(0, order.size - 1, n_starts).astype(int)]
 
     def region(pts):
         return mask[grid.cells_of(pts)]
 
-    horizon = int(cfg["validate.horizon_steps"])
-    n_traj = int(cfg["validate.n_traj"])
     starts = grid.centers[picks]
-    stats = _stage("exit_times", sample_set_exit_times, dyn, region,
-                   starts, n_traj, horizon, cfg.seed)
+    stats = _stage("exit_times", sample_set_exit_times, dyn, region, starts,
+                   cfg["validate.n_traj"], cfg["validate.horizon_steps"],
+                   cfg.seed)
     means = stats.mean_exit_time()
     _write_csv(cfg, "exit_times.csv",
                ["cell", "x1", "x2", "chi", "mean_exit_time",
@@ -597,23 +609,21 @@ def run_validate(cfg: ExperimentConfig) -> int:
     deep = int(cells[np.argmax(field[cells])])
     times, censored = _stage(
         "jump_exit_times", sample_jump_exit_times, gen, mask, deep,
-        int(cfg["validate.jump_n_traj"]), float(cfg["validate.jump_horizon"]),
-        cfg.seed,
+        cfg["validate.jump_n_traj"], cfg["validate.jump_horizon"], cfg.seed,
     )
     censor_frac = float(censored.mean())
     note = ""
-    if np.count_nonzero(~censored) < 2:
+    # the survival curve has a point per exit but the last when none is
+    # censored, where the survival fraction reaches zero
+    if np.count_nonzero(~censored) - (not censored.any()) < 2:
         set_rate = float("nan")
-        note = "fewer than two exits observed; no rate fitted"
+        note = "survival curve has fewer than two points; no rate fitted"
         print("validate: %s" % note, file=sys.stderr)
     else:
         set_rate = _stage("survival_fit", fit_survival_rate, times, censored)
 
     # reference eps1 of the same membership on the same clock
-    tau = float(cfg["rates.tau"])
-    ptau = _stage("propagate", propagate, gen, np.clip(field, 0.0, 1.0), tau)
-    reg = _stage("regress", regress, field, ptau, cfg.norm)
-    report = _stage("rates", gammas_to_rate, reg, tau, "validate")
+    _, reg, report = _lag_rate(cfg, gen, field, "validate")
     ratio = set_rate / report.eps1 if np.isfinite(set_rate) else float("nan")
     _write_summary(cfg, {
         "threshold": threshold,
@@ -646,7 +656,7 @@ def run_dump_generator(cfg: ExperimentConfig) -> int:
 
 def run_dump_eigen(cfg: ExperimentConfig) -> int:
     """Write the k smallest eigenpairs of the generator."""
-    k = int(cfg["eigen.k"])
+    k = cfg["eigen.k"]
     grid, gen, eig = _spectral_setup(cfg, k)
     _write_eigen(cfg, grid, eig)
     print("dump-eigen: k=%d eigenvalues=%s"
@@ -656,25 +666,18 @@ def run_dump_eigen(cfg: ExperimentConfig) -> int:
 
 def run_dump_chi(cfg: ExperimentConfig) -> int:
     """Write a membership of the configured kind on the grid."""
-    kind = str(cfg["membership.kind"])
+    kind = cfg["membership.kind"]
     if kind == "pcca_single":
-        grid, gen, eig, chi = _idea1_membership(cfg)
+        grid, _, _, chi = _idea1_membership(cfg)
         values = chi.values
     elif kind == "pcca_multi":
         grid, _, _, _, chi = _pcca_clusters(cfg)
         values = chi.values
     elif kind == "committor":
-        grid, gen, _ = _spectral_setup(cfg, 2)
-        left, right = _stage(
-            "find_weight_cores", find_weight_cores, gen,
-            float(cfg["membership.core_weight_threshold"]),
-        )
-        values = _stage("committor", committor, gen, left, right).values
+        grid, _, _, _, chi = _committor(cfg)
+        values = chi.values
     elif kind == "mc":
-        _, chi = _mc_membership(cfg)
-        grid = _stage("grid", cfg.grid)
-        values = _stage("chi_field", chi.evaluate_batch, grid.centers,
-                        cfg.workers)
+        _, grid, _, values = _mc_field(cfg, with_generator=False)
     else:
         raise ConfigError(
             "membership.kind must be pcca_single, pcca_multi, committor, "

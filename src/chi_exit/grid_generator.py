@@ -153,9 +153,15 @@ class GeneratorMatrix:
 
     def cell_values(self, chi) -> Array:
         """Per-cell floats of a grid membership or an array; ValueError for
-        a point-sampler membership or values that do not match the grid."""
+        a point-sampler membership, a membership on another grid, or values
+        that do not match the grid."""
         if getattr(chi, "kind", None) == "point_sampler":
             raise ValueError("needs a grid membership, not a point sampler")
+        grid = getattr(chi, "grid", None)
+        if grid is not None and grid != self.grid:
+            raise ValueError("membership lives on a %dx%d grid, the generator "
+                             "on a %dx%d grid" % (grid.nx, grid.ny,
+                                                  self.grid.nx, self.grid.ny))
         vals = getattr(chi, "values", None)
         vals = np.asarray(chi if vals is None else vals, dtype=float)
         if vals.shape != (self.n,):

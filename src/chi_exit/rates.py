@@ -78,23 +78,6 @@ class ExitRateReport:
     norm_kind: str = "exact"
     note: str = ""
 
-    def as_row(self) -> dict:
-        """All fields, CSV-ready."""
-        return {
-            "provenance": self.provenance,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "pi_chi": self.pi_chi,
-            "meaningful": int(self.meaningful),
-            "tau": "" if self.tau is None else self.tau,
-            "residual_norm": self.residual_norm,
-            "n_points": self.n_points,
-            "norm_kind": self.norm_kind,
-            "note": self.note,
-        }
-
 
 def regress(xs, ys, norm_kind: str = "least_squares") -> RegressionResult:
     """Fit ys ~ gamma1 * xs + gamma2.

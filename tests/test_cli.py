@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chi_exit import cli
 from chi_exit.cli import (
     _BLOCK_ROWS,
     _REPORT_HEADER,
@@ -18,7 +19,7 @@ from chi_exit.cli import (
 )
 from chi_exit.grid_generator import RegularGrid
 from chi_exit.membership import Membership
-from chi_exit.rates import rate_from_eigenpair, regress
+from chi_exit.rates import RegressionResult, rate_from_eigenpair
 
 SMALL = """
 # small grid for fast runs
@@ -77,7 +78,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
     assert cfg["grid.nx"] == 30
     assert cfg["grid.ny"] == DEFAULTS["grid.ny"]
     assert cfg.seed == 9  # CLI override beats the file
-    assert cfg.norm == "least_squares"
+    assert cfg["rates.norm"] == "ls"
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -192,7 +193,7 @@ def test_dump_generator_triplets(tmp_path):
 
 
 def test_dump_chi_kinds(tmp_path):
-    for kind in ("pcca_single", "committor"):
+    for kind in ("pcca_single", "pcca_multi", "committor", "mc"):
         cfg = _cfg(tmp_path, SMALL + "membership.kind = %s\n"
                    "membership.core_weight_threshold = 0.02\n" % kind,
                    name="%s.cfg" % kind)
@@ -201,6 +202,22 @@ def test_dump_chi_kinds(tmp_path):
         _, header, rows = _read_csv(out / "chi.csv")
         assert header == ["cell", "x1", "x2", "chi"]
         assert len(rows) == 16 * 16
+
+
+def test_committor_routes_need_no_eigenpairs(tmp_path, capsys, monkeypatch):
+    def no_eigensolve(gen, k):
+        raise RuntimeError("no eigenpairs in this test")
+
+    monkeypatch.setattr(cli, "eigensolve", no_eigensolve)
+    text = SMALL + "rates.tau = 40\nmembership.core_weight_threshold = 0.02\n"
+    cfg = _cfg(tmp_path, text)
+    dump = _cfg(tmp_path, text + "membership.kind = committor\n", "dump.cfg")
+    assert main(["idea3", "--config", cfg, "--out", str(tmp_path / "i3")]) == 0
+    assert main(["dump-chi", "--config", dump,
+                 "--out", str(tmp_path / "chi")]) == 0
+    capsys.readouterr()
+    assert main(["idea1", "--config", cfg, "--out", str(tmp_path / "i1")]) == 3
+    assert "stage eigensolve" in capsys.readouterr().err
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -229,18 +246,21 @@ def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
     assert not out.exists()
 
 
-def test_validate_one_exit_fits_no_rate(tmp_path, capsys):
-    # the single jump trajectory exits: one exit is as short of a survival
-    # fit as none
-    cfg = _cfg(tmp_path, VALIDATE_SMALL + "validate.jump_n_traj = 1\n"
-               "validate.jump_horizon = 600\n")
+@pytest.mark.parametrize("n_traj", [1, 2])
+def test_validate_one_exit_fits_no_rate(tmp_path, capsys, n_traj):
+    # every jump trajectory exits, and the last exit leaves the survival
+    # curve at zero, off the log fit: one or two exits give fewer than two
+    # points, as short of a fit as none
+    cfg = _cfg(tmp_path, VALIDATE_SMALL + "validate.jump_n_traj = %d\n"
+               "validate.jump_horizon = 600\n" % n_traj)
     out = tmp_path / "v"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
     _, _, rows = _read_csv(out / "summary.csv")
     summary = dict(rows)
     assert summary["jump_censoring_fraction"] == "0.0"
     assert summary["set_exit_rate"] == "nan"
-    assert summary["note"] == "fewer than two exits observed; no rate fitted"
+    assert summary["note"] == ("survival curve has fewer than two points; "
+                               "no rate fitted")
     assert "no rate fitted" in capsys.readouterr().err
 
 
@@ -347,15 +367,14 @@ def test_column_writer_matches_row_writer(tmp_path, n):
 def test_one_row_report_matches_row_writer(tmp_path):
     cfg = _out_cfg(tmp_path)
     report = rate_from_eigenpair(0.0086, 0.1965, "idea1")
-    x = np.linspace(0.0, 1.0, 9)
-    reg = regress(x, 0.8 * x + 0.05, cfg.norm)
-    for fit in (None, reg):
-        row = report.as_row()
-        values = [row[key] for key in _REPORT_HEADER[:-2]]
-        values += ["", ""] if fit is None else [fit.gamma1, fit.gamma2]
+    reg = RegressionResult(gamma1=0.8, gamma2=0.05, residual_norm=0.0,
+                           n_points=9, norm_kind="least_squares")
+    # meaningful as 0/1, tau None as an empty cell, no note
+    row = "idea1,0.0086,-0.0016899,0.0069101,0.0016899,0.1965,1,,nan,0,exact,"
+    for fit, gammas in ((None, ",,"), (reg, ",0.8,0.05")):
         with open(_write_report(cfg, report, fit), "rb") as fh:
-            assert fh.read() == _row_writer_bytes(cfg, _REPORT_HEADER,
-                                                  [values])
+            assert fh.read() == _row_writer_bytes(
+                cfg, _REPORT_HEADER, [(row + gammas).split(",")])
 
 
 def test_column_writer_rejects_ragged_columns(tmp_path):

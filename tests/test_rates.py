@@ -39,12 +39,17 @@ def test_regress_recovers_exact_line(g1, g2, salt):
     ys = g1 * xs + g2
     # the LAD fit is an LP whose termination tolerance sits far above
     # the least-squares floor
-    for norm, atol in (("least_squares", 1e-8), ("least_absolute", 1e-6)):
+    # ls and lad are the config's short names of the same two norms
+    for norm, kind, atol in (("least_squares", "least_squares", 1e-8),
+                             ("ls", "least_squares", 1e-8),
+                             ("least_absolute", "least_absolute", 1e-6),
+                             ("lad", "least_absolute", 1e-6)):
         fit = regress(xs, ys, norm)
         np.testing.assert_allclose([fit.gamma1, fit.gamma2], [g1, g2],
                                    rtol=0, atol=atol)
         assert fit.residual_norm < 25 * atol
         assert fit.n_points == 25
+        assert fit.norm_kind == kind
 
 
 def test_lad_ignores_one_outlier():

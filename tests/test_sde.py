@@ -596,6 +596,17 @@ def test_feynman_kac_requires_generator(gen50, chi1, report1):
         regress_generator_action(gen50, sampler)
 
 
+def test_grid_routes_reject_a_membership_of_another_grid(bench, chi1):
+    # 25 x 100 has the cell count of chi1's 50 x 50 grid, so only the grid
+    # itself tells the two apart
+    other = build_sqrt_generator(bench, RegularGrid(25, 100, bench.domain),
+                                 1.0)
+    with pytest.raises(ValueError, match="50x50 grid.* 25x100 grid"):
+        regress_generator_action(other, chi1)
+    with pytest.raises(ValueError, match="50x50 grid.* 25x100 grid"):
+        feynman_kac_holding(other, chi1, 0.0017, t=1.0)
+
+
 def test_feynman_kac_mc_matches_grid(gen50, chi1, report1):
     cells = [int(np.argmax(chi1.values)),
              int(np.argmin(np.abs(chi1.values - 0.4)))]
