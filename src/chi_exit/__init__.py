@@ -30,6 +30,7 @@ from .sde import (
     TrajectoryStats,
     estimate_ptau_chi,
     feynman_kac_holding,
+    feynman_kac_holding_mc,
     sample_jump_exit_times,
     sample_set_exit_times,
     uniform_points,
@@ -74,6 +75,7 @@ __all__ = [
     "step",
     "estimate_ptau_chi",
     "feynman_kac_holding",
+    "feynman_kac_holding_mc",
     "sample_set_exit_times",
     "uniform_points",
     "sample_jump_exit_times",

@@ -14,7 +14,6 @@ that cannot be written (the failing stage is named on standard error).
 """
 
 import argparse
-import dataclasses
 import hashlib
 import math
 import os
@@ -504,12 +503,11 @@ def _idea4_scatter(cfg: ExperimentConfig):
     pts = _stage("sample_points", uniform_points, cfg["idea4.n_points"],
                  dyn.potential.domain, cfg.seed)
     xs = _stage("chi_estimates", chi.evaluate_batch, pts, cfg.workers)
-    tau = cfg["idea4.steps"] * dyn.dt
     ys = _stage(
-        "ptau_estimates", estimate_ptau_chi, dyn, chi, pts, tau,
+        "ptau_estimates", estimate_ptau_chi, chi, pts, cfg["idea4.steps"],
         cfg["idea4.n_traj"], cfg.seed, cfg.workers,
     )
-    return chi, pts, xs, ys, tau
+    return chi, pts, xs, ys, cfg["idea4.steps"] * dyn.dt
 
 
 def run_idea4(cfg: ExperimentConfig) -> int:
@@ -518,15 +516,7 @@ def run_idea4(cfg: ExperimentConfig) -> int:
     _write_csv(cfg, "scatter.csv", ["point", "x1", "x2", "chi", "ptau_chi"],
                [np.arange(len(pts)), pts[:, 0], pts[:, 1], xs, ys])
     reg = _stage("regress", regress, xs, ys, cfg["rates.norm"])
-    try:
-        report = gammas_to_rate(reg, tau, "idea4")
-    except ValueError as err:
-        # gamma1 <= 0: surface the diagnostic, keep the scatter
-        print("idea4: %s" % err, file=sys.stderr)
-        report = gammas_to_rate(dataclasses.replace(reg, gamma1=1.0), tau,
-                                "idea4")
-        report = dataclasses.replace(
-            report, note="lag time too long / noise dominated")
+    report = _stage("rates", gammas_to_rate, reg, tau, "idea4")
     if report.note:
         print("idea4: %s" % report.note, file=sys.stderr)
     _write_report(cfg, report, reg)

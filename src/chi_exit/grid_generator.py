@@ -103,14 +103,11 @@ class GeneratorMatrix:
         Stationary Boltzmann vector pi, positive, sums to 1.
     grid : RegularGrid
         The discretization the operator lives on.
-    kbt : float
-        Temperature scale used for the Boltzmann weights.
     """
 
     rates: sp.csr_matrix
     weights: Array
     grid: RegularGrid
-    kbt: float = 1.0
     _jump_tables: Optional[tuple] = field(default=None, repr=False)
 
     @property
@@ -275,5 +272,5 @@ def build_sqrt_generator(
     diag = -np.asarray(off.sum(axis=1)).ravel()
     rates = (off + sp.diags(diag)).tocsr()
     rates.sort_indices()
-    return GeneratorMatrix(rates=rates, weights=pi, grid=grid, kbt=float(kbt))
+    return GeneratorMatrix(rates=rates, weights=pi, grid=grid)
 

@@ -135,8 +135,10 @@ def gammas_to_rate(reg: RegressionResult, tau: float,
     """Convert a (gamma1, gamma2) fit at lag tau into an exit-rate report.
 
     Inverts gamma1 = e^{-tau alpha} and gamma2 = (beta/alpha)(e^{-tau
-    alpha} - 1).  gamma1 >= 1 means no measurable decay: the report is
-    returned with the rates unset and the note "no decay detected".
+    alpha} - 1).  Outside 0 < gamma1 < 1 the rate is undefined, and the
+    report is returned with the rates unset and a note: "no decay
+    detected" for gamma1 >= 1, "lag time too long / noise dominated" for
+    gamma1 <= 0.
 
     Parameters
     ----------
@@ -153,18 +155,15 @@ def gammas_to_rate(reg: RegressionResult, tau: float,
     Raises
     ------
     ValueError
-        When gamma1 <= 0 (lag time too long, noise dominated).
+        When tau <= 0.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     g1, g2 = reg.gamma1, reg.gamma2
-    if g1 <= 0:
-        raise ValueError(
-            "lag time too long / noise dominated: gamma1 = %.6g <= 0" % g1
-        )
-    if g1 >= 1:
+    if not 0 < g1 < 1:
         return _fit_report(math.nan, math.nan, reg, provenance, float(tau),
-                           "no decay detected")
+                           "no decay detected" if g1 >= 1
+                           else "lag time too long / noise dominated")
     alpha = -math.log(g1) / tau
     return _fit_report(alpha, alpha * g2 / (g1 - 1.0), reg, provenance,
                        float(tau))

@@ -2,14 +2,16 @@
 
 Implements the overdamped Langevin dynamics dX = -grad V dt + sigma dB
 with boundary clamping, trajectory ensembles for hitting and exit
-statistics, the Monte Carlo estimator of P^tau chi, and both backends of
-the Feynman-Kac chi-holding probability.
+statistics, the Monte Carlo estimator of P^tau chi for a core-hitting
+membership (lag in steps), and the Feynman-Kac chi-holding probability:
+``feynman_kac_holding`` solves it on the grid, ``feynman_kac_holding_mc``
+checks it by Monte Carlo.
 
 Every ensemble draws from a counter-based stream keyed by the master
 seed, a role tag, and the starting point, so results are reproducible
 and independent of evaluation order and worker count.  Rate-magnitude
 comparisons against generator quantities use the generator's own jump
-process (``sample_jump_exit_times``, ``feynman_kac_holding`` MC backend)
+process (``sample_jump_exit_times``, ``feynman_kac_holding_mc``)
 because the grid operator carries its own time unit.  One kernel,
 ``_jump_run``, simulates that process for both, and the cell sets and
 cells they take are checked by the ``GeneratorMatrix`` they run on.
@@ -119,9 +121,11 @@ class TrajectoryStats:
         return _per_start(np.mean(self.exit_steps < 0, axis=-1))
 
     def mean_exit_time(self):
-        """Censored-sample mean exit time, per start for a batch
-        (censored entries count as the horizon, so this underestimates
-        when censoring_fraction > 0)."""
+        """Kaplan-Meier restricted mean exit time up to the horizon H, per
+        start for a batch.  Every censored path is censored at H, so the
+        Kaplan-Meier curve equals the empirical survival on [0, H), and its
+        integral up to H is mean(min(T, H)), computed here.  It underestimates
+        the unrestricted mean only, when censoring_fraction > 0."""
         steps = np.where(self.exit_steps < 0, self.horizon_steps, self.exit_steps)
         return _per_start(steps.mean(axis=-1) * self.dt)
 
@@ -352,95 +356,102 @@ def uniform_points(n: int, domain, seed: int) -> Array:
     return rng.uniform((lo1, lo2), (hi1, hi2), size=(int(n), 2))
 
 
-def _steps_for(tau: float, dt: float) -> int:
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    steps = int(round(tau / dt))
-    if abs(steps * dt - tau) > 1e-9 or (tau > 0 and steps == 0):
-        raise ValueError(
-            "tau=%g is not a multiple of dt=%g within 1e-9" % (tau, dt)
-        )
-    return steps
+def estimate_ptau_chi(chi, points, steps: int, n_traj: int, seed: int = 0,
+                      workers: int = 1) -> Array:
+    """Monte Carlo estimate of (P^tau chi)(x) for a core-hitting membership,
+    at a lag of ``steps`` steps of chi's own dynamics (tau = steps * dt).
 
-
-def estimate_ptau_chi(config: SdeConfig, chi, x, tau: float, n_traj: int,
-                      seed: int = 0, workers: int = 1):
-    """Monte Carlo estimate of (P^tau chi)(x).
-
-    For the hitting membership (the point sampler), chi(y) is the chance
-    of entering its core box within T = ``max_steps`` steps from y.  The
-    Euler-Maruyama chain is Markov, so (P^tau chi)(x) is the chance of
-    being in the box at some step in [k, k + T], k = tau/dt.  The estimate
-    is the share of ``n_traj`` paths of k + T steps from x that are, and
-    the paths draw from the stream chi itself uses at x.  With the
+    chi(y) is the chance of entering chi's core box within T = ``max_steps``
+    steps from y.  The Euler-Maruyama chain is Markov, so (P^tau chi)(x) is
+    the chance of being in the box at some step in [k, k + T], k = ``steps``.
+    The estimate is the share of ``n_traj`` paths of k + T steps from x that
+    are, and the paths draw from the stream chi itself uses at x.  With the
     ``n_traj`` and ``seed`` of chi, their first T steps are exactly the
-    paths behind chi(x), so the two estimates share their noise.  The
-    paths follow ``config``, which must equal chi's dynamics.
-
-    A grid chi is averaged over the endpoints of ``n_traj`` trajectories
-    of time-length tau started at x.
+    paths behind chi(x), so the two estimates share their noise, and
+    ``steps = 0`` returns chi(x) bit for bit.
 
     Parameters
     ----------
-    config : SdeConfig
     chi : Membership
-        A hitting membership, or a grid membership evaluated at the
-        endpoint positions.
-    x : array-like
-        One position (2,) or a batch (m, 2).
-    tau : float
-        Lag time; a nonnegative multiple of dt (within 1e-9).  tau=0
-        returns chi(x) exactly.
+        A core-hitting membership; the paths follow its recorded dynamics.
+        A grid membership raises: its P^tau is ``spectral.propagate``.
+    points : array-like, shape (m, 2)
+        Starting positions.
+    steps : int
+        Lag in time steps, >= 0.
     n_traj : int
         Trajectories per point.
     seed : int
-        Master seed of the trajectories from x.
+        Master seed of the trajectories from each point.
     workers : int
         Worker processes; does not affect the values.
 
     Returns
     -------
-    float or ndarray
-        Estimates in [0, 1]; scalar for a single position.
+    ndarray, shape (m,)
+        Estimates in [0, 1].
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    steps = _steps_for(tau, config.dt)
-    if steps == 0:
-        # a grid membership raises on positions outside its grid
-        vals = chi.evaluate_batch(pts, workers)
-        return float(vals[0]) if single else vals
-    if chi.values is None:
-        if chi.meta["dynamics"] != config:
-            raise ValueError("P^tau of a hitting membership must follow the "
-                             "membership's own dynamics")
-        if n_traj < 1:
-            raise ValueError("n_traj must be >= 1")
-        means = _chunked(config, pts, n_traj, steps + chi.meta["max_steps"],
-                         seed, TAG_CHI, workers, box=chi.meta["box"],
-                         stop_from=steps)
-    else:
-        ends = endpoint_ensemble(config, pts, steps, n_traj, seed=seed,
-                                 workers=workers)
-        means = chi.evaluate_batch(ends.reshape(-1, 2), workers).reshape(
-            len(pts), n_traj).mean(axis=1)
-    return float(means[0]) if single else means
+    if chi.values is not None:
+        raise ValueError("estimate_ptau_chi needs a hitting membership; P^tau "
+                         "of a grid membership is spectral.propagate")
+    if n_traj < 1 or steps < 0:
+        raise ValueError("n_traj must be >= 1 and steps >= 0")
+    m = chi.meta
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return _chunked(m["dynamics"], points, n_traj, steps + m["max_steps"],
+                    seed, TAG_CHI, workers, box=m["box"], stop_from=steps)
 
 
-def _fk_grid(gen: GeneratorMatrix, chi: Array, eps2: float, t: float) -> Array:
-    """p(t) = exp(-t (L* + eps2 diag((1-chi)/chi))) chi on the cells with
-    chi >= CHI_MIN; the others carry an infinite penalty and hold 0, so
-    with no such cell p(t) is 0.  The restricted, penalized operator stays
-    similar to a symmetric matrix, so ``expm_action`` applies it."""
+def _fk_values(gen: GeneratorMatrix, chi, eps2: float, t: float) -> Array:
+    """chi's per-cell values, once eps2 and t are checked."""
+    if not (math.isfinite(eps2) and eps2 >= 0):
+        raise ValueError("eps2 must be finite and nonnegative (got %r)" % eps2)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and nonnegative (got %r)" % t)
+    return gen.cell_values(chi)
+
+
+def feynman_kac_holding(gen: GeneratorMatrix, chi, eps2: float,
+                        t: float) -> Array:
+    """Chi-holding probability p_chi(t) on every cell, solved exactly.
+
+    Solves dp/dt = -L* p - eps2 (1-chi)/chi p from p(0) = chi by the
+    Chebyshev propagator ``spectral.expm_action``; its error is absolute,
+    near the unit roundoff.  Cells with chi below ``CHI_MIN`` carry an
+    infinite penalty and hold 0, so with no other cell p(t) is 0.  The
+    restricted, penalized operator stays similar to a symmetric matrix,
+    which ``expm_action`` needs.
+
+    Parameters
+    ----------
+    gen : GeneratorMatrix
+        The grid operator, whose clock t is on.
+    chi : Membership or ndarray
+        Grid membership values.
+    eps2 : float
+        Penalty rate, finite and >= 0.
+    t : float
+        Horizon, finite and >= 0.
+
+    Returns
+    -------
+    ndarray, shape (n,)
+
+    Raises
+    ------
+    ValueError
+        For a negative or non-finite eps2 or t, or a chi that
+        ``GeneratorMatrix.cell_values`` rejects.
+    """
+    vals = _fk_values(gen, chi, eps2, t)
     if t == 0:
-        return chi.copy()
-    alive = chi >= CHI_MIN
+        return vals.copy()
+    alive = vals >= CHI_MIN
     out = np.zeros(gen.n)
     if alive.any():
-        pen = (1.0 - chi[alive]) / chi[alive]
+        pen = (1.0 - vals[alive]) / vals[alive]
         out[alive] = expm_action(gen.rates[alive][:, alive]
-                                 + eps2 * sp.diags(pen), chi[alive], float(t))
+                                 + eps2 * sp.diags(pen), vals[alive], float(t))
     return out
 
 
@@ -485,82 +496,26 @@ def _fk_mc_cell(gen: GeneratorMatrix, chi: Array, pen: Array, eps2: float,
     return est, se
 
 
-def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
-                        n_traj: int = 1000, seed: int = 0,
-                        backend: str = "grid"):
-    """Chi-holding probability p_chi(x, t) by either backend.
+def feynman_kac_holding_mc(gen: GeneratorMatrix, chi, eps2: float, cells,
+                           t: float, n_traj: int = 1000,
+                           seed: int = 0) -> Tuple[Array, Array]:
+    """Monte Carlo check of ``feynman_kac_holding`` at integer ``cells``.
 
-    The grid backend solves dp/dt = -L* p - eps2 (1-chi)/chi p from
-    p(0) = chi by the Chebyshev propagator ``spectral.expm_action`` and
-    returns the whole vector (or the entry at x); its error is absolute,
-    near the unit roundoff.  The MC backend averages
-    chi(X_t) exp(-eps2 * integral (1-chi)/chi) over trajectories of the
-    jump process generated by L*, which shares the grid operator's time
-    unit; states with chi below ``CHI_MIN`` carry an infinite penalty and
-    zero out the trajectory.
-
-    Parameters
-    ----------
-    config_or_gen : GeneratorMatrix
-        The grid operator (both backends run on its clock).
-    chi : Membership or ndarray
-        Grid membership values.
-    eps2 : float
-        Penalty rate, finite and >= 0.
-    x : position, int cell, array of cells or positions, or None
-        Integers denote cells, floats positions.  None returns the whole
-        vector (grid backend only).
-    t : float
-        Horizon, finite and >= 0.
-    n_traj : int
-        MC ensemble size per cell.
-    seed : int
-        Master seed of the MC backend's per-cell streams.
-    backend : str
-        "grid" or "mc".
+    Averages chi(X_t) exp(-eps2 * integral (1-chi)/chi) over ``n_traj``
+    trajectories per cell of the jump process generated by L*, which
+    shares the grid operator's time unit, on per-cell streams keyed by
+    ``seed``; states with chi below ``CHI_MIN`` carry an infinite penalty
+    and zero out the trajectory.  ``gen``, ``chi``, ``eps2`` and ``t`` are
+    as for ``feynman_kac_holding``, and raise as there; cells that
+    ``GeneratorMatrix.cell_indices`` rejects raise ``ValueError``.
 
     Returns
     -------
-    ndarray or float
-        Grid backend: vector over cells, or the value at x.
-        MC backend: (estimate, stderr) pair, vectorized over cells.
-
-    Raises
-    ------
-    ValueError
-        For a negative or non-finite eps2 or t, a point-sampler chi, or an
-        x off the grid.
+    est, se : ndarray, shape (k,)
+        Estimates and their standard errors, one per starting cell.
     """
-    if not isinstance(config_or_gen, GeneratorMatrix):
-        raise TypeError(
-            "feynman_kac_holding needs the GeneratorMatrix; both backends "
-            "run on the grid operator's time unit"
-        )
-    gen = config_or_gen
-    if not (math.isfinite(eps2) and eps2 >= 0):
-        raise ValueError("eps2 must be finite and nonnegative (got %r)" % eps2)
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError("t must be finite and nonnegative (got %r)" % t)
-    vals = gen.cell_values(chi)
-
-    if x is None:
-        cells = None
-    else:
-        cells = np.asarray(x)
-        if cells.dtype.kind not in "iu":
-            # positions; cells_of marks one off the grid by -1
-            cells = gen.grid.cells_of(np.atleast_2d(cells.astype(float)))
-        cells = gen.cell_indices(np.atleast_1d(cells).ravel())
-    if backend == "grid":
-        p = _fk_grid(gen, vals, eps2, t)
-        if cells is None:
-            return p
-        out = p[cells]
-        return float(out[0]) if out.size == 1 else out
-    if backend != "mc":
-        raise ValueError("backend must be 'grid' or 'mc'")
-    if cells is None:
-        raise ValueError("mc backend needs starting cells or positions")
+    vals = _fk_values(gen, chi, eps2, t)
+    cells = gen.cell_indices(np.ravel(cells))
     ests, ses = vals[cells].copy(), np.zeros(cells.size)
     if t > 0:
         pen = np.where(vals >= CHI_MIN,
@@ -568,8 +523,6 @@ def feynman_kac_holding(config_or_gen, chi, eps2: float, x=None, t: float = 0.0,
         for k, c in enumerate(cells):
             ests[k], ses[k] = _fk_mc_cell(gen, vals, pen, eps2, int(c), t,
                                           int(n_traj), int(seed))
-    if ests.size == 1:
-        return float(ests[0]), float(ses[0])
     return ests, ses
 
 

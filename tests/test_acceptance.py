@@ -41,6 +41,7 @@ from chi_exit import (
     committor,
     estimate_ptau_chi,
     feynman_kac_holding,
+    feynman_kac_holding_mc,
     find_weight_cores,
     fit_survival_rate,
     gammas_to_rate,
@@ -171,6 +172,7 @@ def _z2(estimates, moments, n):
 
 def test_criterion_04_idea4_stochastic_window(bench):
     sigma, dt, tau, n_traj, max_steps = 0.8, 0.001, 0.05, 100, 100
+    steps = 50  # tau / dt
     core = CoreSet(label="core", box=(0.2, 0.3, 0.4, 0.5))
     ref_grid, ref_chi, ref_ptau = _sde_clock_reference(
         bench, sigma, core.box, max_steps * dt, tau, n_traj)
@@ -181,8 +183,7 @@ def test_criterion_04_idea4_stochastic_window(bench):
         chi = mc_hitting_membership(cfg, core, n_traj, max_steps, seed=seed)
         pts.append(uniform_points(50, bench.domain, seed=seed))
         xs.append(chi.evaluate_batch(pts[-1]))
-        ys.append(estimate_ptau_chi(cfg, chi, pts[-1], tau, n_traj,
-                                    seed=seed))
+        ys.append(estimate_ptau_chi(chi, pts[-1], steps, n_traj, seed=seed))
         fits.append(regress(xs[-1], ys[-1], "least_squares"))
     wall = time.perf_counter() - tic
     assert wall < 300.0, "runtime %.1fs exceeds five minutes" % wall
@@ -315,9 +316,8 @@ def test_criterion_09_feynman_kac_cross_backend(gen50, chi1, report1):
     probes = alive[np.linspace(0, alive.size - 1, 10).astype(int)]
     grid_vals = feynman_kac_holding(gen50, chi1.values, report1.eps2,
                                     t=100.0)
-    est, se = feynman_kac_holding(gen50, chi1.values, report1.eps2,
-                                  x=probes, t=100.0, n_traj=4000, seed=0,
-                                  backend="mc")
+    est, se = feynman_kac_holding_mc(gen50, chi1.values, report1.eps2,
+                                     probes, t=100.0, n_traj=4000, seed=0)
     z = np.abs(est - grid_vals[probes]) / se
     assert np.all(z < 3.0), "z-scores %s" % np.array2string(z, precision=2)
 

@@ -158,8 +158,7 @@ def test_committor_rejects_disconnected_free_cells():
         [0.0, 0.0, 1.0, -1.0],
         [0.0, 0.0, -1.0, 1.0],
     ]))
-    gen = GeneratorMatrix(rates=block, weights=np.full(4, 0.25), grid=grid,
-                          kbt=1.0)
+    gen = GeneratorMatrix(rates=block, weights=np.full(4, 0.25), grid=grid)
     a = CoreSet(label="a", cells=np.array([0]))
     b = CoreSet(label="b", cells=np.array([1]))
     with pytest.raises(ValueError, match="2"):

@@ -63,7 +63,7 @@ def test_idea4_rate_is_meaningful():
     chi = mc_hitting_membership(cfg, core, 100, 100, seed=0)
     pts = uniform_points(50, cfg.potential.domain, seed=0)
     xs = chi.evaluate_batch(pts)
-    ys = estimate_ptau_chi(cfg, chi, pts, 0.05, 100, seed=0)
+    ys = estimate_ptau_chi(chi, pts, 50, 100, seed=0)
     fit = regress(xs, ys, "least_squares")
     report = gammas_to_rate(fit, 0.05)
     assert report.eps1 > 0

@@ -119,8 +119,10 @@ def test_gammas_to_rate_no_decay():
 def test_gammas_to_rate_noise_dominated():
     fit = RegressionResult(gamma1=-0.2, gamma2=0.0, residual_norm=0.0,
                            n_points=10, norm_kind="least_squares")
-    with pytest.raises(ValueError, match="noise dominated"):
-        gammas_to_rate(fit, 1.0, "noisy")
+    report = gammas_to_rate(fit, 1.0, "noisy")
+    assert report.note == "lag time too long / noise dominated"
+    assert not report.meaningful
+    assert math.isnan(report.eps1)
     with pytest.raises(ValueError):
         gammas_to_rate(RegressionResult(0.5, 0.1, 0.0, 10, "least_squares"),
                        0.0, "noisy")

@@ -1,7 +1,6 @@
 """Euler-Maruyama dynamics, MC estimators, holding probabilities."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from chi_exit import (
     build_sqrt_generator,
     estimate_ptau_chi,
     feynman_kac_holding,
+    feynman_kac_holding_mc,
     flat_potential,
     regress_generator_action,
     sample_jump_exit_times,
@@ -126,40 +126,51 @@ def test_trajectory_stats_summaries():
                                0.1 * (10 + 50 + 20 + 50) / 4)
 
 
-def _grid_membership(gen, values):
-    from chi_exit.membership import Membership
-
-    return Membership(provenance="test", values=values, grid=gen.grid)
-
-
-def test_estimate_ptau_chi_zero_tau(gen50, chi1):
-    x = np.array([0.25, 0.5])
-    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    val = estimate_ptau_chi(cfg, chi1, x, 0.0, n_traj=10, seed=1)
-    cell = gen50.grid.cell_of(x)
-    np.testing.assert_allclose(val, chi1.values[cell], rtol=1e-12)
-
-
-def test_estimate_ptau_chi_outside_grid_raises(chi1):
-    # an outside point must not wrap around to the last cell's value
-    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    with pytest.raises(ValueError):
-        estimate_ptau_chi(cfg, chi1, [1.5, 1.5], tau=0.0, n_traj=5)
+def _kaplan_meier_restricted_mean(exit_steps, horizon, dt):
+    """Reference: the Kaplan-Meier curve (Kaplan & Meier, JASA 1958) over
+    the unique exit steps, integrated up to the horizon; a censored path
+    (-1) stays at risk until the horizon."""
+    times = np.where(exit_steps < 0, horizon, exit_steps)
+    exited = exit_steps >= 0
+    surv, prev, area = 1.0, 0, 0.0
+    for s in np.unique(times[exited]):
+        area += surv * (s - prev)
+        surv *= 1.0 - (np.count_nonzero(exited & (times == s))
+                       / np.count_nonzero(times >= s))
+        prev = s
+    return (area + surv * (horizon - prev)) * dt
 
 
-def test_estimate_ptau_chi_requires_step_multiple(chi1):
-    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    with pytest.raises(ValueError):
-        estimate_ptau_chi(cfg, chi1, np.array([0.5, 0.5]), 0.0015, n_traj=4)
+def test_mean_exit_time_is_kaplan_meier_restricted_mean():
+    # every path is censored at the common horizon, so the Kaplan-Meier
+    # restricted mean is mean(min(T, H)); 200 paths over 300 steps tie
+    rng = np.random.default_rng(0)
+    horizon, censored = 300, [0.1, 0.4, 0.7, 1.0]
+    exit_steps = rng.integers(1, horizon + 1, size=(len(censored), 200))
+    for r, share in enumerate(censored):
+        exit_steps[r, :int(share * 200)] = -1
+    assert len(np.unique(exit_steps[0])) < 180
+    stats = TrajectoryStats(start=np.zeros((4, 2)),
+                            endpoints=np.zeros((4, 200, 2)),
+                            exit_steps=exit_steps, horizon_steps=horizon,
+                            dt=0.01)
+    np.testing.assert_allclose(stats.censoring_fraction, censored)
+    expected = [_kaplan_meier_restricted_mean(e, horizon, 0.01)
+                for e in exit_steps]
+    np.testing.assert_allclose(stats.mean_exit_time(), expected, rtol=0,
+                               atol=1e-12)
 
 
-def test_estimate_ptau_chi_batch_matches_single(chi1):
+def test_estimate_ptau_chi_batch_matches_single():
     # per-point streams: a point's estimate is independent of its batch
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    chi = mc_hitting_membership(cfg, CoreSet(box=(0.2, 0.3, 0.4, 0.5)), 30,
+                                20, seed=5)
     pts = np.array([[0.3, 0.5], [0.7, 0.5], [0.5, 0.2]])
-    batch = estimate_ptau_chi(cfg, chi1, pts, 0.02, n_traj=30, seed=5)
-    single = estimate_ptau_chi(cfg, chi1, pts[1], 0.02, n_traj=30, seed=5)
-    np.testing.assert_array_equal(batch[1], single)
+    batch = estimate_ptau_chi(chi, pts, 20, n_traj=30, seed=5)
+    single = estimate_ptau_chi(chi, pts[1], 20, n_traj=30, seed=5)
+    assert batch.shape == (3,) and single.shape == (1,)
+    np.testing.assert_array_equal(batch[1:2], single)
 
 
 def test_estimate_ptau_chi_runs_on_the_hitting_paths():
@@ -185,19 +196,24 @@ def test_estimate_ptau_chi_runs_on_the_hitting_paths():
         ptau_ref.append(seen[k:].any(axis=0).mean())
     np.testing.assert_array_equal(chi.evaluate_batch(pts), chi_ref)
     np.testing.assert_array_equal(
-        estimate_ptau_chi(cfg, chi, pts, k * cfg.dt, n, seed=3), ptau_ref)
-    with pytest.raises(ValueError):
-        estimate_ptau_chi(replace(cfg, sigma=0.5), chi, pts, k * cfg.dt, n)
+        estimate_ptau_chi(chi, pts, k, n, seed=3), ptau_ref)
 
 
-@pytest.mark.parametrize("change", [{"dt": 0.002},
-                                    {"potential": flat_potential()}])
-def test_estimate_ptau_chi_rejects_other_dynamics(change):
+def test_estimate_ptau_chi_at_zero_steps_is_chi(chi1):
+    # with chi's own n_traj and seed, a lag of 0 steps reruns chi's paths
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    chi = mc_hitting_membership(cfg, CoreSet(box=(0.2, 0.3, 0.4, 0.5)), 5, 6,
-                                seed=3)
-    with pytest.raises(ValueError, match="own dynamics"):
-        estimate_ptau_chi(replace(cfg, **change), chi, [0.3, 0.45], 0.008, 5)
+    chi = mc_hitting_membership(cfg, CoreSet(box=(0.2, 0.3, 0.4, 0.5)), 40,
+                                30, seed=7)
+    pts = uniform_points(70, cfg.potential.domain, seed=1)
+    vals = chi.evaluate_batch(pts)
+    assert np.any((vals > 0) & (vals < 1))
+    np.testing.assert_array_equal(estimate_ptau_chi(chi, pts, 0, 40, seed=7),
+                                  vals)
+    # a grid membership has no paths; its P^tau is spectral.propagate
+    with pytest.raises(ValueError, match="hitting membership"):
+        estimate_ptau_chi(chi1, pts, 10, 40)
+    with pytest.raises(ValueError, match="steps >= 0"):
+        estimate_ptau_chi(chi, pts, -1, 40)
 
 
 def test_hitting_fractions_batch_matches_single():
@@ -473,8 +489,8 @@ def _assert_jump_kernel_matches_loops(gen, mask, start, horizon, chi, eps2,
     assert 0 < ref_censored.sum() < ref_censored.size
     np.testing.assert_array_equal(times, ref_times)
     np.testing.assert_array_equal(censored, ref_censored)
-    est, se = feynman_kac_holding(gen, chi, eps2, x=probes, t=t, n_traj=200,
-                                  seed=seed, backend="mc")
+    est, se = feynman_kac_holding_mc(gen, chi, eps2, probes, t, n_traj=200,
+                                     seed=seed)
     ref = np.array([_loop_fk_mc_cell(gen, chi, eps2, int(c), t, 200,
                                      rng_for(TAG_FK, int(c)))
                     for c in probes])
@@ -526,7 +542,7 @@ def test_feynman_kac_grid_backend(gen50, chi1, report1):
     np.testing.assert_allclose(p0, chi1.values, rtol=0, atol=1e-14)
     cell = int(np.argmax(chi1.values))
     levels = [
-        feynman_kac_holding(gen50, chi1.values, report1.eps2, x=cell, t=t)
+        feynman_kac_holding(gen50, chi1.values, report1.eps2, t=t)[cell]
         for t in (0.0, 25.0, 50.0, 100.0)
     ]
     assert all(a > b > 0 for a, b in zip(levels, levels[1:]))
@@ -571,27 +587,31 @@ def test_feynman_kac_grid_matches_expm_multiply(bench):
                                         ("eps2", np.nan), ("eps2", np.inf)])
 def test_feynman_kac_rejects_nonfinite(gen_small, name, value):
     kwargs = {"eps2": 0.01, "t": 1.0, name: value}
+    chi = np.full(gen_small.n, 0.5)
     with pytest.raises(ValueError, match="%s must be finite" % name):
-        feynman_kac_holding(gen_small, np.full(gen_small.n, 0.5), **kwargs)
+        feynman_kac_holding(gen_small, chi, **kwargs)
+    with pytest.raises(ValueError, match="%s must be finite" % name):
+        feynman_kac_holding_mc(gen_small, chi, cells=[0], n_traj=4, **kwargs)
 
 
 def test_feynman_kac_requires_generator(gen50, chi1, report1):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    with pytest.raises(TypeError):
-        feynman_kac_holding(cfg, chi1.values, report1.eps2, t=1.0)
     with pytest.raises(ValueError):
         feynman_kac_holding(gen50, chi1.values, -0.01, t=1.0)
-    # a point off the grid and a cell of -1 must not wrap to the last cell
-    for backend in ("grid", "mc"):
-        for x in ((2.0, 2.0), -1, [0, gen50.n]):
-            with pytest.raises(ValueError):
-                feynman_kac_holding(gen50, chi1.values, report1.eps2, x=x,
-                                    t=10.0, n_traj=4, backend=backend)
+    with pytest.raises(ValueError):
+        feynman_kac_holding_mc(gen50, chi1.values, -0.01, [0], t=1.0)
+    # a position, and a cell of -1 or n, must not wrap to another cell
+    for cells in ((2.0, 2.0), -1, [0, gen50.n]):
+        with pytest.raises(ValueError):
+            feynman_kac_holding_mc(gen50, chi1.values, report1.eps2, cells,
+                                   t=10.0, n_traj=4)
     # a point sampler has no grid values, for either grid-operator route
     sampler = mc_hitting_membership(cfg, CoreSet(box=(0.2, 0.3, 0.4, 0.5)),
                                     5, 5)
     with pytest.raises(ValueError, match="needs a grid membership"):
         feynman_kac_holding(gen50, sampler, report1.eps2, t=1.0)
+    with pytest.raises(ValueError, match="needs a grid membership"):
+        feynman_kac_holding_mc(gen50, sampler, report1.eps2, [0], t=1.0)
     with pytest.raises(ValueError, match="needs a grid membership"):
         regress_generator_action(gen50, sampler)
 
@@ -611,9 +631,9 @@ def test_feynman_kac_mc_matches_grid(gen50, chi1, report1):
     cells = [int(np.argmax(chi1.values)),
              int(np.argmin(np.abs(chi1.values - 0.4)))]
     grid_vals = feynman_kac_holding(gen50, chi1.values, report1.eps2, t=50.0)
-    est, se = feynman_kac_holding(gen50, chi1.values, report1.eps2,
-                                  x=np.array(cells), t=50.0, n_traj=800,
-                                  seed=0, backend="mc")
+    est, se = feynman_kac_holding_mc(gen50, chi1.values, report1.eps2,
+                                     np.array(cells), t=50.0, n_traj=800,
+                                     seed=0)
     assert np.all(se > 0)
     for k, cell in enumerate(cells):
         assert abs(est[k] - grid_vals[cell]) < 4 * se[k]
