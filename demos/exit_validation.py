@@ -15,7 +15,6 @@ Run:  python3 demos/exit_validation.py   (a few seconds)
 import numpy as np
 
 from chi_exit import (
-    CoreSet,
     RegularGrid,
     SdeConfig,
     benchmark_potential,
@@ -36,8 +35,8 @@ def main():
     grid = RegularGrid(50, 50, pot.domain)
     gen = build_sqrt_generator(pot, grid, 1.0)
 
-    core = CoreSet(label="core", box=(0.2, 0.3, 0.4, 0.5))
-    chi = mc_hitting_membership(dyn, core, n_traj=60, max_steps=80, seed=0)
+    chi = mc_hitting_membership(dyn, (0.2, 0.3, 0.4, 0.5), n_traj=60,
+                                max_steps=80, seed=0)
     print("sampling the membership on the grid (60 trajectories per "
           "cell)...")
     field = chi.evaluate_batch(grid.centers, workers=4)
@@ -51,9 +50,8 @@ def main():
     order = cells[np.argsort(field[cells], kind="stable")]
     picks = order[np.linspace(0, order.size - 1, 12).astype(int)]
     print("\n  chi(start)   mean exit time [sde units]   censored")
-    stats = sample_set_exit_times(
-        dyn, lambda pts: mask[grid.cells_of(pts)],
-        grid.centers[picks], n_traj=25, horizon_steps=4000, seed=0)
+    stats = sample_set_exit_times(dyn, gen, mask, grid.centers[picks],
+                                  n_traj=25, horizon_steps=4000, seed=0)
     means = stats.mean_exit_time()
     for cell, mean, censored in zip(picks, means, stats.censoring_fraction):
         print("     %.3f            %8.3f              %3.0f%%"

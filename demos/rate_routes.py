@@ -15,7 +15,6 @@ Run:  python3 demos/rate_routes.py
 import numpy as np
 
 from chi_exit import (
-    CoreSet,
     RegularGrid,
     SdeConfig,
     benchmark_potential,
@@ -77,8 +76,8 @@ def main():
 
     # route 4: simulation only, no grid operator
     dyn = SdeConfig(potential=pot, sigma=0.8, dt=0.001)
-    core = CoreSet(label="core", box=(0.2, 0.3, 0.4, 0.5))
-    sampled = mc_hitting_membership(dyn, core, 100, 100, seed=0)
+    sampled = mc_hitting_membership(dyn, (0.2, 0.3, 0.4, 0.5), 100, 100,
+                                    seed=0)
     pts = uniform_points(50, pot.domain, seed=0)
     xs = sampled.evaluate_batch(pts)
     ys = estimate_ptau_chi(sampled, pts, 50, 100, seed=0)

@@ -17,7 +17,6 @@ from .grid_generator import (
 )
 from .spectral import EigenSystem, eigensolve, propagate
 from .membership import (
-    CoreSet,
     Membership,
     committor,
     find_weight_cores,
@@ -64,7 +63,6 @@ __all__ = [
     "eigensolve",
     "propagate",
     "Membership",
-    "CoreSet",
     "pcca_single",
     "pcca_multi",
     "committor",

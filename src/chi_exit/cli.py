@@ -25,7 +25,6 @@ import numpy as np
 
 from .grid_generator import RegularGrid, build_sqrt_generator
 from .membership import (
-    CoreSet,
     committor,
     find_weight_cores,
     mc_hitting_membership,
@@ -393,12 +392,20 @@ def _region(values, threshold: float):
     return mask
 
 
+def _fit_rate(reg, tau: float, provenance: str):
+    """The rate of a lag fit; a fit without one prints its note on stderr."""
+    report = _stage("rates", gammas_to_rate, reg, tau, provenance)
+    if report.note:
+        print("%s: %s" % (provenance, report.note), file=sys.stderr)
+    return report
+
+
 def _lag_rate(cfg: ExperimentConfig, gen, values, provenance: str):
     """P^tau chi at tau = rates.tau, its fit against chi, and the rate."""
     tau = cfg["rates.tau"]
     ptau = _stage("propagate", propagate, gen, values, tau)
     reg = _stage("regress", regress, values, ptau, cfg["rates.norm"])
-    return ptau, reg, _stage("rates", gammas_to_rate, reg, tau, provenance)
+    return ptau, reg, _fit_rate(reg, tau, provenance)
 
 
 def run_idea1(cfg: ExperimentConfig) -> int:
@@ -467,7 +474,7 @@ def run_idea3(cfg: ExperimentConfig) -> int:
     ptau, reg, report = _lag_rate(cfg, gen, chi.values, "idea3")
     _write_cells(cfg, "scatter.csv", grid, ["chi", "ptau_chi"],
                  [chi.values, ptau], ["cores,left=%d,right=%d"
-                                      % (left.cells.size, right.cells.size)])
+                                      % (left.size, right.size)])
     _write_report(cfg, report, reg)
     print(
         "idea3: gamma1=%s gamma2=%s eps1=%s meaningful=%d"
@@ -480,9 +487,9 @@ def run_idea3(cfg: ExperimentConfig) -> int:
 def _mc_membership(cfg: ExperimentConfig):
     """The dynamics and the Monte Carlo core-hitting membership."""
     dyn = cfg.sde()
-    core = CoreSet(label="core", box=tuple(cfg["membership.core_box"]))
     chi = _stage(
-        "mc_membership", mc_hitting_membership, dyn, core,
+        "mc_membership", mc_hitting_membership, dyn,
+        tuple(cfg["membership.core_box"]),
         cfg["membership.n_traj"], cfg["membership.max_steps"], cfg.seed,
     )
     return dyn, chi
@@ -516,9 +523,7 @@ def run_idea4(cfg: ExperimentConfig) -> int:
     _write_csv(cfg, "scatter.csv", ["point", "x1", "x2", "chi", "ptau_chi"],
                [np.arange(len(pts)), pts[:, 0], pts[:, 1], xs, ys])
     reg = _stage("regress", regress, xs, ys, cfg["rates.norm"])
-    report = _stage("rates", gammas_to_rate, reg, tau, "idea4")
-    if report.note:
-        print("idea4: %s" % report.note, file=sys.stderr)
+    report = _fit_rate(reg, tau, "idea4")
     _write_report(cfg, report, reg)
     # chi's paths, then the P^tau paths of idea4.steps + max_steps steps
     max_steps = cfg["membership.max_steps"]
@@ -580,13 +585,10 @@ def run_validate(cfg: ExperimentConfig) -> int:
     n_starts = min(cfg["validate.n_starts"], order.size)
     picks = order[np.linspace(0, order.size - 1, n_starts).astype(int)]
 
-    def region(pts):
-        return mask[grid.cells_of(pts)]
-
     starts = grid.centers[picks]
-    stats = _stage("exit_times", sample_set_exit_times, dyn, region, starts,
-                   cfg["validate.n_traj"], cfg["validate.horizon_steps"],
-                   cfg.seed)
+    stats = _stage("exit_times", sample_set_exit_times, dyn, gen, mask,
+                   starts, cfg["validate.n_traj"],
+                   cfg["validate.horizon_steps"], cfg.seed)
     means = stats.mean_exit_time()
     _write_csv(cfg, "exit_times.csv",
                ["cell", "x1", "x2", "chi", "mean_exit_time",

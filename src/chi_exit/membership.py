@@ -1,12 +1,15 @@
-"""Membership functions chi by three routes.
+"""Membership functions chi by four routes.
 
 A membership chi maps the state space to [0, 1] and generalizes the
 indicator of a metastable set.  Grid memberships carry one value per
 cell and their grid; the point sampler evaluates lazily by simulation.
 Construction routes: affine rescaling of a single eigenfunction
 (pcca_single), inner-simplex PCCA+ on several eigenfunctions
-(pcca_multi), the committor between two core sets, and Monte Carlo
-core-hitting probabilities (mc_hitting_membership).
+(pcca_multi), the committor between two cores (committor), and Monte
+Carlo core-hitting probabilities (mc_hitting_membership).  A core is
+passed as what its consumer reads: integer grid cells to the committor
+(find_weight_cores returns two), a box (x1_min, x1_max, x2_min, x2_max)
+to the sampler.
 """
 
 import warnings
@@ -14,61 +17,18 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import fmin
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .grid_generator import GeneratorMatrix, RegularGrid
 from .spectral import EigenSystem
-from .sde import SdeConfig, _in_box, hitting_fractions
+from .sde import SdeConfig, hitting_fractions
 
 Array = np.ndarray
 
 #: Reject eigenvalues whose relative gap to a neighbor is below this.
 GAP_TOL = 0.05
-
-
-@dataclass(eq=False)
-class CoreSet:
-    """A core region, either a set of grid cells or a box in position space.
-
-    Attributes
-    ----------
-    label : str
-        Name, e.g. "left".
-    cells : ndarray of int, optional
-        Cell indices on the grid, of an integer dtype (else ValueError).
-    box : tuple, optional
-        (x1_min, x1_max, x2_min, x2_max) axis-aligned box.
-    """
-
-    label: str = ""
-    cells: Optional[Array] = None
-    box: Optional[Tuple[float, float, float, float]] = None
-
-    def __post_init__(self):
-        if (self.cells is None) == (self.box is None):
-            raise ValueError("CoreSet needs exactly one of cells or box")
-        if self.cells is not None:
-            cells = np.asarray(self.cells)
-            if cells.size == 0:
-                raise ValueError("core cell set is empty")
-            if cells.dtype.kind not in "iu":
-                raise ValueError("core cells must be integers, not %s"
-                                 % cells.dtype)
-            self.cells = cells.astype(np.int64)
-        else:
-            x1lo, x1hi, x2lo, x2hi = map(float, self.box)
-            if not (x1hi > x1lo and x2hi > x2lo):
-                raise ValueError("core box is degenerate")
-            self.box = (x1lo, x1hi, x2lo, x2hi)
-
-    def contains(self, pts: Array) -> Array:
-        """Boolean membership of positions (box cores only)."""
-        if self.box is None:
-            raise ValueError("cell-based core has no position predicate")
-        return _in_box(np.asarray(pts, dtype=float), self.box)
 
 
 @dataclass(eq=False)
@@ -125,14 +85,6 @@ class Membership:
     def kind(self) -> str:
         """Kind "grid_vector" with per-cell values, else "point_sampler"."""
         return "point_sampler" if self.values is None else "grid_vector"
-
-    def __call__(self, x):
-        """Evaluate at one position (2,) or a batch (m, 2)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        vals = self.evaluate_batch(pts)
-        return float(vals[0]) if single else vals
 
     def evaluate_batch(self, pts: Array, workers: int = 1) -> Array:
         """Vectorized evaluation; workers only affects speed."""
@@ -333,7 +285,7 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
     return out
 
 
-def committor(gen: GeneratorMatrix, core_a: CoreSet, core_b: CoreSet) -> Membership:
+def committor(gen: GeneratorMatrix, core_a, core_b) -> Membership:
     """Committor q = probability of reaching core_a before core_b.
 
     Solves the restricted linear system (L* q)_i = 0 on non-core cells
@@ -342,8 +294,8 @@ def committor(gen: GeneratorMatrix, core_a: CoreSet, core_b: CoreSet) -> Members
     Parameters
     ----------
     gen : GeneratorMatrix
-    core_a, core_b : CoreSet
-        Disjoint, non-empty cell-based cores.
+    core_a, core_b : array-like of int
+        Disjoint, non-empty sets of grid cells.
 
     Returns
     -------
@@ -353,13 +305,13 @@ def committor(gen: GeneratorMatrix, core_a: CoreSet, core_b: CoreSet) -> Members
     Raises
     ------
     ValueError
-        For a box core, a core cell outside [0, n), overlapping cores, or
-        non-core cells that reach neither core.
+        For an empty core, cells that ``GeneratorMatrix.cell_indices``
+        rejects (floats, masks, -1), overlapping cores, or non-core cells
+        that reach neither core.
     """
-    for core in (core_a, core_b):
-        if core.cells is None:
-            raise ValueError("committor needs cell-based cores")
-    a, b = gen.cell_mask(core_a.cells), gen.cell_mask(core_b.cells)
+    a, b = (gen.cell_mask(gen.cell_indices(core)) for core in (core_a, core_b))
+    if not (a.any() and b.any()):
+        raise ValueError("core cell set is empty")
     if np.any(a & b):
         raise ValueError("core sets overlap")
     free = ~(a | b)
@@ -369,21 +321,16 @@ def committor(gen: GeneratorMatrix, core_a: CoreSet, core_b: CoreSet) -> Members
     q[a] = 1.0
     q[free] = spsolve(sub.tocsc(), rhs)
     q = np.clip(q, 0.0, 1.0)
-    return Membership(
-        provenance="committor",
-        values=q,
-        grid=gen.grid,
-        meta={"core_a": core_a.label or "a", "core_b": core_b.label or "b"},
-    )
+    return Membership(provenance="committor", values=q, grid=gen.grid)
 
 
 def find_weight_cores(gen: GeneratorMatrix, threshold: float = 0.0025
-                      ) -> Tuple[CoreSet, CoreSet]:
+                      ) -> Tuple[Array, Array]:
     """Left and right cores: cells with stationary weight above a threshold.
 
     Cells with normalized weight pi_i > threshold are split into
     connected components on the grid adjacency; exactly two components
-    are expected, labeled left/right by the x1 of their centroids.
+    are expected, ordered left/right by the x1 of their centroids.
 
     Parameters
     ----------
@@ -393,8 +340,8 @@ def find_weight_cores(gen: GeneratorMatrix, threshold: float = 0.0025
 
     Returns
     -------
-    (CoreSet, CoreSet)
-        The left and the right core.
+    (ndarray, ndarray) of int64
+        The cells of the left and of the right core.
     """
     mask = gen.weights > threshold
     if not mask.any():
@@ -406,24 +353,19 @@ def find_weight_cores(gen: GeneratorMatrix, threshold: float = 0.0025
             "expected two cores above weight %g, found %d components"
             % (threshold, ncomp)
         )
-    cells = np.nonzero(mask)[0]
+    cells = np.flatnonzero(mask).astype(np.int64)
     centers = gen.grid.centers
-    cores = []
-    for comp in range(2):
-        comp_cells = cells[labels == comp]
-        cores.append((centers[comp_cells, 0].mean(), comp_cells))
-    cores.sort(key=lambda item: item[0])
-    left = CoreSet(label="left", cells=cores[0][1])
-    right = CoreSet(label="right", cells=cores[1][1])
-    return left, right
+    cores = [cells[labels == comp] for comp in range(2)]
+    cores.sort(key=lambda core: centers[core, 0].mean())
+    return cores[0], cores[1]
 
 
-def mc_hitting_membership(dynamics: SdeConfig, core: CoreSet, n_traj: int,
+def mc_hitting_membership(dynamics: SdeConfig, box, n_traj: int,
                           max_steps: int, seed: int = 0) -> Membership:
-    """Membership as the probability of hitting a core within a budget.
+    """Membership as the probability of hitting a core box within a budget.
 
     The sampler, given x, runs n_traj Euler-Maruyama trajectories from x
-    and returns the fraction entering the core within max_steps steps
+    and returns the fraction entering the box within max_steps steps
     (the start itself counts as step 0).  Values are deterministic given
     (seed, x): each point draws from its own stream keyed by the master
     seed and the coordinate bits, so evaluation order and worker count
@@ -432,8 +374,9 @@ def mc_hitting_membership(dynamics: SdeConfig, core: CoreSet, n_traj: int,
     Parameters
     ----------
     dynamics : SdeConfig
-    core : CoreSet
-        Box-based hitting target inside the domain.
+    box : tuple
+        (x1_min, x1_max, x2_min, x2_max) hitting target, non-degenerate
+        and inside the domain.
     n_traj, max_steps : int
         Ensemble size and step budget per point, both >= 1.
     seed : int
@@ -445,20 +388,19 @@ def mc_hitting_membership(dynamics: SdeConfig, core: CoreSet, n_traj: int,
         Point-sampler membership with provenance "mc_hitting"; its meta
         holds the dynamics, box, n_traj, max_steps and seed.
     """
-    if core.box is None:
-        raise ValueError("mc_hitting_membership needs a box-based core")
     if n_traj < 1 or max_steps < 1:
         raise ValueError("n_traj and max_steps must be >= 1")
+    box = x1lo, x1hi, x2lo, x2hi = tuple(map(float, box))
+    if not (x1hi > x1lo and x2hi > x2lo):
+        raise ValueError("core box is degenerate")
     (lo1, lo2), (hi1, hi2) = dynamics.potential.domain
-    x1lo, x1hi, x2lo, x2hi = core.box
     if not (lo1 <= x1lo and x1hi <= hi1 and lo2 <= x2lo and x2hi <= hi2):
         raise ValueError("core box leaves the potential domain")
     return Membership(
         provenance="mc_hitting",
         meta={
             "dynamics": dynamics,
-            "core": core.label or "core",
-            "box": core.box,
+            "box": box,
             "n_traj": int(n_traj),
             "max_steps": int(max_steps),
             "seed": int(seed),

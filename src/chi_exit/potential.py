@@ -5,7 +5,7 @@ at generator construction).  Evaluators are pure functions of position and
 accept arrays of shape (..., 2).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np

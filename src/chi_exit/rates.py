@@ -12,7 +12,7 @@ regressing the generator action, or by regressing propagated values
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp

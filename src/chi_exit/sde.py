@@ -13,14 +13,17 @@ and independent of evaluation order and worker count.  Rate-magnitude
 comparisons against generator quantities use the generator's own jump
 process (``sample_jump_exit_times``, ``feynman_kac_holding_mc``)
 because the grid operator carries its own time unit.  One kernel,
-``_jump_run``, simulates that process for both, and the cell sets and
-cells they take are checked by the ``GeneratorMatrix`` they run on.
+``_jump_run``, simulates that process for both.  A set of grid cells,
+for the jump process or for the diffusion's exit
+(``sample_set_exit_times``), and every start cell are checked by the
+``GeneratorMatrix`` they run on; the diffusion reads its set as one
+per-cell stop table.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,19 +88,15 @@ class SdeConfig:
 
 @dataclass
 class TrajectoryStats:
-    """Exit statistics of trajectory ensembles from one or m starts.
-
-    A single start gives the shapes below; a batch of m starts adds a
-    leading axis of length m to ``start``, ``endpoints`` and
-    ``exit_steps``, and the summaries then return one value per start.
+    """Exit statistics of trajectory ensembles from m starts.
 
     Attributes
     ----------
-    start : ndarray, shape (2,)
-        Common starting position.
-    endpoints : ndarray, shape (n_traj, 2)
+    starts : ndarray, shape (m, 2)
+        Starting positions.
+    endpoints : ndarray, shape (m, n_traj, 2)
         Positions at exit, or at the horizon when censored.
-    exit_steps : ndarray of int, shape (n_traj,)
+    exit_steps : ndarray of int, shape (m, n_traj)
         First step leaving the set, -1 when censored at the horizon.
     horizon_steps : int
         Step budget of the integration.
@@ -105,7 +104,7 @@ class TrajectoryStats:
         Time step, for converting steps to times.
     """
 
-    start: Array
+    starts: Array
     endpoints: Array
     exit_steps: Array
     horizon_steps: int
@@ -113,25 +112,21 @@ class TrajectoryStats:
 
     @property
     def n_traj(self) -> int:
-        return self.exit_steps.shape[-1]
+        return self.exit_steps.shape[1]
 
     @property
-    def censoring_fraction(self):
-        """Share of censored trajectories, per start for a batch."""
-        return _per_start(np.mean(self.exit_steps < 0, axis=-1))
+    def censoring_fraction(self) -> Array:
+        """Share of censored trajectories per start, shape (m,)."""
+        return np.mean(self.exit_steps < 0, axis=1)
 
-    def mean_exit_time(self):
-        """Kaplan-Meier restricted mean exit time up to the horizon H, per
-        start for a batch.  Every censored path is censored at H, so the
+    def mean_exit_time(self) -> Array:
+        """Kaplan-Meier restricted mean exit time up to the horizon H per
+        start, shape (m,).  Every censored path is censored at H, so the
         Kaplan-Meier curve equals the empirical survival on [0, H), and its
         integral up to H is mean(min(T, H)), computed here.  It underestimates
         the unrestricted mean only, when censoring_fraction > 0."""
         steps = np.where(self.exit_steps < 0, self.horizon_steps, self.exit_steps)
-        return _per_start(steps.mean(axis=-1) * self.dt)
-
-
-def _per_start(values):
-    return float(values) if np.ndim(values) == 0 else values
+        return steps.mean(axis=1) * self.dt
 
 
 def step(config: SdeConfig, x, noise) -> Array:
@@ -526,23 +521,27 @@ def feynman_kac_holding_mc(gen: GeneratorMatrix, chi, eps2: float, cells,
     return ests, ses
 
 
-def sample_set_exit_times(config: SdeConfig, region: Callable[[Array], Array],
-                          x, n_traj: int, horizon_steps: int,
+def sample_set_exit_times(config: SdeConfig, gen: GeneratorMatrix, region_cells,
+                          starts, n_traj: int, horizon_steps: int,
                           seed: int = 0) -> TrajectoryStats:
-    """First-exit steps from a region, censored at the horizon.
+    """First-exit steps of the diffusion from a set of grid cells, censored
+    at the horizon.
 
     All trajectories of all starts advance together in one array; each
     start draws from its own stream, so a start's results do not depend
-    on the batch it comes in.
+    on the batch it comes in.  A trajectory exits at the first step whose
+    cell lies outside the set, read from one precomputed table.
 
     Parameters
     ----------
     config : SdeConfig
-    region : callable
-        Predicate mapping positions of shape (k, 2) to booleans; True
-        means inside the set.
-    x : array-like, shape (2,) or (m, 2)
-        One starting position or a batch of m, each inside the region.
+    gen : GeneratorMatrix
+        Owner of the grid the set lives on; its domain must be the
+        potential's, so that every clamped position has a cell.
+    region_cells : boolean mask (n,) or integer index array
+        The set S, as ``GeneratorMatrix.cell_mask`` takes it.
+    starts : array-like, shape (m, 2)
+        Starting positions, each in a cell of S.
     n_traj : int
         Ensemble size per start.
     horizon_steps : int
@@ -553,27 +552,38 @@ def sample_set_exit_times(config: SdeConfig, region: Callable[[Array], Array],
     Returns
     -------
     TrajectoryStats
-        exit_steps holds the first step outside the region (-1 when
+        exit_steps holds the first step outside the set (-1 when
         censored); endpoints are the positions at exit or at the horizon.
-        A batch adds a leading start axis of length m.
+
+    Raises
+    ------
+    ValueError
+        For a grid domain other than the potential's, a set that
+        ``cell_mask`` rejects, starts not of shape (m, 2) with m >= 1, a
+        start off the grid or outside S, or a nonpositive n_traj or
+        horizon_steps.
     """
-    x = np.asarray(x, dtype=float)
-    starts = np.atleast_2d(x)
+    if gen.grid.domain != config.potential.domain:
+        raise ValueError("grid domain %s differs from the potential domain %s"
+                         % (gen.grid.domain, config.potential.domain))
+    inside = gen.cell_mask(region_cells)
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != 2:
+        raise ValueError("starts must have shape (m, 2), not %s"
+                         % (starts.shape,))
     if len(starts) == 0:
         raise ValueError("no starting position given")
-    if not bool(np.all(region(starts))):
+    if not inside[gen.cell_indices(gen.grid.cells_of(starts))].all():
         raise ValueError("starting position lies outside the region")
     if n_traj < 1 or horizon_steps < 1:
         raise ValueError("n_traj and horizon_steps must be >= 1")
+    outside, cells_of = ~inside, gen.grid.cells_of
     rngs = [generator_for(seed, TAG_EXIT, p) for p in starts]
     lo, hi = config.bounds
     pos, exit_steps = _run(
         config.potential, config.sigma, config.dt, lo, hi, starts, rngs,
-        int(n_traj), int(horizon_steps),
-        stop=lambda p: ~np.asarray(region(p), dtype=bool))
-    if x.ndim == 1:
-        pos, exit_steps = pos[0], exit_steps[0]
-    return TrajectoryStats(start=x, endpoints=pos, exit_steps=exit_steps,
+        int(n_traj), int(horizon_steps), stop=lambda p: outside[cells_of(p)])
+    return TrajectoryStats(starts=starts, endpoints=pos, exit_steps=exit_steps,
                            horizon_steps=int(horizon_steps), dt=config.dt)
 
 

@@ -34,7 +34,6 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.stats import binom
 
 from chi_exit import (
-    CoreSet,
     SdeConfig,
     benchmark_potential,
     build_sqrt_generator,
@@ -173,9 +172,9 @@ def _z2(estimates, moments, n):
 def test_criterion_04_idea4_stochastic_window(bench):
     sigma, dt, tau, n_traj, max_steps = 0.8, 0.001, 0.05, 100, 100
     steps = 50  # tau / dt
-    core = CoreSet(label="core", box=(0.2, 0.3, 0.4, 0.5))
+    core = (0.2, 0.3, 0.4, 0.5)
     ref_grid, ref_chi, ref_ptau = _sde_clock_reference(
-        bench, sigma, core.box, max_steps * dt, tau, n_traj)
+        bench, sigma, core, max_steps * dt, tau, n_traj)
     tic = time.perf_counter()
     cfg = SdeConfig(potential=bench, sigma=sigma, dt=dt)
     pts, xs, ys, fits = [], [], [], []
@@ -369,8 +368,7 @@ def test_criterion_10_determinism(tmp_path):
 @pytest.fixture(scope="module")
 def validation_artifacts(bench, gen50):
     cfg = SdeConfig(potential=bench, sigma=0.8, dt=0.001)
-    core = CoreSet(label="core", box=(0.2, 0.3, 0.4, 0.5))
-    chi = mc_hitting_membership(cfg, core, 100, 100, seed=0)
+    chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 100, 100, seed=0)
     field = chi.evaluate_batch(gen50.grid.centers, workers=4)
     threshold = 0.22
     mask = field > threshold
@@ -378,8 +376,8 @@ def validation_artifacts(bench, gen50):
     order = cells[np.argsort(field[cells], kind="stable")]
     picks = order[np.linspace(0, order.size - 1, 25).astype(int)]
     stats = sample_set_exit_times(
-        cfg, lambda pts: field[gen50.grid.cells_of(pts)] > threshold,
-        gen50.grid.centers[picks], n_traj=30, horizon_steps=4000, seed=0)
+        cfg, gen50, mask, gen50.grid.centers[picks], n_traj=30,
+        horizon_steps=4000, seed=0)
     fit = regress(field, propagate(gen50, np.clip(field, 0, 1), 100.0),
                   "least_squares")
     eps1_grid = gammas_to_rate(fit, 100.0).eps1
@@ -421,11 +419,10 @@ def test_validation_factor3_sde_clock(gen50, validation_artifacts):
     art = validation_artifacts
     cfg, field = art["cfg"], art["field"]
     stats = sample_set_exit_times(
-        cfg, lambda pts: field[gen50.grid.cells_of(pts)] > 0.22,
-        gen50.grid.centers[art["deep"]], n_traj=60, horizon_steps=6000,
-        seed=0)
-    exited = stats.exit_steps >= 0
-    times = np.where(exited, stats.exit_steps, stats.horizon_steps) * cfg.dt
+        cfg, gen50, field > 0.22, gen50.grid.centers[[art["deep"]]],
+        n_traj=60, horizon_steps=6000, seed=0)
+    exited = stats.exit_steps[0] >= 0
+    times = np.where(exited, stats.exit_steps[0], stats.horizon_steps) * cfg.dt
     rate = fit_survival_rate(times, ~exited)
     ratio = rate / art["eps1_grid"]
     assert 1.0 / 3.0 < ratio < 3.0, "ratio %.3f" % ratio

@@ -187,6 +187,33 @@ def test_idea3_noise_dominated_fit_reports_no_rate(tmp_path, capsys,
     assert "idea3: gamma1=-0.2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("gamma1,note", [
+    (-0.2, "lag time too long / noise dominated"),
+    (1.02, "no decay detected"),
+], ids=["noise", "no-decay"])
+@pytest.mark.parametrize("command,text", [
+    ("idea3", SMALL + "rates.tau = 40\n"
+     "membership.core_weight_threshold = 0.02\n"),
+    ("idea4", IDEA4_SMALL),
+    ("validate", VALIDATE_SMALL),
+], ids=["idea3", "idea4", "validate"])
+def test_lag_fit_without_a_rate_says_so(tmp_path, capsys, monkeypatch,
+                                        command, text, gamma1, note):
+    # every lag fit outside 0 < gamma1 < 1 writes NaN rates and prints the
+    # report's note on standard error, prefixed by the provenance
+    def fixed_fit(xs, ys, norm_kind):
+        return RegressionResult(gamma1, 0.1, 0.0, len(xs), "least_squares")
+
+    monkeypatch.setattr(cli, "regress", fixed_fit)
+    out = tmp_path / "out"
+    assert main([command, "--config", _cfg(tmp_path, text),
+                 "--out", str(out)]) == 0
+    _, header, rows = _read_csv(out / "report.csv")
+    row = dict(zip(header, rows[0]))
+    assert row["eps1"] == "nan" and row["note"] == note
+    assert "%s: %s\n" % (command, note) in capsys.readouterr().err
+
+
 def test_idea4_run_small(tmp_path):
     cfg = _cfg(tmp_path,
                "idea4.n_points = 6\nmembership.n_traj = 10\n"

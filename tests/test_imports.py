@@ -1,0 +1,43 @@
+"""Every top-level import of a chi_exit module is read by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "chi_exit"
+
+
+def _unused_imports(source: str):
+    """Names bound by top-level imports that the module never loads; the
+    entries of ``__all__`` count as loaded."""
+    tree = ast.parse(source)
+    bound = set()
+    read = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    read.update(node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load))
+    return sorted(bound - read)
+
+
+def test_scan_finds_an_unused_import():
+    source = ("import os\nimport scipy.sparse as sp\n"
+              "from typing import List, Tuple\n"
+              "from .x import a, b\n"
+              "__all__ = ['a']\n"
+              "def f() -> List[int]:\n    return sp.eye(2)\n")
+    assert _unused_imports(source) == ["Tuple", "b", "os"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_top_level_import_is_read(path):
+    assert _unused_imports(path.read_text()) == []

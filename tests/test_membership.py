@@ -18,7 +18,8 @@ from chi_exit import (
     pcca_single,
 )
 from chi_exit.grid_generator import GeneratorMatrix
-from chi_exit.membership import CoreSet, Membership
+from chi_exit.membership import Membership
+from chi_exit.sde import _in_box
 
 # frozen from the 50x50 benchmark build
 EPS_BAR = 0.008840173485250052
@@ -101,9 +102,10 @@ def test_grid_memberships_carry_their_grid(gen50, eig3):
 
 def test_find_weight_cores(gen50):
     left, right = find_weight_cores(gen50, 0.0025)
-    assert left.cells.size == 37 and right.cells.size == 37
-    lx = gen50.grid.centers[left.cells, 0].mean()
-    rx = gen50.grid.centers[right.cells, 0].mean()
+    assert left.dtype == right.dtype == np.int64
+    assert left.size == 37 and right.size == 37
+    lx = gen50.grid.centers[left, 0].mean()
+    rx = gen50.grid.centers[right, 0].mean()
     assert lx < rx
 
 
@@ -113,39 +115,41 @@ def test_find_weight_cores_threshold_too_high(gen50):
 
 
 def test_committor_chain_oracle(flat_chain3):
-    left = CoreSet(label="left", cells=np.array([0]))
-    right = CoreSet(label="right", cells=np.array([2]))
-    q = committor(flat_chain3, left, right)
+    q = committor(flat_chain3, np.array([0]), np.array([2]))
     np.testing.assert_allclose(q.values, [1.0, 0.5, 0.0], rtol=0, atol=1e-12)
 
 
 def test_committor_boundary_and_residual(gen50):
     left, right = find_weight_cores(gen50, 0.0025)
     q = committor(gen50, left, right)
-    np.testing.assert_array_equal(q.values[left.cells], 1.0)
-    np.testing.assert_array_equal(q.values[right.cells], 0.0)
+    np.testing.assert_array_equal(q.values[left], 1.0)
+    np.testing.assert_array_equal(q.values[right], 0.0)
     free = np.ones(gen50.n, dtype=bool)
-    free[left.cells] = False
-    free[right.cells] = False
+    free[left] = False
+    free[right] = False
     residual = (gen50.rates @ q.values)[free]
     assert np.max(np.abs(residual)) < 1e-9
     assert q.values.min() >= 0.0 and q.values.max() <= 1.0
 
 
 def test_committor_rejects_overlapping_cores(flat_chain3):
-    a = CoreSet(label="a", cells=np.array([0, 1]))
-    b = CoreSet(label="b", cells=np.array([1, 2]))
     with pytest.raises(ValueError):
-        committor(flat_chain3, a, b)
+        committor(flat_chain3, np.array([0, 1]), np.array([1, 2]))
     # a core cell of -1 must not wrap to the last cell
     with pytest.raises(ValueError, match="-1"):
-        committor(flat_chain3, CoreSet(cells=np.array([-1])),
-                  CoreSet(cells=np.array([0])))
+        committor(flat_chain3, np.array([-1]), np.array([0]))
     # float cells must not truncate to 0 and 2, nor a mask read as cells
     for cells in ([0.7, 2.9], np.array([True, False, True])):
         with pytest.raises(ValueError, match="integers"):
-            committor(flat_chain3, CoreSet(cells=cells),
-                      CoreSet(cells=np.array([1])))
+            committor(flat_chain3, cells, np.array([1]))
+
+
+@pytest.mark.parametrize("empty", [np.array([], dtype=np.int64), []])
+def test_committor_rejects_an_empty_core(flat_chain3, empty):
+    with pytest.raises(ValueError, match="empty"):
+        committor(flat_chain3, empty, np.array([2]))
+    with pytest.raises(ValueError, match="empty"):
+        committor(flat_chain3, np.array([0]), empty)
 
 
 def test_committor_rejects_disconnected_free_cells():
@@ -159,21 +163,20 @@ def test_committor_rejects_disconnected_free_cells():
         [0.0, 0.0, -1.0, 1.0],
     ]))
     gen = GeneratorMatrix(rates=block, weights=np.full(4, 0.25), grid=grid)
-    a = CoreSet(label="a", cells=np.array([0]))
-    b = CoreSet(label="b", cells=np.array([1]))
     with pytest.raises(ValueError, match="2"):
-        committor(gen, a, b)
+        committor(gen, np.array([0]), np.array([1]))
 
 
 def test_core_set_box_contains():
-    core = CoreSet(label="c", box=(0.2, 0.3, 0.4, 0.5))
+    # a core box holds its boundary, as the hitting sampler reads it
     pts = np.array([[0.25, 0.45], [0.35, 0.45], [0.2, 0.4]])
-    np.testing.assert_array_equal(core.contains(pts), [True, False, True])
+    np.testing.assert_array_equal(_in_box(pts, (0.2, 0.3, 0.4, 0.5)),
+                                  [True, False, True])
 
 
 def test_mc_membership_determinism():
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    core = CoreSet(label="core", box=(0.2, 0.3, 0.4, 0.5))
+    core = (0.2, 0.3, 0.4, 0.5)
     pts = np.array([[0.4, 0.45], [0.6, 0.6]])
     a = mc_hitting_membership(cfg, core, 40, 60, seed=2)
     b = mc_hitting_membership(cfg, core, 40, 60, seed=2)
@@ -184,17 +187,30 @@ def test_mc_membership_determinism():
 
 def test_mc_membership_box_must_be_inside_domain():
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    core = CoreSet(label="core", box=(0.9, 1.2, 0.4, 0.5))
-    with pytest.raises(ValueError):
-        mc_hitting_membership(cfg, core, 10, 10, seed=0)
+    with pytest.raises(ValueError, match="domain"):
+        mc_hitting_membership(cfg, (0.9, 1.2, 0.4, 0.5), 10, 10, seed=0)
+
+
+@pytest.mark.parametrize("box", [(0.3, 0.3, 0.4, 0.5), (0.2, 0.3, 0.5, 0.4)])
+def test_mc_membership_rejects_a_degenerate_box(box):
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    with pytest.raises(ValueError, match="degenerate"):
+        mc_hitting_membership(cfg, box, 10, 10, seed=0)
+
+
+def test_mc_membership_box_entries_become_floats():
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    box = mc_hitting_membership(cfg, [0, 1, 0, 1], 10, 10).meta["box"]
+    assert box == (0.0, 1.0, 0.0, 1.0)
+    assert all(type(v) is float for v in box)
 
 
 @pytest.mark.parametrize("key", ["dynamics", "box", "n_traj", "max_steps",
                                  "seed"])
 def test_point_sampler_needs_its_parameters(key):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    core = CoreSet(label="core", box=(0.2, 0.3, 0.4, 0.5))
-    meta = dict(mc_hitting_membership(cfg, core, 10, 10, seed=0).meta)
+    meta = dict(mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 10, 10,
+                                      seed=0).meta)
     Membership(provenance="test", meta=meta)
     del meta[key]
     with pytest.raises(ValueError, match=key):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chi_exit import (
-    CoreSet,
     SdeConfig,
     benchmark_potential,
     committor,
@@ -59,8 +58,7 @@ def test_idea3_rate_is_meaningful(gen50):
 )
 def test_idea4_rate_is_meaningful():
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    core = CoreSet(label="core", box=(0.2, 0.3, 0.4, 0.5))
-    chi = mc_hitting_membership(cfg, core, 100, 100, seed=0)
+    chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 100, 100, seed=0)
     pts = uniform_points(50, cfg.potential.domain, seed=0)
     xs = chi.evaluate_batch(pts)
     ys = estimate_ptau_chi(chi, pts, 50, 100, seed=0)

@@ -244,10 +244,10 @@ def test_exit_path_direction_unit_norm(chi1):
 def test_exit_path_descends(chi1):
     x = np.array([0.52, 0.88])
     h = 0.02
-    values = [chi1(x)]
+    values = [chi1.evaluate_batch(x)[0]]
     for _ in range(40):
         x = x + h * exit_path_direction(chi1, x)
-        values.append(chi1(x))
+        values.append(chi1.evaluate_batch(x)[0])
     assert values[-1] < 0.05 < 0.9 < values[0]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 

@@ -23,7 +23,7 @@ from chi_exit import (
     step,
     uniform_points,
 )
-from chi_exit.membership import CoreSet, mc_hitting_membership
+from chi_exit.membership import mc_hitting_membership
 from chi_exit import sde
 from chi_exit.sde import TrajectoryStats, endpoint_ensemble, hitting_fractions
 from chi_exit.streams import (
@@ -114,16 +114,16 @@ def test_uniform_points_deterministic():
 
 def test_trajectory_stats_summaries():
     stats = TrajectoryStats(
-        start=np.array([0.5, 0.5]),
-        endpoints=np.zeros((4, 2)),
-        exit_steps=np.array([10, -1, 20, -1]),
+        starts=np.array([[0.5, 0.5]]),
+        endpoints=np.zeros((1, 4, 2)),
+        exit_steps=np.array([[10, -1, 20, -1]]),
         horizon_steps=50,
         dt=0.1,
     )
-    assert stats.censoring_fraction == 0.5
+    np.testing.assert_array_equal(stats.censoring_fraction, [0.5])
     # censored entries count at the horizon
     np.testing.assert_allclose(stats.mean_exit_time(),
-                               0.1 * (10 + 50 + 20 + 50) / 4)
+                               [0.1 * (10 + 50 + 20 + 50) / 4])
 
 
 def _kaplan_meier_restricted_mean(exit_steps, horizon, dt):
@@ -150,7 +150,7 @@ def test_mean_exit_time_is_kaplan_meier_restricted_mean():
     for r, share in enumerate(censored):
         exit_steps[r, :int(share * 200)] = -1
     assert len(np.unique(exit_steps[0])) < 180
-    stats = TrajectoryStats(start=np.zeros((4, 2)),
+    stats = TrajectoryStats(starts=np.zeros((4, 2)),
                             endpoints=np.zeros((4, 200, 2)),
                             exit_steps=exit_steps, horizon_steps=horizon,
                             dt=0.01)
@@ -164,8 +164,7 @@ def test_mean_exit_time_is_kaplan_meier_restricted_mean():
 def test_estimate_ptau_chi_batch_matches_single():
     # per-point streams: a point's estimate is independent of its batch
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    chi = mc_hitting_membership(cfg, CoreSet(box=(0.2, 0.3, 0.4, 0.5)), 30,
-                                20, seed=5)
+    chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 30, 20, seed=5)
     pts = np.array([[0.3, 0.5], [0.7, 0.5], [0.5, 0.2]])
     batch = estimate_ptau_chi(chi, pts, 20, n_traj=30, seed=5)
     single = estimate_ptau_chi(chi, pts[1], 20, n_traj=30, seed=5)
@@ -180,7 +179,7 @@ def test_estimate_ptau_chi_runs_on_the_hitting_paths():
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     lo, hi = cfg.bounds
     box, k, horizon, n = (0.2, 0.3, 0.4, 0.5), 8, 6, 50
-    chi = mc_hitting_membership(cfg, CoreSet(box=box), n, horizon, seed=3)
+    chi = mc_hitting_membership(cfg, box, n, horizon, seed=3)
     pts = np.array([[0.25, 0.45], [0.34, 0.47], [0.16, 0.52], [0.3, 0.36]])
     chi_ref, ptau_ref = [], []
     for x in pts:
@@ -202,8 +201,7 @@ def test_estimate_ptau_chi_runs_on_the_hitting_paths():
 def test_estimate_ptau_chi_at_zero_steps_is_chi(chi1):
     # with chi's own n_traj and seed, a lag of 0 steps reruns chi's paths
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    chi = mc_hitting_membership(cfg, CoreSet(box=(0.2, 0.3, 0.4, 0.5)), 40,
-                                30, seed=7)
+    chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 40, 30, seed=7)
     pts = uniform_points(70, cfg.potential.domain, seed=1)
     vals = chi.evaluate_batch(pts)
     assert np.any((vals > 0) & (vals < 1))
@@ -240,26 +238,37 @@ def test_hitting_fractions_worker_invariance():
 
 def test_sample_set_exit_times_contract(gen50, chi1):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    field = chi1.values
-
-    def region(pts):
-        return field[gen50.grid.cells_of(pts)] > 0.22
-
-    start = gen50.grid.centers[int(np.argmax(field))]
-    stats = sample_set_exit_times(cfg, region, start, n_traj=20,
-                                  horizon_steps=200, seed=1)
-    assert stats.exit_steps.shape == (20,)
+    region = chi1.values > 0.22
+    start = gen50.grid.centers[int(np.argmax(chi1.values))]
+    stats = sample_set_exit_times(cfg, gen50, region, start[None, :],
+                                  n_traj=20, horizon_steps=200, seed=1)
+    assert stats.exit_steps.shape == (1, 20)
     exited = stats.exit_steps >= 0
     assert np.all(stats.exit_steps[exited] <= 200)
-    assert 0.0 <= stats.censoring_fraction <= 1.0
+    assert 0.0 <= stats.censoring_fraction[0] <= 1.0
     with pytest.raises(ValueError):
         # a deep-well corner sits far outside the high-chi region
-        sample_set_exit_times(cfg, region, np.array([0.05, 0.05]), 5, 10)
+        sample_set_exit_times(cfg, gen50, region, [[0.05, 0.05]], 5, 10)
+    # starts are always a batch of shape (m, 2)
+    with pytest.raises(ValueError, match="shape"):
+        sample_set_exit_times(cfg, gen50, region, start, 5, 10)
 
 
-def _high_chi_region(gen, chi):
-    field = chi.values
-    return lambda pts: field[gen.grid.cells_of(pts)] > 0.22
+def test_sample_set_exit_times_rejects_an_off_grid_start(gen50):
+    # (1.5, 0.5) has no cell; its -1 must not wrap to cell n - 1 of the set
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    assert gen50.grid.cell_of([1.5, 0.5]) == -1
+    with pytest.raises(ValueError, match="-1"):
+        sample_set_exit_times(cfg, gen50, [gen50.n - 1], [[1.5, 0.5]], 5, 10)
+
+
+def test_sample_set_exit_times_rejects_another_domain(bench):
+    # a clamped trajectory could leave a grid narrower than its domain
+    cfg = SdeConfig(potential=bench, sigma=0.8, dt=0.001)
+    half = build_sqrt_generator(
+        bench, RegularGrid(4, 4, ((0.0, 0.0), (0.5, 1.0))), 1.0)
+    with pytest.raises(ValueError, match="domain"):
+        sample_set_exit_times(cfg, half, [0, 1], [[0.05, 0.05]], 5, 10)
 
 
 def _naive_run(cfg, starts, tag, seed, n_traj, steps, stop, stop_from=0):
@@ -330,13 +339,25 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
 
     starts = np.vstack([[0.5, 0.1],
                         gen50.grid.centers[np.argsort(field)[-2:]]])
-    stats = sample_set_exit_times(cfg, region, starts, n_traj=20,
-                                  horizon_steps=300, seed=2)
+    rngs = [generator_for(2, TAG_EXIT, p) for p in starts]
+    pos, first = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi, starts,
+                          rngs, 20, 300, lambda p: ~region(p))
     ref_ends, ref_exit = _naive_run(
         cfg, starts, TAG_EXIT, 2, 20, 300,
         lambda p: ~region(p.reshape(-1, 2)).reshape(p.shape[:-1]))
     assert np.all((ref_exit[0] > 0) & (ref_exit[0] < 4))
     assert 0 < (ref_exit[1:] >= 0).sum() < ref_exit[1:].size
+    np.testing.assert_array_equal(first, ref_exit)
+    np.testing.assert_array_equal(pos, ref_ends)
+
+    # the set-exit sampler stops on the cell table of a set of grid cells
+    mask = field > 0.22
+    stats = sample_set_exit_times(cfg, gen50, mask, starts[1:], n_traj=20,
+                                  horizon_steps=300, seed=2)
+    ref_ends, ref_exit = _naive_run(
+        cfg, starts[1:], TAG_EXIT, 2, 20, 300,
+        lambda p: ~mask[gen50.grid.cells_of(p)])
+    assert 0 < (ref_exit >= 0).sum() < ref_exit.size
     np.testing.assert_array_equal(stats.exit_steps, ref_exit)
     np.testing.assert_array_equal(stats.endpoints, ref_ends)
 
@@ -353,33 +374,33 @@ def test_step_leaves_its_arguments_unchanged():
 
 def test_sample_set_exit_times_batch_matches_single(gen50, chi1):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    region = _high_chi_region(gen50, chi1)
-    inside = np.nonzero(chi1.values > 0.22)[0]
+    region = chi1.values > 0.22
+    inside = np.nonzero(region)[0]
     starts = gen50.grid.centers[inside[::max(1, inside.size // 4)][:4]]
-    batch = sample_set_exit_times(cfg, region, starts, n_traj=15,
+    batch = sample_set_exit_times(cfg, gen50, region, starts, n_traj=15,
                                   horizon_steps=400, seed=3)
     assert batch.exit_steps.shape == (len(starts), 15)
     assert batch.endpoints.shape == (len(starts), 15, 2)
     assert batch.mean_exit_time().shape == (len(starts),)
-    for i, start in enumerate(starts):
-        one = sample_set_exit_times(cfg, region, start, n_traj=15,
-                                    horizon_steps=400, seed=3)
-        np.testing.assert_array_equal(batch.start[i], one.start)
-        np.testing.assert_array_equal(batch.exit_steps[i], one.exit_steps)
-        np.testing.assert_array_equal(batch.endpoints[i], one.endpoints)
-        assert batch.mean_exit_time()[i] == one.mean_exit_time()
-        assert batch.censoring_fraction[i] == one.censoring_fraction
+    for i in range(len(starts)):
+        one = sample_set_exit_times(cfg, gen50, region, starts[i:i + 1],
+                                    n_traj=15, horizon_steps=400, seed=3)
+        np.testing.assert_array_equal(batch.starts[i], one.starts[0])
+        np.testing.assert_array_equal(batch.exit_steps[i], one.exit_steps[0])
+        np.testing.assert_array_equal(batch.endpoints[i], one.endpoints[0])
+        assert batch.mean_exit_time()[i] == one.mean_exit_time()[0]
+        assert batch.censoring_fraction[i] == one.censoring_fraction[0]
 
 
 def test_sample_set_exit_times_batch_rejects_outside_start(gen50, chi1):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    region = _high_chi_region(gen50, chi1)
+    region = chi1.values > 0.22
     starts = np.array([gen50.grid.centers[int(np.argmax(chi1.values))],
                        [0.05, 0.05]])
     with pytest.raises(ValueError):
-        sample_set_exit_times(cfg, region, starts, 5, 10)
+        sample_set_exit_times(cfg, gen50, region, starts, 5, 10)
     with pytest.raises(ValueError):
-        sample_set_exit_times(cfg, region, np.empty((0, 2)), 5, 10)
+        sample_set_exit_times(cfg, gen50, region, np.empty((0, 2)), 5, 10)
 
 
 def test_jump_exit_times_two_cell_chain():
@@ -606,8 +627,7 @@ def test_feynman_kac_requires_generator(gen50, chi1, report1):
             feynman_kac_holding_mc(gen50, chi1.values, report1.eps2, cells,
                                    t=10.0, n_traj=4)
     # a point sampler has no grid values, for either grid-operator route
-    sampler = mc_hitting_membership(cfg, CoreSet(box=(0.2, 0.3, 0.4, 0.5)),
-                                    5, 5)
+    sampler = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 5, 5)
     with pytest.raises(ValueError, match="needs a grid membership"):
         feynman_kac_holding(gen50, sampler, report1.eps2, t=1.0)
     with pytest.raises(ValueError, match="needs a grid membership"):
@@ -641,8 +661,8 @@ def test_feynman_kac_mc_matches_grid(gen50, chi1, report1):
 
 def test_mc_membership_box_hit_is_certain():
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    core = CoreSet(label="core", box=(0.2, 0.3, 0.4, 0.5))
-    chi = mc_hitting_membership(cfg, core, n_traj=10, max_steps=5, seed=0)
-    assert chi(np.array([0.25, 0.45])) == 1.0
-    far = chi(np.array([0.95, 0.95]))
+    chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), n_traj=10,
+                                max_steps=5, seed=0)
+    assert chi.evaluate_batch([[0.25, 0.45]])[0] == 1.0
+    far = chi.evaluate_batch([[0.95, 0.95]])[0]
     assert 0.0 <= far <= 1.0
