@@ -33,7 +33,6 @@ from .sde import (
     sample_jump_exit_times,
     sample_set_exit_times,
     uniform_points,
-    step,
 )
 from .rates import (
     ExitRateReport,
@@ -70,7 +69,6 @@ __all__ = [
     "mc_hitting_membership",
     "SdeConfig",
     "TrajectoryStats",
-    "step",
     "estimate_ptau_chi",
     "feynman_kac_holding",
     "feynman_kac_holding_mc",

@@ -176,6 +176,7 @@ class ExperimentConfig:
 
     experiment: str
     values: Dict[str, object]
+    dynamics: SdeConfig
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -209,24 +210,17 @@ class ExperimentConfig:
         digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
         return digest[:16]
 
-    def potential(self):
-        return potential_by_name(self.values["potential"])
-
     def grid(self) -> RegularGrid:
         return RegularGrid(self.values["grid.nx"], self.values["grid.ny"],
-                           self.potential().domain)
-
-    def sde(self) -> SdeConfig:
-        return SdeConfig(potential=self.potential(),
-                         sigma=self.values["sde.sigma"],
-                         dt=self.values["sde.dt"])
+                           self.dynamics.potential.domain)
 
 
 def load_config(experiment: str, path: Optional[str], overrides: Dict[str, object]
                 ) -> ExperimentConfig:
     """Merge defaults, an optional config file, and CLI overrides.  For
     every subcommand, a core_box without four entries, a rates.norm other
-    than ls or lad, rates.tau <= 0 or idea4.steps < 1 is a ConfigError."""
+    than ls or lad, rates.tau <= 0, idea4.steps < 1, or a potential,
+    sde.sigma or sde.dt that ``SdeConfig`` rejects is a ConfigError."""
     values = dict(DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
@@ -254,7 +248,12 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
         raise ConfigError("rates.tau must be positive (no decay at tau=0)")
     if values["idea4.steps"] < 1:
         raise ConfigError("idea4.steps must be >= 1")
-    return ExperimentConfig(experiment=experiment, values=values)
+    try:
+        dynamics = SdeConfig(potential_by_name(values["potential"]),
+                             values["sde.sigma"], values["sde.dt"])
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return ExperimentConfig(experiment, values, dynamics)
 
 
 def _fmt(value) -> str:
@@ -359,8 +358,8 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def _generator(cfg: ExperimentConfig):
     grid = _stage("grid", cfg.grid)
-    return grid, _stage("generator", build_sqrt_generator, cfg.potential(),
-                        grid, cfg["kbt"])
+    return grid, _stage("generator", build_sqrt_generator,
+                        cfg.dynamics.potential, grid, cfg["kbt"])
 
 
 def _spectral_setup(cfg: ExperimentConfig, k: int):
@@ -485,36 +484,34 @@ def run_idea3(cfg: ExperimentConfig) -> int:
 
 
 def _mc_membership(cfg: ExperimentConfig):
-    """The dynamics and the Monte Carlo core-hitting membership."""
-    dyn = cfg.sde()
-    chi = _stage(
-        "mc_membership", mc_hitting_membership, dyn,
+    """The Monte Carlo core-hitting membership of the configured dynamics."""
+    return _stage(
+        "mc_membership", mc_hitting_membership, cfg.dynamics,
         tuple(cfg["membership.core_box"]),
         cfg["membership.n_traj"], cfg["membership.max_steps"], cfg.seed,
     )
-    return dyn, chi
 
 
 def _mc_field(cfg: ExperimentConfig, with_generator: bool):
     """The Monte Carlo membership at the cell centers, with the grid and
     its generator (None unless with_generator)."""
-    dyn, chi = _mc_membership(cfg)
+    chi = _mc_membership(cfg)
     grid, gen = (_generator(cfg) if with_generator
                  else (_stage("grid", cfg.grid), None))
     field = _stage("chi_field", chi.evaluate_batch, grid.centers, cfg.workers)
-    return dyn, grid, gen, field
+    return grid, gen, field
 
 
 def _idea4_scatter(cfg: ExperimentConfig):
-    dyn, chi = _mc_membership(cfg)
+    chi = _mc_membership(cfg)
     pts = _stage("sample_points", uniform_points, cfg["idea4.n_points"],
-                 dyn.potential.domain, cfg.seed)
+                 cfg.dynamics.potential.domain, cfg.seed)
     xs = _stage("chi_estimates", chi.evaluate_batch, pts, cfg.workers)
     ys = _stage(
         "ptau_estimates", estimate_ptau_chi, chi, pts, cfg["idea4.steps"],
         cfg["idea4.n_traj"], cfg.seed, cfg.workers,
     )
-    return chi, pts, xs, ys, cfg["idea4.steps"] * dyn.dt
+    return chi, pts, xs, ys, cfg["idea4.steps"] * cfg.dynamics.dt
 
 
 def run_idea4(cfg: ExperimentConfig) -> int:
@@ -575,7 +572,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
     from the deepest cell of S, reported beside the grid-propagation
     exit rate of the same membership (both live on the generator clock).
     """
-    dyn, grid, gen, field = _mc_field(cfg, with_generator=True)
+    grid, gen, field = _mc_field(cfg, with_generator=True)
     threshold = cfg["validate.threshold"]
     mask = _region(field, threshold)
 
@@ -586,8 +583,8 @@ def run_validate(cfg: ExperimentConfig) -> int:
     picks = order[np.linspace(0, order.size - 1, n_starts).astype(int)]
 
     starts = grid.centers[picks]
-    stats = _stage("exit_times", sample_set_exit_times, dyn, gen, mask,
-                   starts, cfg["validate.n_traj"],
+    stats = _stage("exit_times", sample_set_exit_times, cfg.dynamics, gen,
+                   mask, starts, cfg["validate.n_traj"],
                    cfg["validate.horizon_steps"], cfg.seed)
     means = stats.mean_exit_time()
     _write_csv(cfg, "exit_times.csv",
@@ -669,7 +666,7 @@ def run_dump_chi(cfg: ExperimentConfig) -> int:
         grid, _, _, _, chi = _committor(cfg)
         values = chi.values
     elif kind == "mc":
-        _, grid, _, values = _mc_field(cfg, with_generator=False)
+        grid, _, values = _mc_field(cfg, with_generator=False)
     else:
         raise ConfigError(
             "membership.kind must be pcca_single, pcca_multi, committor, "

@@ -5,7 +5,8 @@ The transition rate between 4-neighbor cells i and j is
 centers; diagonal entries make every row sum to zero.  The resulting
 rate matrix is reversible with respect to pi, so D L* D^-1 with
 D = diag(sqrt(pi)) is symmetric positive semidefinite and the transfer
-operator is P^tau = exp(-tau L*).
+operator is P^tau = exp(-tau L*).  ``RegularGrid.cells_of`` is the one
+lookup from positions to cells; a position off the grid raises there.
 """
 
 from dataclasses import dataclass, field
@@ -64,25 +65,25 @@ class RegularGrid:
         g1, g2 = np.meshgrid(c1, c2, indexing="ij")
         return np.column_stack([g1.ravel(), g2.ravel()])
 
-    def cell_of(self, x) -> int:
-        """Index of the cell containing x, or -1 when x is outside."""
-        idx = self.cells_of(np.asarray(x, dtype=float)[None, :])
-        return int(idx[0])
-
-    def cells_of(self, x: Array) -> Array:
-        """Vectorized cell lookup for positions of shape (m, 2).
+    def cells_of(self, x) -> Array:
+        """Cells of positions of shape (..., 2), as int64 of shape (...).
 
         Positions on the upper domain boundary belong to the last cell,
-        matching the clamped SDE convention.  Outside positions map to -1.
+        matching the clamped SDE convention.  A position off the domain,
+        or with a NaN coordinate, raises ValueError.
         """
+        x = np.asarray(x, dtype=float)
         (lo1, lo2), (hi1, hi2) = self.domain
         h1, h2 = self.spacing
         x1, x2 = x[..., 0], x[..., 1]
+        on = (x1 >= lo1) & (x1 <= hi1) & (x2 >= lo2) & (x2 <= hi2)
+        if not on.all():
+            bad = x[~on][0]
+            raise ValueError("position (%g, %g) is off the grid domain %s"
+                             % (bad[0], bad[1], self.domain))
         i = np.minimum(((x1 - lo1) / h1).astype(np.int64), self.nx - 1)
         j = np.minimum(((x2 - lo2) / h2).astype(np.int64), self.ny - 1)
-        out = i * self.ny + j
-        bad = (x1 < lo1) | (x1 > hi1) | (x2 < lo2) | (x2 > hi2)
-        return np.where(bad, -1, out)
+        return i * self.ny + j
 
 
 @dataclass
@@ -122,16 +123,15 @@ class GeneratorMatrix:
 
     def cell_indices(self, cells) -> Array:
         """Integer cells as int64, shape kept; ValueError for a non-integer
-        array or a cell outside [0, n), such as the -1 that
-        ``RegularGrid.cells_of`` gives a position off the grid."""
+        array or a cell outside [0, n)."""
         cells = np.asarray(cells)
         if cells.size and cells.dtype.kind not in "iu":
             raise ValueError("cell indices must be integers, not %s"
                              % cells.dtype)
         bad = (cells < 0) | (cells >= self.n)
         if bad.any():
-            raise ValueError("cell %d is not in [0, %d); -1 marks a position "
-                             "off the grid" % (cells[bad].flat[0], self.n))
+            raise ValueError("cell %d is not in [0, %d)"
+                             % (cells[bad].flat[0], self.n))
         return cells.astype(np.int64)
 
     def cell_mask(self, cells) -> Array:

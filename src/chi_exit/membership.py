@@ -87,13 +87,11 @@ class Membership:
         return "point_sampler" if self.values is None else "grid_vector"
 
     def evaluate_batch(self, pts: Array, workers: int = 1) -> Array:
-        """Vectorized evaluation; workers only affects speed."""
+        """Vectorized evaluation; workers only affects speed.  A grid
+        membership raises ValueError for a position off its grid."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.values is not None:
-            cells = self.grid.cells_of(pts)
-            if np.any(cells < 0):
-                raise ValueError("position outside the grid domain")
-            return self.values[cells]
+            return self.values[self.grid.cells_of(pts)]
         m = self.meta
         return hitting_fractions(m["dynamics"], m["box"], pts, m["n_traj"],
                                  m["max_steps"], seed=m["seed"],

@@ -292,7 +292,7 @@ def set_mean_holding_time(gen: GeneratorMatrix, region_cells) -> Array:
     return t
 
 
-def exit_path_direction(chi, x, grid=None) -> Array:
+def exit_path_direction(chi, x) -> Array:
     """Normalized exit direction -grad chi(x) on the cell lattice.
 
     The gradient uses central differences in the grid interior and
@@ -302,31 +302,23 @@ def exit_path_direction(chi, x, grid=None) -> Array:
 
     Parameters
     ----------
-    chi : Membership or ndarray
-        Grid membership (or a raw eigenfunction with ``grid`` given).
+    chi : Membership
+        A grid membership; a point sampler raises ValueError.
     x : array-like, shape (2,)
-        Position inside the domain.
-    grid : RegularGrid, optional
-        Required when chi is a plain array.
+        Position on the grid; ``RegularGrid.cells_of`` rejects one off it.
 
     Returns
     -------
     ndarray, shape (2,)
         Unit vector along -grad chi at the cell containing x.
     """
-    meta = getattr(chi, "meta", {})
-    vals = getattr(chi, "values", None)
-    if vals is None:
-        vals = np.asarray(chi, dtype=float)
-    else:
-        grid = grid if grid is not None else chi.grid
-    if grid is None:
-        raise ValueError("exit_path_direction needs a grid")
-    cell = grid.cell_of(np.asarray(x, dtype=float))
-    if cell < 0:
-        raise ValueError("position outside the grid domain")
+    if chi.values is None:
+        raise ValueError("exit_path_direction needs a grid membership, "
+                         "not a point sampler")
+    grid = chi.grid
+    cell = int(grid.cells_of(x))
     h1, h2 = grid.spacing
-    field = vals.reshape(grid.nx, grid.ny)
+    field = chi.values.reshape(grid.nx, grid.ny)
     g1, g2 = np.gradient(field, h1, h2)
     i, j = divmod(cell, grid.ny)
     # a strict local extremum among the lattice neighbors is a critical
@@ -342,7 +334,7 @@ def exit_path_direction(chi, x, grid=None) -> Array:
     if norm < 1e-10:
         raise ValueError("at a critical point of chi (gradient ~ 0)")
     direction = vec / norm
-    f = meta.get("eigenfunction")
+    f = chi.meta.get("eigenfunction")
     if f is not None:
         e1, e2 = np.gradient(np.asarray(f).reshape(grid.nx, grid.ny), h1, h2)
         ref = -np.array([e1[i, j], e2[i, j]])

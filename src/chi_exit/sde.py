@@ -1,7 +1,8 @@
 """Euler-Maruyama sampling and Monte Carlo estimators.
 
 Implements the overdamped Langevin dynamics dX = -grad V dt + sigma dB
-with boundary clamping, trajectory ensembles for hitting and exit
+with boundary clamping (one step, ``_advance``, inside one stepping
+kernel, ``_run``), trajectory ensembles for hitting and exit
 statistics, the Monte Carlo estimator of P^tau chi for a core-hitting
 membership (lag in steps), and the Feynman-Kac chi-holding probability:
 ``feynman_kac_holding`` solves it on the grid, ``feynman_kac_holding_mc``
@@ -16,8 +17,9 @@ because the grid operator carries its own time unit.  One kernel,
 ``_jump_run``, simulates that process for both.  A set of grid cells,
 for the jump process or for the diffusion's exit
 (``sample_set_exit_times``), and every start cell are checked by the
-``GeneratorMatrix`` they run on; the diffusion reads its set as one
-per-cell stop table.
+``GeneratorMatrix`` they run on.  The diffusion's starts and positions
+get their cells from ``RegularGrid.cells_of``, which rejects a position
+off the grid, and it reads its set as one per-cell stop table.
 """
 
 import math
@@ -111,10 +113,6 @@ class TrajectoryStats:
     dt: float
 
     @property
-    def n_traj(self) -> int:
-        return self.exit_steps.shape[1]
-
-    @property
     def censoring_fraction(self) -> Array:
         """Share of censored trajectories per start, shape (m,)."""
         return np.mean(self.exit_steps < 0, axis=1)
@@ -129,30 +127,10 @@ class TrajectoryStats:
         return steps.mean(axis=1) * self.dt
 
 
-def step(config: SdeConfig, x, noise) -> Array:
-    """One Euler-Maruyama step x - grad V(x) dt + sigma sqrt(dt) noise.
-
-    Parameters
-    ----------
-    config : SdeConfig
-    x : array-like, shape (2,)
-        Current position, inside the domain.
-    noise : array-like, shape (2,)
-        A standard normal draw.
-
-    Returns
-    -------
-    ndarray, shape (2,)
-        The next position, clamped to the domain.
-    """
-    lo, hi = config.bounds
-    return _advance(config.potential, config.sigma, config.dt, lo, hi,
-                    np.asarray(x, dtype=float),
-                    np.array(noise, dtype=float))
-
-
 def _advance(potential, sigma, dt, lo, hi, pos, noise):
-    """Vectorized Euler-Maruyama step with clamping, shape-preserving.
+    """One Euler-Maruyama step pos - grad V(pos) dt + sigma sqrt(dt) noise
+    for positions of shape (..., 2), clamped to [lo, hi].  Every diffusion
+    ensemble steps through it.
 
     Overwrites ``noise`` with the scaled increment, so callers pass an
     array they own; ``pos`` is only read.
@@ -339,8 +317,6 @@ def endpoint_ensemble(config: SdeConfig, points, steps: int, n_traj: int,
     if n_traj < 1 or steps < 0:
         raise ValueError("n_traj must be >= 1 and steps >= 0")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if steps == 0:
-        return np.repeat(points[:, None, :], n_traj, axis=1)
     return _chunked(config, points, n_traj, steps, seed, TAG_PTAU, workers)
 
 
@@ -573,7 +549,7 @@ def sample_set_exit_times(config: SdeConfig, gen: GeneratorMatrix, region_cells,
                          % (starts.shape,))
     if len(starts) == 0:
         raise ValueError("no starting position given")
-    if not inside[gen.cell_indices(gen.grid.cells_of(starts))].all():
+    if not inside[gen.grid.cells_of(starts)].all():
         raise ValueError("starting position lies outside the region")
     if n_traj < 1 or horizon_steps < 1:
         raise ValueError("n_traj and horizon_steps must be >= 1")

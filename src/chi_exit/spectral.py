@@ -117,12 +117,16 @@ def eigensolve(gen: GeneratorMatrix, k: int) -> EigenSystem:
 
 def _chebyshev_weights(c: float) -> Array:
     """ive(k, c), doubled for k >= 1, up to the last k whose tail mass
-    sum_{j >= k} is at least the unit roundoff (the weights sum to 1)."""
+    sum_{j >= k} is at least the unit roundoff (the weights sum to 1).
+    ValueError where ive is not finite, as for every k at c >= 2^30."""
     # the weights fall off faster than geometrically once k is past
     # sqrt(c); computing them down to 1e-32 puts the cut well inside
     count = 16
     while True:
         w = ive(np.arange(count), c)
+        if not np.isfinite(w).all():
+            raise ValueError("Chebyshev weights are not finite at "
+                             "t (hi - lo) / 2 = %g" % c)
         if w[-1] < 1e-32:
             break
         count *= 2
@@ -143,7 +147,8 @@ def expm_action(a: sp.spmatrix, v: Array, t: float) -> Array:
     after about sqrt(t (hi - lo)) sparse products.  The error is absolute,
     of order the unit roundoff times the size of ``v`` in the norm that
     makes ``a`` symmetric: an entry whose exact value is about 1e-22 can
-    come out as -1e-19.  ``t`` must be finite and >= 0.
+    come out as -1e-19.  ``t`` must be finite and >= 0; a c of 2^30 or
+    more, where ``ive`` is not finite, raises ValueError.
     """
     diag = a.diagonal()
     radius = np.asarray(abs(a).sum(axis=1)).ravel() - np.abs(diag)

@@ -294,6 +294,26 @@ def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,text,message", [
+    ("idea1", 'potential = "nope"\n', "unknown potential 'nope'"),
+    ("idea4", IDEA4_SMALL + 'potential = "nope"\n', "unknown potential"),
+    ("validate", VALIDATE_SMALL + 'potential = "nope"\n',
+     "unknown potential"),
+    ("validate", VALIDATE_SMALL + "sde.dt = 0.0\n", "dt must be"),
+    ("dump-chi", 'membership.kind = "mc"\nsde.sigma = -0.5\n',
+     "sigma must be"),
+], ids=["idea1-potential", "idea4-potential", "validate-potential",
+        "validate-dt-0", "dump-chi-mc-sigma-negative"])
+def test_exit_code_dynamics_checked_before_any_work(tmp_path, capsys, command,
+                                                    text, message):
+    # SdeConfig's own checks, run once by load_config, give a config error
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: %s" % message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_traj", [1, 2])
 def test_validate_one_exit_fits_no_rate(tmp_path, capsys, n_traj):
     # every jump trajectory exits, and the last exit leaves the survival

@@ -18,22 +18,35 @@ from chi_exit import (
 def test_centers_round_trip(grid50):
     cells = grid50.cells_of(grid50.centers)
     np.testing.assert_array_equal(cells, np.arange(grid50.n))
+    # any leading shape is kept
+    cells = grid50.cells_of(grid50.centers[:6].reshape(2, 3, 2))
+    assert cells.dtype == np.int64
+    np.testing.assert_array_equal(cells, [[0, 1, 2], [3, 4, 5]])
 
 
 def test_cell_layout_row_major(grid50):
     # k = i * ny + j with i the x1 index
-    assert grid50.cell_of(np.array([0.011, 0.031])) == 1
-    assert grid50.cell_of(np.array([0.031, 0.011])) == 50
+    assert grid50.cells_of([0.011, 0.031]) == 1
+    assert grid50.cells_of([0.031, 0.011]) == 50
 
 
 def test_upper_boundary_maps_to_last_cell(grid50):
-    assert grid50.cell_of(np.array([1.0, 1.0])) == grid50.n - 1
-    assert grid50.cell_of(np.array([1.0, 0.0])) == grid50.n - 50
+    assert grid50.cells_of([1.0, 1.0]) == grid50.n - 1
+    assert grid50.cells_of([1.0, 0.0]) == grid50.n - 50
 
 
-def test_outside_maps_to_minus_one(grid50):
-    pts = np.array([[1.2, 0.5], [-0.1, 0.5], [0.5, 1.0001], [0.5, -0.2]])
-    np.testing.assert_array_equal(grid50.cells_of(pts), [-1, -1, -1, -1])
+@pytest.mark.parametrize("bad", [
+    [1.2, 0.5], [-0.1, 0.5], [0.5, 1.0001], [0.5, -0.2],
+    [np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5],
+], ids=["x1-high", "x1-low", "x2-high", "x2-low", "x1-nan", "x2-nan",
+        "x1-inf"])
+def test_off_grid_position_raises(grid50, bad):
+    # NaN fails every comparison, so it must not pass as a cell either
+    pts = np.array([[0.5, 0.5], bad])
+    with pytest.raises(ValueError, match="off the grid"):
+        grid50.cells_of(pts)
+    with pytest.raises(ValueError, match="off the grid"):
+        grid50.cells_of(bad)
 
 
 def test_row_sums_vanish(gen50):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import chi_exit
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "chi_exit"
 
 
@@ -41,3 +43,10 @@ def test_scan_finds_an_unused_import():
                          ids=lambda path: path.name)
 def test_every_top_level_import_is_read(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_every_public_name_exists():
+    # the scan above counts __all__ entries as read, so a stale entry
+    # would pass it
+    assert [name for name in chi_exit.__all__
+            if not hasattr(chi_exit, name)] == []

@@ -220,3 +220,10 @@ def test_point_sampler_needs_its_parameters(key):
 def test_grid_membership_needs_grid_for_points():
     with pytest.raises(ValueError):
         Membership(provenance="test", values=np.array([0.2, 0.8]))
+    # and reads only positions on that grid, NaN never
+    chi = Membership(provenance="test", values=np.array([0.2, 0.8]),
+                     grid=RegularGrid(2, 1))
+    np.testing.assert_array_equal(chi.evaluate_batch([[0.9, 0.5]]), [0.8])
+    for x in ([1.5, 0.5], [np.nan, 0.5], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="off the grid"):
+            chi.evaluate_batch([x])

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chi_exit import (
+    Membership,
     RegularGrid,
-    build_sqrt_generator,
+    SdeConfig,
+    benchmark_potential,
     chi_mean_holding_time,
     dominance_timescale,
     exit_path_direction,
@@ -17,6 +19,7 @@ from chi_exit import (
     flat_potential,
     gammas_to_rate,
     holding_probability,
+    mc_hitting_membership,
     rate_from_eigenpair,
     regress,
     regress_generator_action,
@@ -258,10 +261,20 @@ def test_exit_path_rejects_extremum(chi1):
         exit_path_direction(chi1, peak)
 
 
-def test_exit_path_plain_array():
+def test_exit_path_linear_field():
     pot = flat_potential()
     grid = RegularGrid(5, 5, pot.domain)
-    gen = build_sqrt_generator(pot, grid, 1.0)
-    field = grid.centers[:, 0].copy()
-    d = exit_path_direction(field, np.array([0.5, 0.5]), grid=grid)
+    chi = Membership(provenance="committor", values=grid.centers[:, 0].copy(),
+                     grid=grid)
+    d = exit_path_direction(chi, np.array([0.5, 0.5]))
     np.testing.assert_allclose(d, [-1.0, 0.0], rtol=0, atol=1e-12)
+
+
+def test_exit_path_needs_a_grid_membership_and_position(chi1):
+    sampler = mc_hitting_membership(SdeConfig(benchmark_potential()),
+                                    (0.2, 0.3, 0.4, 0.5), 5, 5)
+    with pytest.raises(ValueError, match="point sampler"):
+        exit_path_direction(sampler, np.array([0.5, 0.5]))
+    for x in ([1.5, 0.5], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="off the grid"):
+            exit_path_direction(chi1, np.array(x))

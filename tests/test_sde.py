@@ -20,7 +20,6 @@ from chi_exit import (
     regress_generator_action,
     sample_jump_exit_times,
     sample_set_exit_times,
-    step,
     uniform_points,
 )
 from chi_exit.membership import mc_hitting_membership
@@ -42,10 +41,11 @@ DESCENT_LEFT = (0.23798625, 0.48947658)
 
 def _descend(start, steps=20000):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.0, dt=0.001)
+    lo, hi = cfg.bounds
     x = np.asarray(start, dtype=float)
     zero = np.zeros(2)
     for _ in range(steps):
-        x = step(cfg, x, zero)
+        x = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, x, zero)
     return x
 
 
@@ -61,7 +61,9 @@ def test_gradient_descent_left_minimum():
 
 def test_step_clamps_to_domain():
     cfg = SdeConfig(potential=flat_potential(), sigma=1.0, dt=0.01)
-    x = step(cfg, np.array([0.99, 0.01]), np.array([50.0, -50.0]))
+    lo, hi = cfg.bounds
+    x = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi,
+                     np.array([0.99, 0.01]), np.array([50.0, -50.0]))
     assert x[0] == 1.0 and x[1] == 0.0
 
 
@@ -73,8 +75,10 @@ def test_step_rejects_non_finite_gradient():
         name="bad",
     )
     cfg = SdeConfig(potential=bad, sigma=0.5, dt=0.001)
+    lo, hi = cfg.bounds
     with pytest.raises(ValueError):
-        step(cfg, np.array([0.5, 0.5]), np.zeros(2))
+        sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi,
+                     np.array([0.5, 0.5]), np.zeros(2))
 
 
 def test_config_validation():
@@ -255,10 +259,9 @@ def test_sample_set_exit_times_contract(gen50, chi1):
 
 
 def test_sample_set_exit_times_rejects_an_off_grid_start(gen50):
-    # (1.5, 0.5) has no cell; its -1 must not wrap to cell n - 1 of the set
+    # (1.5, 0.5) has no cell and must not be read as cell n - 1 of the set
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    assert gen50.grid.cell_of([1.5, 0.5]) == -1
-    with pytest.raises(ValueError, match="-1"):
+    with pytest.raises(ValueError, match=r"\(1\.5, 0\.5\) is off the grid"):
         sample_set_exit_times(cfg, gen50, [gen50.n - 1], [[1.5, 0.5]], 5, 10)
 
 
@@ -328,6 +331,10 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
     ref_ends, _ = _naive_run(cfg, pts, TAG_PTAU, 4, 20, 37,
                              lambda p: np.zeros(p.shape[:-1], dtype=bool))
     np.testing.assert_array_equal(ends, ref_ends)
+    # no step leaves every trajectory at its start
+    np.testing.assert_array_equal(
+        endpoint_ensemble(cfg, pts, steps=0, n_traj=20, seed=4),
+        np.repeat(pts[:, None, :], 20, axis=1))
 
     # every trajectory of the first start leaves its small box within the
     # first 4-step block, before the block ends; the others run on
@@ -363,12 +370,13 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
 
 
 def test_step_leaves_its_arguments_unchanged():
+    # _advance reads the position only; it overwrites the noise by design
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    lo, hi = cfg.bounds
     x = np.array([0.3, 0.6])
     noise = np.array([1.5, -0.5])
-    out = step(cfg, x, noise)
+    out = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, x, noise)
     np.testing.assert_array_equal(x, [0.3, 0.6])
-    np.testing.assert_array_equal(noise, [1.5, -0.5])
     assert not np.array_equal(out, x)
 
 

@@ -135,6 +135,13 @@ def test_nonfinite_tau_rejected(gen50, tau):
         propagate(gen50, np.ones(gen50.n), tau)
 
 
+def test_propagate_rejects_a_tau_past_the_chebyshev_range(gen50):
+    # c = tau max L*_ii is past 2^30, where every ive(k, c) is NaN; the
+    # weights must raise there, not grow until an allocation fails
+    with pytest.raises(ValueError, match="not finite"):
+        propagate(gen50, np.ones(gen50.n), 3e8)
+
+
 def test_propagate_shape_error_names_the_shape(gen50):
     with pytest.raises(ValueError, match=r"shape \(2500, 1\) does not match "
                                          r"grid shape \(2500,\)"):
