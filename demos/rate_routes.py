@@ -79,8 +79,7 @@ def main():
     sampled = mc_hitting_membership(dyn, (0.2, 0.3, 0.4, 0.5), 100, 100,
                                     seed=0)
     pts = uniform_points(50, pot.domain, seed=0)
-    xs = sampled.evaluate_batch(pts)
-    ys = estimate_ptau_chi(sampled, pts, 50, 100, seed=0)
+    xs, ys = estimate_ptau_chi(sampled, pts, 50, 100, seed=0)
     fit4 = regress(xs, ys, "least_squares")
     r4 = gammas_to_rate(fit4, 0.05, "mc")
     print("[4] simulation     eps1=%.6f  (gamma1=%.4f; on the diffusion "

@@ -177,6 +177,7 @@ class ExperimentConfig:
     experiment: str
     values: Dict[str, object]
     dynamics: SdeConfig
+    grid: RegularGrid
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -210,17 +211,14 @@ class ExperimentConfig:
         digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
         return digest[:16]
 
-    def grid(self) -> RegularGrid:
-        return RegularGrid(self.values["grid.nx"], self.values["grid.ny"],
-                           self.dynamics.potential.domain)
-
 
 def load_config(experiment: str, path: Optional[str], overrides: Dict[str, object]
                 ) -> ExperimentConfig:
     """Merge defaults, an optional config file, and CLI overrides.  For
     every subcommand, a core_box without four entries, a rates.norm other
-    than ls or lad, rates.tau <= 0, idea4.steps < 1, or a potential,
-    sde.sigma or sde.dt that ``SdeConfig`` rejects is a ConfigError."""
+    than ls or lad, rates.tau <= 0, idea4.steps < 1, kbt <= 0, a potential,
+    sde.sigma or sde.dt that ``SdeConfig`` rejects, or a grid.nx or grid.ny
+    that ``RegularGrid`` rejects is a ConfigError."""
     values = dict(DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
@@ -248,12 +246,16 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
         raise ConfigError("rates.tau must be positive (no decay at tau=0)")
     if values["idea4.steps"] < 1:
         raise ConfigError("idea4.steps must be >= 1")
+    if values["kbt"] <= 0:
+        raise ConfigError("kbt must be positive")
     try:
         dynamics = SdeConfig(potential_by_name(values["potential"]),
                              values["sde.sigma"], values["sde.dt"])
+        grid = RegularGrid(values["grid.nx"], values["grid.ny"],
+                           dynamics.potential.domain)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return ExperimentConfig(experiment, values, dynamics)
+    return ExperimentConfig(experiment, values, dynamics, grid)
 
 
 def _fmt(value) -> str:
@@ -357,9 +359,8 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 def _generator(cfg: ExperimentConfig):
-    grid = _stage("grid", cfg.grid)
-    return grid, _stage("generator", build_sqrt_generator,
-                        cfg.dynamics.potential, grid, cfg["kbt"])
+    return cfg.grid, _stage("generator", build_sqrt_generator,
+                            cfg.dynamics.potential, cfg.grid, cfg["kbt"])
 
 
 def _spectral_setup(cfg: ExperimentConfig, k: int):
@@ -496,21 +497,27 @@ def _mc_field(cfg: ExperimentConfig, with_generator: bool):
     """The Monte Carlo membership at the cell centers, with the grid and
     its generator (None unless with_generator)."""
     chi = _mc_membership(cfg)
-    grid, gen = (_generator(cfg) if with_generator
-                 else (_stage("grid", cfg.grid), None))
+    grid, gen = _generator(cfg) if with_generator else (cfg.grid, None)
     field = _stage("chi_field", chi.evaluate_batch, grid.centers, cfg.workers)
     return grid, gen, field
+
+
+def _shared_ensemble(cfg: ExperimentConfig) -> bool:
+    """Whether the P^tau paths are chi's own: both draw from one stream per
+    point under ``cfg.seed``, so equal ensemble sizes make them equal."""
+    return cfg["idea4.n_traj"] == cfg["membership.n_traj"]
 
 
 def _idea4_scatter(cfg: ExperimentConfig):
     chi = _mc_membership(cfg)
     pts = _stage("sample_points", uniform_points, cfg["idea4.n_points"],
                  cfg.dynamics.potential.domain, cfg.seed)
-    xs = _stage("chi_estimates", chi.evaluate_batch, pts, cfg.workers)
-    ys = _stage(
+    xs, ys = _stage(
         "ptau_estimates", estimate_ptau_chi, chi, pts, cfg["idea4.steps"],
         cfg["idea4.n_traj"], cfg.seed, cfg.workers,
     )
+    if not _shared_ensemble(cfg):
+        xs = _stage("chi_estimates", chi.evaluate_batch, pts, cfg.workers)
     return chi, pts, xs, ys, cfg["idea4.steps"] * cfg.dynamics.dt
 
 
@@ -522,10 +529,12 @@ def run_idea4(cfg: ExperimentConfig) -> int:
     reg = _stage("regress", regress, xs, ys, cfg["rates.norm"])
     report = _fit_rate(reg, tau, "idea4")
     _write_report(cfg, report, reg)
-    # chi's paths, then the P^tau paths of idea4.steps + max_steps steps
+    # the P^tau paths of idea4.steps + max_steps steps, and chi's own
+    # paths when they are not the first max_steps steps of those
     max_steps = cfg["membership.max_steps"]
-    cost = (cfg["membership.n_traj"] * max_steps
-            + cfg["idea4.n_traj"] * (cfg["idea4.steps"] + max_steps))
+    cost = cfg["idea4.n_traj"] * (cfg["idea4.steps"] + max_steps)
+    if not _shared_ensemble(cfg):
+        cost += cfg["membership.n_traj"] * max_steps
     print(
         "idea4: gamma1=%s gamma2=%s eps1=%s meaningful=%d "
         "per_point_step_budget=%d"

@@ -3,8 +3,9 @@
 Implements the overdamped Langevin dynamics dX = -grad V dt + sigma dB
 with boundary clamping (one step, ``_advance``, inside one stepping
 kernel, ``_run``), trajectory ensembles for hitting and exit
-statistics, the Monte Carlo estimator of P^tau chi for a core-hitting
-membership (lag in steps), and the Feynman-Kac chi-holding probability:
+statistics, the Monte Carlo estimator of chi and P^tau chi for a
+core-hitting membership from one pass (lag in steps), and the
+Feynman-Kac chi-holding probability:
 ``feynman_kac_holding`` solves it on the grid, ``feynman_kac_holding_mc``
 checks it by Monte Carlo.
 
@@ -159,7 +160,7 @@ def _advance(potential, sigma, dt, lo, hi, pos, noise):
 
 
 def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
-         stop=None, stop_from: int = 0) -> Tuple[Array, Array]:
+         stop=None, stop_from: int = 0) -> Tuple[Array, Array, Array]:
     """The stepping kernel: ``n_traj`` trajectories from each start.
 
     Start ``r`` draws its noise from ``rngs[r]`` in blocks of shape
@@ -168,23 +169,30 @@ def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
     ``stop`` maps positions (k, 2) to booleans, a trajectory freezes at the
     first step from ``stop_from`` on (step 0 included when it is 0) where
     it is true: its position and step are recorded then and never change.
-    A frozen trajectory still steps until its block ends, where the live
-    set is compacted once, and a start with no live trajectory draws no
-    further blocks.
+    The first step from 0 on where ``stop`` held is recorded too; it is
+    the freezing step when ``stop_from`` is 0, and only then costs no
+    extra work.  A frozen trajectory still steps until its block ends,
+    where the live set is compacted once, and a start with no live
+    trajectory draws no further blocks.
 
     Returns
     -------
     pos : ndarray, shape (m, n_traj, 2)
         Positions at the stop or after ``steps`` steps.
     first_stop_step : ndarray of int, shape (m, n_traj)
-        First step where ``stop`` held, -1 when it never did.
+        First step from ``stop_from`` on where ``stop`` held, -1 when it
+        never did.
+    first_hit_step : ndarray of int, shape (m, n_traj)
+        First step from 0 on where ``stop`` held, -1 when it never did;
+        ``first_stop_step`` itself when ``stop_from`` is 0.
     """
     m = len(starts)
     # trajectory c of start r sits at flat index r * n_traj + c
     pos = np.repeat(np.asarray(starts, dtype=float), n_traj, axis=0)
     first = np.full(m * n_traj, -1, dtype=np.int64)
-    if stop is not None and stop_from == 0:
-        first[np.asarray(stop(pos), dtype=bool)] = 0
+    hit_at = first if stop_from == 0 else first.copy()
+    if stop is not None:
+        hit_at[np.asarray(stop(pos), dtype=bool)] = 0
     idx = np.flatnonzero(first < 0)
     live = pos[idx]
     # one step of the buffer is kept free for the gathered live noise
@@ -207,12 +215,18 @@ def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
         for j in range(k):
             live = _advance(potential, sigma, dt, lo, hi, live,
                             np.take(flat_noise, at + j * n_traj, axis=0))
-            if stop is None or s0 + j + 1 < stop_from:
+            if stop is None:
                 continue
-            hit = np.flatnonzero(np.logical_and(alive, stop(live)))
+            s, held = s0 + j + 1, stop(live)
+            if stop_from:
+                new = idx[held]
+                hit_at[new[hit_at[new] < 0]] = s
+                if s < stop_from:
+                    continue
+            hit = np.flatnonzero(np.logical_and(alive, held))
             if hit.size:
                 pos[idx[hit]] = live[hit]
-                first[idx[hit]] = s0 + j + 1
+                first[idx[hit]] = s
                 alive[hit] = False
                 n_alive -= hit.size
                 if n_alive == 0:
@@ -220,7 +234,8 @@ def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
         if n_alive < idx.size:
             idx, live = idx[alive], live[alive]
     pos[idx] = live
-    return pos.reshape(m, n_traj, 2), first.reshape(m, n_traj)
+    return (pos.reshape(m, n_traj, 2), first.reshape(m, n_traj),
+            hit_at.reshape(m, n_traj))
 
 
 def _resolve_potential(spec):
@@ -236,18 +251,21 @@ def _in_box(pos: Array, box) -> Array:
 
 
 def _chunk(args):
-    """One worker task: endpoints of a chunk of starts, or, given a box,
-    their fractions of trajectories in it at some step from ``stop_from``
-    on."""
+    """One worker task on a chunk of starts: their endpoints, or, given a
+    box, the fractions of their trajectories in it at some step in
+    [0, steps - stop_from] and at some step from ``stop_from`` on."""
     (pspec, sigma, dt, domain, pts, n_traj, steps, seed, tag, box,
      stop_from) = args
     potential = _resolve_potential(pspec)
     rngs = [generator_for(seed, tag, p) for p in pts]
     stop = None if box is None else (lambda p: _in_box(p, box))
-    pos, first = _run(potential, sigma, dt, np.array(domain[0]),
-                      np.array(domain[1]), pts, rngs, n_traj, steps, stop,
-                      stop_from)
-    return pos if box is None else (first >= 0).mean(axis=1)
+    pos, first, hit_at = _run(potential, sigma, dt, np.array(domain[0]),
+                              np.array(domain[1]), pts, rngs, n_traj, steps,
+                              stop, stop_from)
+    if box is None:
+        return (pos,)
+    early = (hit_at >= 0) & (hit_at <= steps - stop_from)
+    return early.mean(axis=1), (first >= 0).mean(axis=1)
 
 
 def _map_chunks(fn, tasks, workers: int):
@@ -259,8 +277,9 @@ def _map_chunks(fn, tasks, workers: int):
 
 def _chunked(config: SdeConfig, points: Array, n_traj: int, steps: int,
              seed: int, tag: int, workers: int, box=None,
-             stop_from: int = 0) -> Array:
-    """Run the kernel over ``points`` in chunks of ``_CHUNK`` starts."""
+             stop_from: int = 0) -> Tuple[Array, ...]:
+    """Run the kernel over ``points`` in chunks of ``_CHUNK`` starts; each
+    column ``_chunk`` returns is joined over the chunks."""
     registered = config.potential.name in ("paper2d", "flat")
     pspec = config.potential.name if registered else config.potential
     if not registered:
@@ -271,7 +290,8 @@ def _chunked(config: SdeConfig, points: Array, n_traj: int, steps: int,
          box, int(stop_from))
         for i in range(0, len(points), _CHUNK)
     ]
-    return np.concatenate(_map_chunks(_chunk, tasks, workers), axis=0)
+    parts = _map_chunks(_chunk, tasks, workers)
+    return tuple(np.concatenate(col, axis=0) for col in zip(*parts))
 
 
 def hitting_fractions(config: SdeConfig, box, points, n_traj: int,
@@ -302,7 +322,7 @@ def hitting_fractions(config: SdeConfig, box, points, n_traj: int,
         raise ValueError("n_traj and max_steps must be >= 1")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return _chunked(config, points, n_traj, max_steps, seed, TAG_CHI,
-                    workers, box=tuple(box))
+                    workers, box=tuple(box))[1]
 
 
 def endpoint_ensemble(config: SdeConfig, points, steps: int, n_traj: int,
@@ -317,7 +337,7 @@ def endpoint_ensemble(config: SdeConfig, points, steps: int, n_traj: int,
     if n_traj < 1 or steps < 0:
         raise ValueError("n_traj must be >= 1 and steps >= 0")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _chunked(config, points, n_traj, steps, seed, TAG_PTAU, workers)
+    return _chunked(config, points, n_traj, steps, seed, TAG_PTAU, workers)[0]
 
 
 def uniform_points(n: int, domain, seed: int) -> Array:
@@ -328,18 +348,20 @@ def uniform_points(n: int, domain, seed: int) -> Array:
 
 
 def estimate_ptau_chi(chi, points, steps: int, n_traj: int, seed: int = 0,
-                      workers: int = 1) -> Array:
-    """Monte Carlo estimate of (P^tau chi)(x) for a core-hitting membership,
-    at a lag of ``steps`` steps of chi's own dynamics (tau = steps * dt).
+                      workers: int = 1) -> Tuple[Array, Array]:
+    """Monte Carlo estimates of chi(x) and (P^tau chi)(x) for a core-hitting
+    membership, at a lag of ``steps`` steps of chi's own dynamics
+    (tau = steps * dt), from one set of paths per point.
 
     chi(y) is the chance of entering chi's core box within T = ``max_steps``
     steps from y.  The Euler-Maruyama chain is Markov, so (P^tau chi)(x) is
     the chance of being in the box at some step in [k, k + T], k = ``steps``.
-    The estimate is the share of ``n_traj`` paths of k + T steps from x that
-    are, and the paths draw from the stream chi itself uses at x.  With the
-    ``n_traj`` and ``seed`` of chi, their first T steps are exactly the
-    paths behind chi(x), so the two estimates share their noise, and
-    ``steps = 0`` returns chi(x) bit for bit.
+    One pass runs ``n_traj`` paths of k + T steps from x on the stream chi
+    itself uses at x.  The share of them in the box at some step in [0, T]
+    estimates chi(x), and the share in the box at some step in [k, k + T]
+    estimates (P^tau chi)(x).  With the ``n_traj`` and ``seed`` of chi, the
+    first estimate is ``chi.evaluate_batch(points)`` bit for bit, and at
+    ``steps = 0`` so is the second.
 
     Parameters
     ----------
@@ -359,8 +381,8 @@ def estimate_ptau_chi(chi, points, steps: int, n_traj: int, seed: int = 0,
 
     Returns
     -------
-    ndarray, shape (m,)
-        Estimates in [0, 1].
+    chi_x, ptau_chi : ndarray, shape (m,)
+        Estimates of chi(x) and (P^tau chi)(x), in [0, 1].
     """
     if chi.values is not None:
         raise ValueError("estimate_ptau_chi needs a hitting membership; P^tau "
@@ -556,7 +578,7 @@ def sample_set_exit_times(config: SdeConfig, gen: GeneratorMatrix, region_cells,
     outside, cells_of = ~inside, gen.grid.cells_of
     rngs = [generator_for(seed, TAG_EXIT, p) for p in starts]
     lo, hi = config.bounds
-    pos, exit_steps = _run(
+    pos, exit_steps, _ = _run(
         config.potential, config.sigma, config.dt, lo, hi, starts, rngs,
         int(n_traj), int(horizon_steps), stop=lambda p: outside[cells_of(p)])
     return TrajectoryStats(starts=starts, endpoints=pos, exit_steps=exit_steps,

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chi_exit import cli
+from chi_exit import cli, sde
 from chi_exit.cli import (
     _BLOCK_ROWS,
     _REPORT_HEADER,
@@ -227,6 +227,30 @@ def test_idea4_run_small(tmp_path):
     assert (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("n_traj,per_point,budget", [
+    (10, 1, 10 * (50 + 15)),
+    (8, 2, 10 * 15 + 8 * (50 + 15)),
+], ids=["shared-ensemble", "own-ensembles"])
+def test_idea4_reads_chi_off_the_ptau_paths(tmp_path, capsys, monkeypatch,
+                                            n_traj, per_point, budget):
+    # with chi's n_traj, the P^tau paths give chi too: one stream per
+    # point, beside the stream of the points; otherwise chi runs its own
+    calls = []
+    real = sde.generator_for
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sde, "generator_for", counted)
+    text = IDEA4_SMALL.replace("idea4.n_traj = 8", "idea4.n_traj = %d" % n_traj)
+    assert main(["idea4", "--config", _cfg(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1 + per_point * 6
+    assert ("per_point_step_budget=%d\n" % budget
+            in capsys.readouterr().out)
+
+
 def test_dump_generator_triplets(tmp_path):
     cfg = _cfg(tmp_path, "grid.nx = 4\ngrid.ny = 3\n")
     out = tmp_path / "dump"
@@ -302,11 +326,21 @@ def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
     ("validate", VALIDATE_SMALL + "sde.dt = 0.0\n", "dt must be"),
     ("dump-chi", 'membership.kind = "mc"\nsde.sigma = -0.5\n',
      "sigma must be"),
+    ("idea1", "grid.nx = 0\n", "grid needs at least one cell per axis"),
+    ("idea1", "grid.ny = -3\n", "grid needs at least one cell per axis"),
+    ("idea4", IDEA4_SMALL + "grid.nx = 0\n", "grid needs at least one cell"),
+    ("dump-chi", 'membership.kind = "mc"\ngrid.nx = 0\n',
+     "grid needs at least one cell"),
+    ("idea1", "kbt = 0.0\n", "kbt must be positive"),
+    ("validate", VALIDATE_SMALL + "kbt = -1.0\n", "kbt must be positive"),
 ], ids=["idea1-potential", "idea4-potential", "validate-potential",
-        "validate-dt-0", "dump-chi-mc-sigma-negative"])
+        "validate-dt-0", "dump-chi-mc-sigma-negative", "idea1-grid-nx-0",
+        "idea1-grid-ny-negative", "idea4-grid-nx-0", "dump-chi-mc-grid-nx-0",
+        "idea1-kbt-0", "validate-kbt-negative"])
 def test_exit_code_dynamics_checked_before_any_work(tmp_path, capsys, command,
                                                     text, message):
-    # SdeConfig's own checks, run once by load_config, give a config error
+    # the checks of SdeConfig and RegularGrid, run once by load_config, and
+    # its kbt check give a config error
     cfg = _cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2

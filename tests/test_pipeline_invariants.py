@@ -60,8 +60,7 @@ def test_idea4_rate_is_meaningful():
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 100, 100, seed=0)
     pts = uniform_points(50, cfg.potential.domain, seed=0)
-    xs = chi.evaluate_batch(pts)
-    ys = estimate_ptau_chi(chi, pts, 50, 100, seed=0)
+    xs, ys = estimate_ptau_chi(chi, pts, 50, 100, seed=0)
     fit = regress(xs, ys, "least_squares")
     report = gammas_to_rate(fit, 0.05)
     assert report.eps1 > 0

@@ -166,40 +166,45 @@ def test_mean_exit_time_is_kaplan_meier_restricted_mean():
 
 
 def test_estimate_ptau_chi_batch_matches_single():
-    # per-point streams: a point's estimate is independent of its batch
+    # per-point streams: a point's estimates are independent of its batch
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 30, 20, seed=5)
     pts = np.array([[0.3, 0.5], [0.7, 0.5], [0.5, 0.2]])
     batch = estimate_ptau_chi(chi, pts, 20, n_traj=30, seed=5)
     single = estimate_ptau_chi(chi, pts[1], 20, n_traj=30, seed=5)
-    assert batch.shape == (3,) and single.shape == (1,)
-    np.testing.assert_array_equal(batch[1:2], single)
+    for b, s in zip(batch, single):
+        assert b.shape == (3,) and s.shape == (1,)
+        np.testing.assert_array_equal(b[1:2], s)
 
 
 def test_estimate_ptau_chi_runs_on_the_hitting_paths():
     # for a hitting membership, (P^tau chi)(x) is the share of chi's own
     # paths at x that are in the box at some step in [k, k + T]; their
-    # first T steps are the paths behind chi(x)
+    # first T steps are the paths behind chi(x), and one pass reads both,
+    # for a lag k past T and inside it
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     lo, hi = cfg.bounds
-    box, k, horizon, n = (0.2, 0.3, 0.4, 0.5), 8, 6, 50
+    box, horizon, n = (0.2, 0.3, 0.4, 0.5), 6, 50
     chi = mc_hitting_membership(cfg, box, n, horizon, seed=3)
     pts = np.array([[0.25, 0.45], [0.34, 0.47], [0.16, 0.52], [0.3, 0.36]])
-    chi_ref, ptau_ref = [], []
-    for x in pts:
-        rng = generator_for(3, TAG_CHI, x)
-        pos = np.repeat(x[None, :], n, axis=0)
-        seen = [sde._in_box(pos, box)]
-        for _ in range(k + horizon):
-            pos = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, pos,
-                               rng.standard_normal((n, 2)))
-            seen.append(sde._in_box(pos, box))
-        seen = np.array(seen)
-        chi_ref.append(seen[:horizon + 1].any(axis=0).mean())
-        ptau_ref.append(seen[k:].any(axis=0).mean())
-    np.testing.assert_array_equal(chi.evaluate_batch(pts), chi_ref)
-    np.testing.assert_array_equal(
-        estimate_ptau_chi(chi, pts, k, n, seed=3), ptau_ref)
+    for k in (8, 3):
+        chi_ref, ptau_ref = [], []
+        for x in pts:
+            rng = generator_for(3, TAG_CHI, x)
+            pos = np.repeat(x[None, :], n, axis=0)
+            seen = [sde._in_box(pos, box)]
+            for _ in range(k + horizon):
+                pos = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi,
+                                   pos, rng.standard_normal((n, 2)))
+                seen.append(sde._in_box(pos, box))
+            seen = np.array(seen)
+            chi_ref.append(seen[:horizon + 1].any(axis=0).mean())
+            ptau_ref.append(seen[k:].any(axis=0).mean())
+        assert not np.array_equal(chi_ref, ptau_ref)
+        np.testing.assert_array_equal(chi.evaluate_batch(pts), chi_ref)
+        chi_x, ptau = estimate_ptau_chi(chi, pts, k, n, seed=3)
+        np.testing.assert_array_equal(chi_x, chi_ref)
+        np.testing.assert_array_equal(ptau, ptau_ref)
 
 
 def test_estimate_ptau_chi_at_zero_steps_is_chi(chi1):
@@ -209,8 +214,9 @@ def test_estimate_ptau_chi_at_zero_steps_is_chi(chi1):
     pts = uniform_points(70, cfg.potential.domain, seed=1)
     vals = chi.evaluate_batch(pts)
     assert np.any((vals > 0) & (vals < 1))
-    np.testing.assert_array_equal(estimate_ptau_chi(chi, pts, 0, 40, seed=7),
-                                  vals)
+    chi_x, ptau = estimate_ptau_chi(chi, pts, 0, 40, seed=7)
+    np.testing.assert_array_equal(chi_x, vals)
+    np.testing.assert_array_equal(ptau, vals)
     # a grid membership has no paths; its P^tau is spectral.propagate
     with pytest.raises(ValueError, match="hitting membership"):
         estimate_ptau_chi(chi1, pts, 10, 40)
@@ -277,23 +283,25 @@ def test_sample_set_exit_times_rejects_another_domain(bench):
 def _naive_run(cfg, starts, tag, seed, n_traj, steps, stop, stop_from=0):
     """Reference for the kernel: every start draws every step and every
     trajectory advances; returns each trajectory's position at its first
-    stop from step ``stop_from`` on (at the horizon when it never stops)
-    and that step."""
+    stop from step ``stop_from`` on (at the horizon when it never stops),
+    that step, and the first step from 0 on where ``stop`` held."""
     lo, hi = cfg.bounds
     rngs = [generator_for(seed, tag, p) for p in starts]
     pos = np.repeat(starts[:, None, :], n_traj, axis=1)
+    hit_at = np.where(stop(pos), 0, -1)
     first = np.where(stop(pos) & (stop_from == 0), 0, -1)
     ends = pos.copy()
     for s in range(1, steps + 1):
         noise = np.stack([rng.standard_normal((n_traj, 2)) for rng in rngs])
         pos = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, pos,
                            noise)
+        hit_at[(hit_at < 0) & stop(pos)] = s
         new = (first < 0) & stop(pos) & (s >= stop_from)
         first[new] = s
         ends[new] = pos[new]
     running = first < 0
     ends[running] = pos[running]
-    return ends, first
+    return ends, first, hit_at
 
 
 @pytest.mark.parametrize("noise_bytes", [sde._NOISE_BYTES, 16 * 3 * 20 * 5])
@@ -305,30 +313,37 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
     box = (0.2, 0.3, 0.4, 0.5)
     pts = np.array([[0.25, 0.45], [0.33, 0.45], [0.4, 0.55]])
     in_box = lambda p: sde._in_box(p, box)  # noqa: E731
-    ref_ends, ref_first = _naive_run(cfg, pts, TAG_CHI, 4, 20, 60, in_box)
+    ref_ends, ref_first, _ = _naive_run(cfg, pts, TAG_CHI, 4, 20, 60, in_box)
     assert (ref_first > 0).any() and (ref_first < 0).any()
     np.testing.assert_array_equal(
         hitting_fractions(cfg, box, pts, n_traj=20, max_steps=60, seed=4),
         (ref_first >= 0).mean(axis=1))
     rngs = [generator_for(4, TAG_CHI, p) for p in pts]
-    pos, first = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi, pts, rngs,
-                          20, 60, in_box)
+    pos, first, hit_at = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi,
+                                  pts, rngs, 20, 60, in_box)
     np.testing.assert_array_equal(first, ref_first)
+    # from step 0 on, the first stop is the first step in the stop set,
+    # and the kernel keeps one array for both
+    assert np.shares_memory(hit_at, first)
     # stopped trajectories keep the position of their first stop
     np.testing.assert_array_equal(pos, ref_ends)
 
-    # a window from step 21 on: stops before it do not count
-    ref_ends, ref_first = _naive_run(cfg, pts, TAG_CHI, 4, 20, 60, in_box,
-                                     stop_from=21)
+    # a window from step 21 on: stops before it do not count, but the
+    # first step in the stop set is still recorded
+    ref_ends, ref_first, ref_hit = _naive_run(cfg, pts, TAG_CHI, 4, 20, 60,
+                                              in_box, stop_from=21)
     assert (ref_first > 21).any() and (ref_first < 0).any()
+    assert ((ref_hit >= 0) & (ref_hit < 21) & (ref_first > 21)).any()
+    assert ((ref_hit > 21) & (ref_hit == ref_first)).any()
     rngs = [generator_for(4, TAG_CHI, p) for p in pts]
-    pos, first = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi, pts, rngs,
-                          20, 60, in_box, stop_from=21)
+    pos, first, hit_at = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi,
+                                  pts, rngs, 20, 60, in_box, stop_from=21)
     np.testing.assert_array_equal(first, ref_first)
+    np.testing.assert_array_equal(hit_at, ref_hit)
     np.testing.assert_array_equal(pos, ref_ends)
 
     ends = endpoint_ensemble(cfg, pts, steps=37, n_traj=20, seed=4)
-    ref_ends, _ = _naive_run(cfg, pts, TAG_PTAU, 4, 20, 37,
+    ref_ends, _, _ = _naive_run(cfg, pts, TAG_PTAU, 4, 20, 37,
                              lambda p: np.zeros(p.shape[:-1], dtype=bool))
     np.testing.assert_array_equal(ends, ref_ends)
     # no step leaves every trajectory at its start
@@ -347,9 +362,9 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
     starts = np.vstack([[0.5, 0.1],
                         gen50.grid.centers[np.argsort(field)[-2:]]])
     rngs = [generator_for(2, TAG_EXIT, p) for p in starts]
-    pos, first = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi, starts,
-                          rngs, 20, 300, lambda p: ~region(p))
-    ref_ends, ref_exit = _naive_run(
+    pos, first, _ = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi, starts,
+                             rngs, 20, 300, lambda p: ~region(p))
+    ref_ends, ref_exit, _ = _naive_run(
         cfg, starts, TAG_EXIT, 2, 20, 300,
         lambda p: ~region(p.reshape(-1, 2)).reshape(p.shape[:-1]))
     assert np.all((ref_exit[0] > 0) & (ref_exit[0] < 4))
@@ -361,7 +376,7 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
     mask = field > 0.22
     stats = sample_set_exit_times(cfg, gen50, mask, starts[1:], n_traj=20,
                                   horizon_steps=300, seed=2)
-    ref_ends, ref_exit = _naive_run(
+    ref_ends, ref_exit, _ = _naive_run(
         cfg, starts[1:], TAG_EXIT, 2, 20, 300,
         lambda p: ~mask[gen50.grid.cells_of(p)])
     assert 0 < (ref_exit >= 0).sum() < ref_exit.size
