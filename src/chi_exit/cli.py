@@ -216,9 +216,10 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
                 ) -> ExperimentConfig:
     """Merge defaults, an optional config file, and CLI overrides.  For
     every subcommand, a core_box without four entries, a rates.norm other
-    than ls or lad, rates.tau <= 0, idea4.steps < 1, kbt <= 0, a potential,
-    sde.sigma or sde.dt that ``SdeConfig`` rejects, or a grid.nx or grid.ny
-    that ``RegularGrid`` rejects is a ConfigError."""
+    than ls or lad, rates.tau <= 0, idea4.steps < 1, idea4.n_points < 2,
+    validate.n_starts < 2, kbt <= 0, a potential, sde.sigma or sde.dt that
+    ``SdeConfig`` rejects, or a grid.nx or grid.ny that ``RegularGrid``
+    rejects is a ConfigError."""
     values = dict(DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
@@ -246,6 +247,10 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
         raise ConfigError("rates.tau must be positive (no decay at tau=0)")
     if values["idea4.steps"] < 1:
         raise ConfigError("idea4.steps must be >= 1")
+    if values["idea4.n_points"] < 2:
+        raise ConfigError("idea4.n_points must be >= 2 for a regression")
+    if values["validate.n_starts"] < 2:
+        raise ConfigError("validate.n_starts must be >= 2 for a correlation")
     if values["kbt"] <= 0:
         raise ConfigError("kbt must be positive")
     try:
@@ -330,23 +335,21 @@ def _write_summary(cfg: ExperimentConfig, summary: Dict[str, object]) -> str:
                       [list(summary), list(summary.values())])
 
 
-def _write_cells(cfg: ExperimentConfig, name: str, grid: RegularGrid,
-                 header: List[str], columns, comments: List[str] = ()) -> str:
-    """A per-cell table: cell, x1 and x2 of the cell center, then columns."""
-    centers = grid.centers
+def _write_cells(cfg: ExperimentConfig, name: str, header: List[str], columns,
+                 comments: List[str] = ()) -> str:
+    """A per-cell table of the run's grid: cell, x1 and x2 of the cell
+    center, then columns."""
+    centers = cfg.grid.centers
     return _write_csv(cfg, name, ["cell", "x1", "x2"] + header,
-                      [np.arange(grid.n), centers[:, 0], centers[:, 1]]
+                      [np.arange(cfg.grid.n), centers[:, 0], centers[:, 1]]
                       + list(columns), comments)
 
 
-def _write_eigen(cfg: ExperimentConfig, grid: RegularGrid, eig) -> str:
-    comments = [
-        "eigenvalue,%d,%s" % (i + 1, repr(float(v)))
-        for i, v in enumerate(eig.eigenvalues)
-    ]
+def _write_eigen(cfg: ExperimentConfig, eig) -> str:
+    comments = ["eigenvalue,%d,%s" % (i + 1, repr(float(v)))
+                for i, v in enumerate(eig.eigenvalues)]
     header = ["f%d" % (i + 1) for i in range(eig.count)]
-    return _write_cells(cfg, "eigen.csv", grid, header, eig.eigenvectors.T,
-                        comments)
+    return _write_cells(cfg, "eigen.csv", header, eig.eigenvectors.T, comments)
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -359,26 +362,25 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 def _generator(cfg: ExperimentConfig):
-    return cfg.grid, _stage("generator", build_sqrt_generator,
-                            cfg.dynamics.potential, cfg.grid, cfg["kbt"])
+    return _stage("generator", build_sqrt_generator, cfg.dynamics.potential,
+                  cfg.grid, cfg["kbt"])
 
 
 def _spectral_setup(cfg: ExperimentConfig, k: int):
-    grid, gen = _generator(cfg)
-    return grid, gen, _stage("eigensolve", eigensolve, gen, k)
+    gen = _generator(cfg)
+    return gen, _stage("eigensolve", eigensolve, gen, k)
 
 
 def _idea1_membership(cfg: ExperimentConfig):
     which = cfg["membership.eigen_index"]
-    grid, gen, eig = _spectral_setup(cfg, max(3, which))
-    chi = _stage("pcca_single", pcca_single, eig, which)
-    return grid, gen, eig, chi
+    gen, eig = _spectral_setup(cfg, max(3, which))
+    return gen, eig, _stage("pcca_single", pcca_single, eig, which)
 
 
 def _idea1_rate(cfg: ExperimentConfig):
     """The idea1 membership and the rate of its eigenpair."""
-    grid, gen, eig, chi = _idea1_membership(cfg)
-    return grid, gen, eig, chi, _stage(
+    gen, eig, chi = _idea1_membership(cfg)
+    return gen, eig, chi, _stage(
         "rates", rate_from_eigenpair,
         chi.meta["eps_bar"], chi.meta["beta_bar"], "idea1")
 
@@ -410,9 +412,9 @@ def _lag_rate(cfg: ExperimentConfig, gen, values, provenance: str):
 
 def run_idea1(cfg: ExperimentConfig) -> int:
     """Rate from a single eigenpair: eigensolve, pcca_single, eps1."""
-    grid, gen, eig, chi, report = _idea1_rate(cfg)
-    _write_cells(cfg, "chi.csv", grid, ["chi"], [chi.values])
-    _write_eigen(cfg, grid, eig)
+    _, eig, chi, report = _idea1_rate(cfg)
+    _write_cells(cfg, "chi.csv", ["chi"], [chi.values])
+    _write_eigen(cfg, eig)
     _write_report(cfg, report)
     print(
         "idea1: eps_bar=%s pi_chi=%s eps1=%s eps2=%s meaningful=%d"
@@ -434,19 +436,19 @@ def _select_cluster(chis):
 def _pcca_clusters(cfg: ExperimentConfig):
     """PCCA+ memberships on the grid and the cluster selected for rates."""
     m = cfg["membership.n_clusters"]
-    grid, gen, eig = _spectral_setup(cfg, max(3, m))
+    gen, eig = _spectral_setup(cfg, max(3, m))
     chis = _stage("pcca_multi", pcca_multi, eig, m)
-    return grid, gen, eig, chis, _select_cluster(chis)
+    return gen, eig, chis, _select_cluster(chis)
 
 
 def run_idea2(cfg: ExperimentConfig) -> int:
     """Rate by regressing the generator action of a PCCA+ membership."""
-    grid, gen, eig, chis, chi = _pcca_clusters(cfg)
+    gen, eig, chis, chi = _pcca_clusters(cfg)
     m = len(chis)
     report = _stage("rates", regress_generator_action, gen, chi,
                     cfg["rates.norm"])
     selected = chis.index(chi) + 1
-    _write_cells(cfg, "chi.csv", grid, ["chi%d" % (j + 1) for j in range(m)],
+    _write_cells(cfg, "chi.csv", ["chi%d" % (j + 1) for j in range(m)],
                  [c.values for c in chis],
                  ["selected_cluster,%d" % selected,
                   "weights," + ",".join(repr(c.meta["weight"]) for c in chis)])
@@ -461,20 +463,19 @@ def run_idea2(cfg: ExperimentConfig) -> int:
 
 def _committor(cfg: ExperimentConfig):
     """The committor between the two weight cores; needs no eigenpairs."""
-    grid, gen = _generator(cfg)
+    gen = _generator(cfg)
     left, right = _stage("find_weight_cores", find_weight_cores, gen,
                          cfg["membership.core_weight_threshold"])
     chi = _stage("committor", committor, gen, left, right)
-    return grid, gen, left, right, chi
+    return gen, left, right, chi
 
 
 def run_idea3(cfg: ExperimentConfig) -> int:
     """Rate from the committor: propagate, regress, invert the gammas."""
-    grid, gen, left, right, chi = _committor(cfg)
+    gen, left, right, chi = _committor(cfg)
     ptau, reg, report = _lag_rate(cfg, gen, chi.values, "idea3")
-    _write_cells(cfg, "scatter.csv", grid, ["chi", "ptau_chi"],
-                 [chi.values, ptau], ["cores,left=%d,right=%d"
-                                      % (left.size, right.size)])
+    _write_cells(cfg, "scatter.csv", ["chi", "ptau_chi"], [chi.values, ptau],
+                 ["cores,left=%d,right=%d" % (left.size, right.size)])
     _write_report(cfg, report, reg)
     print(
         "idea3: gamma1=%s gamma2=%s eps1=%s meaningful=%d"
@@ -493,48 +494,29 @@ def _mc_membership(cfg: ExperimentConfig):
     )
 
 
-def _mc_field(cfg: ExperimentConfig, with_generator: bool):
-    """The Monte Carlo membership at the cell centers, with the grid and
-    its generator (None unless with_generator)."""
+def _mc_field(cfg: ExperimentConfig):
+    """The Monte Carlo membership at the cell centers of the run's grid."""
     chi = _mc_membership(cfg)
-    grid, gen = _generator(cfg) if with_generator else (cfg.grid, None)
-    field = _stage("chi_field", chi.evaluate_batch, grid.centers, cfg.workers)
-    return grid, gen, field
-
-
-def _shared_ensemble(cfg: ExperimentConfig) -> bool:
-    """Whether the P^tau paths are chi's own: both draw from one stream per
-    point under ``cfg.seed``, so equal ensemble sizes make them equal."""
-    return cfg["idea4.n_traj"] == cfg["membership.n_traj"]
-
-
-def _idea4_scatter(cfg: ExperimentConfig):
-    chi = _mc_membership(cfg)
-    pts = _stage("sample_points", uniform_points, cfg["idea4.n_points"],
-                 cfg.dynamics.potential.domain, cfg.seed)
-    xs, ys = _stage(
-        "ptau_estimates", estimate_ptau_chi, chi, pts, cfg["idea4.steps"],
-        cfg["idea4.n_traj"], cfg.seed, cfg.workers,
-    )
-    if not _shared_ensemble(cfg):
-        xs = _stage("chi_estimates", chi.evaluate_batch, pts, cfg.workers)
-    return chi, pts, xs, ys, cfg["idea4.steps"] * cfg.dynamics.dt
+    return _stage("chi_field", chi.evaluate_batch, cfg.grid.centers,
+                  cfg.workers)
 
 
 def run_idea4(cfg: ExperimentConfig) -> int:
     """Rate from short-time simulations only: MC chi and MC P^tau chi."""
-    chi, pts, xs, ys, tau = _idea4_scatter(cfg)
+    chi = _mc_membership(cfg)
+    pts = _stage("sample_points", uniform_points, cfg["idea4.n_points"],
+                 cfg.dynamics.potential.domain, cfg.seed)
+    # chi(x) and P^tau chi(x) off one set of idea4.n_traj paths per point
+    xs, ys = _stage("ptau_estimates", estimate_ptau_chi, chi, pts,
+                    cfg["idea4.steps"], cfg["idea4.n_traj"], cfg.seed,
+                    cfg.workers)
     _write_csv(cfg, "scatter.csv", ["point", "x1", "x2", "chi", "ptau_chi"],
                [np.arange(len(pts)), pts[:, 0], pts[:, 1], xs, ys])
     reg = _stage("regress", regress, xs, ys, cfg["rates.norm"])
-    report = _fit_rate(reg, tau, "idea4")
+    report = _fit_rate(reg, cfg["idea4.steps"] * cfg.dynamics.dt, "idea4")
     _write_report(cfg, report, reg)
-    # the P^tau paths of idea4.steps + max_steps steps, and chi's own
-    # paths when they are not the first max_steps steps of those
-    max_steps = cfg["membership.max_steps"]
-    cost = cfg["idea4.n_traj"] * (cfg["idea4.steps"] + max_steps)
-    if not _shared_ensemble(cfg):
-        cost += cfg["membership.n_traj"] * max_steps
+    cost = cfg["idea4.n_traj"] * (cfg["idea4.steps"]
+                                  + cfg["membership.max_steps"])
     print(
         "idea4: gamma1=%s gamma2=%s eps1=%s meaningful=%d "
         "per_point_step_budget=%d"
@@ -546,13 +528,13 @@ def run_idea4(cfg: ExperimentConfig) -> int:
 
 def run_compare_mht(cfg: ExperimentConfig) -> int:
     """Set-based versus fuzzy mean holding times on one grid."""
-    grid, gen, eig, chi, report = _idea1_rate(cfg)
+    gen, eig, chi, report = _idea1_rate(cfg)
     threshold = cfg["compare.threshold"]
     mask = _region(chi.values, threshold)
     t_set = _stage("set_mean_holding_time", set_mean_holding_time, gen, mask)
     t_fuzzy = _stage("chi_mean_holding_time", chi_mean_holding_time,
                      report, chi.values)
-    _write_cells(cfg, "mht.csv", grid, ["chi", "in_region", "t1", "t"],
+    _write_cells(cfg, "mht.csv", ["chi", "in_region", "t1", "t"],
                  [chi.values, mask, t_fuzzy, t_set])
     high = chi.values > 0.4
     pearson = float(np.corrcoef(t_set[high], t_fuzzy[high])[0, 1])
@@ -581,7 +563,8 @@ def run_validate(cfg: ExperimentConfig) -> int:
     from the deepest cell of S, reported beside the grid-propagation
     exit rate of the same membership (both live on the generator clock).
     """
-    grid, gen, field = _mc_field(cfg, with_generator=True)
+    gen = _generator(cfg)
+    field = _mc_field(cfg)
     threshold = cfg["validate.threshold"]
     mask = _region(field, threshold)
 
@@ -591,7 +574,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
     n_starts = min(cfg["validate.n_starts"], order.size)
     picks = order[np.linspace(0, order.size - 1, n_starts).astype(int)]
 
-    starts = grid.centers[picks]
+    starts = cfg.grid.centers[picks]
     stats = _stage("exit_times", sample_set_exit_times, cfg.dynamics, gen,
                    mask, starts, cfg["validate.n_traj"],
                    cfg["validate.horizon_steps"], cfg.seed)
@@ -643,7 +626,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
 
 def run_dump_generator(cfg: ExperimentConfig) -> int:
     """Write the generator matrix as (i, j, value) triplets."""
-    grid, gen = _generator(cfg)
+    gen = _generator(cfg)
     mat = gen.rates.tocoo()
     order = np.lexsort((mat.col, mat.row))  # (i, j) pairs are unique
     _write_csv(cfg, "generator.csv", ["i", "j", "value"],
@@ -655,8 +638,8 @@ def run_dump_generator(cfg: ExperimentConfig) -> int:
 def run_dump_eigen(cfg: ExperimentConfig) -> int:
     """Write the k smallest eigenpairs of the generator."""
     k = cfg["eigen.k"]
-    grid, gen, eig = _spectral_setup(cfg, k)
-    _write_eigen(cfg, grid, eig)
+    _, eig = _spectral_setup(cfg, k)
+    _write_eigen(cfg, eig)
     print("dump-eigen: k=%d eigenvalues=%s"
           % (k, ",".join(repr(float(v)) for v in eig.eigenvalues)))
     return 0
@@ -666,23 +649,20 @@ def run_dump_chi(cfg: ExperimentConfig) -> int:
     """Write a membership of the configured kind on the grid."""
     kind = cfg["membership.kind"]
     if kind == "pcca_single":
-        grid, _, _, chi = _idea1_membership(cfg)
-        values = chi.values
+        values = _idea1_membership(cfg)[-1].values
     elif kind == "pcca_multi":
-        grid, _, _, _, chi = _pcca_clusters(cfg)
-        values = chi.values
+        values = _pcca_clusters(cfg)[-1].values
     elif kind == "committor":
-        grid, _, _, _, chi = _committor(cfg)
-        values = chi.values
+        values = _committor(cfg)[-1].values
     elif kind == "mc":
-        grid, _, values = _mc_field(cfg, with_generator=False)
+        values = _mc_field(cfg)
     else:
         raise ConfigError(
             "membership.kind must be pcca_single, pcca_multi, committor, "
             "or mc (got %r)" % kind
         )
-    _write_cells(cfg, "chi.csv", grid, ["chi"], [values], ["kind,%s" % kind])
-    print("dump-chi: kind=%s cells=%d" % (kind, grid.n))
+    _write_cells(cfg, "chi.csv", ["chi"], [values], ["kind,%s" % kind])
+    print("dump-chi: kind=%s cells=%d" % (kind, cfg.grid.n))
     return 0
 
 

@@ -6,6 +6,7 @@ accept arrays of shape (..., 2).
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Tuple
 
 import numpy as np
@@ -123,8 +124,19 @@ def benchmark_potential() -> PotentialSurface:
     )
 
 
+def _flat_energy(level: float, x: Array) -> Array:
+    return np.full(np.asarray(x).shape[:-1], level)
+
+
+def _flat_gradient(x: Array) -> Array:
+    return np.zeros(np.asarray(x, dtype=float).shape)
+
+
 def flat_potential(level: float = 0.0) -> PotentialSurface:
     """A constant potential with zero gradient (test fixture).
+
+    Module-level functions and ``functools.partial`` for the level make it
+    pickle, so its Monte Carlo ensembles can run in worker processes.
 
     Parameters
     ----------
@@ -137,17 +149,9 @@ def flat_potential(level: float = 0.0) -> PotentialSurface:
     """
     if not np.isfinite(level):
         raise ValueError("flat_potential level must be finite")
-    lvl = float(level)
-
-    def _energy(x: Array) -> Array:
-        return np.full(np.asarray(x).shape[:-1], lvl)
-
-    def _gradient(x: Array) -> Array:
-        return np.zeros(np.asarray(x, dtype=float).shape)
-
     return PotentialSurface(
-        evaluator=_energy,
-        gradient=_gradient,
+        evaluator=partial(_flat_energy, float(level)),
+        gradient=_flat_gradient,
         domain=((0.0, 0.0), (1.0, 1.0)),
         name="flat",
     )

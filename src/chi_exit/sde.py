@@ -24,6 +24,7 @@ off the grid, and it reads its set as one per-cell stop table.
 """
 
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid_generator import GeneratorMatrix
-from .potential import PotentialSurface, potential_by_name
+from .potential import PotentialSurface
 from .spectral import expm_action
 from .streams import (
     TAG_CHI,
@@ -159,8 +160,8 @@ def _advance(potential, sigma, dt, lo, hi, pos, noise):
     return out
 
 
-def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
-         stop=None, stop_from: int = 0) -> Tuple[Array, Array, Array]:
+def _run(config: SdeConfig, starts, rngs, n_traj: int, steps: int, stop=None,
+         stop_from: int = 0) -> Tuple[Array, Array, Array]:
     """The stepping kernel: ``n_traj`` trajectories from each start.
 
     Start ``r`` draws its noise from ``rngs[r]`` in blocks of shape
@@ -186,6 +187,8 @@ def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
         First step from 0 on where ``stop`` held, -1 when it never did;
         ``first_stop_step`` itself when ``stop_from`` is 0.
     """
+    potential, sigma, dt = config.potential, config.sigma, config.dt
+    lo, hi = config.bounds
     m = len(starts)
     # trajectory c of start r sits at flat index r * n_traj + c
     pos = np.repeat(np.asarray(starts, dtype=float), n_traj, axis=0)
@@ -238,12 +241,6 @@ def _run(potential, sigma, dt, lo, hi, starts, rngs, n_traj: int, steps: int,
             hit_at.reshape(m, n_traj))
 
 
-def _resolve_potential(spec):
-    if isinstance(spec, PotentialSurface):
-        return spec
-    return potential_by_name(spec)
-
-
 def _in_box(pos: Array, box) -> Array:
     x1lo, x1hi, x2lo, x2hi = box
     x1, x2 = pos[..., 0], pos[..., 1]
@@ -254,14 +251,11 @@ def _chunk(args):
     """One worker task on a chunk of starts: their endpoints, or, given a
     box, the fractions of their trajectories in it at some step in
     [0, steps - stop_from] and at some step from ``stop_from`` on."""
-    (pspec, sigma, dt, domain, pts, n_traj, steps, seed, tag, box,
-     stop_from) = args
-    potential = _resolve_potential(pspec)
+    config, pts, n_traj, steps, seed, tag, box, stop_from = args
     rngs = [generator_for(seed, tag, p) for p in pts]
     stop = None if box is None else (lambda p: _in_box(p, box))
-    pos, first, hit_at = _run(potential, sigma, dt, np.array(domain[0]),
-                              np.array(domain[1]), pts, rngs, n_traj, steps,
-                              stop, stop_from)
+    pos, first, hit_at = _run(config, pts, rngs, n_traj, steps, stop,
+                              stop_from)
     if box is None:
         return (pos,)
     early = (hit_at >= 0) & (hit_at <= steps - stop_from)
@@ -269,25 +263,36 @@ def _chunk(args):
 
 
 def _map_chunks(fn, tasks, workers: int):
+    """``fn`` over ``tasks``, in up to ``workers`` processes when there are
+    several tasks and they pickle; a task that does not (a surface built
+    from lambdas or closures) runs with the rest in this process, to the
+    same values."""
+    if workers > 1 and len(tasks) > 1:
+        try:
+            pickle.dumps(tasks[0])
+        except (pickle.PicklingError, AttributeError, TypeError):
+            workers = 1
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
-def _chunked(config: SdeConfig, points: Array, n_traj: int, steps: int,
-             seed: int, tag: int, workers: int, box=None,
+def _chunked(config: SdeConfig, points, n_traj: int, steps: int, seed: int,
+             tag: int, workers: int, box=None,
              stop_from: int = 0) -> Tuple[Array, ...]:
-    """Run the kernel over ``points`` in chunks of ``_CHUNK`` starts; each
-    column ``_chunk`` returns is joined over the chunks."""
-    registered = config.potential.name in ("paper2d", "flat")
-    pspec = config.potential.name if registered else config.potential
-    if not registered:
-        workers = 1  # unregistered surfaces may not survive pickling
+    """Run the kernel from ``points`` (one point, or shape (m, 2)) in chunks
+    of ``_CHUNK`` starts, joining each column ``_chunk`` returns.  Every
+    task carries ``config`` itself, so the paths follow its own surface's
+    drift.  No points give empty columns of the shapes ``_chunk`` returns:
+    endpoints (0, n_traj, 2), or two fractions (0,)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(points) == 0:
+        return ((np.empty((0, int(n_traj), 2)),) if box is None
+                else (np.empty(0), np.empty(0)))
     tasks = [
-        (pspec, config.sigma, config.dt, config.potential.domain,
-         points[i:i + _CHUNK], int(n_traj), int(steps), int(seed), int(tag),
-         box, int(stop_from))
+        (config, points[i:i + _CHUNK], int(n_traj), int(steps), int(seed),
+         int(tag), box, int(stop_from))
         for i in range(0, len(points), _CHUNK)
     ]
     parts = _map_chunks(_chunk, tasks, workers)
@@ -320,7 +325,6 @@ def hitting_fractions(config: SdeConfig, box, points, n_traj: int,
     """
     if n_traj < 1 or max_steps < 1:
         raise ValueError("n_traj and max_steps must be >= 1")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     return _chunked(config, points, n_traj, max_steps, seed, TAG_CHI,
                     workers, box=tuple(box))[1]
 
@@ -336,7 +340,6 @@ def endpoint_ensemble(config: SdeConfig, points, steps: int, n_traj: int,
     """
     if n_traj < 1 or steps < 0:
         raise ValueError("n_traj must be >= 1 and steps >= 0")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     return _chunked(config, points, n_traj, steps, seed, TAG_PTAU, workers)[0]
 
 
@@ -390,7 +393,6 @@ def estimate_ptau_chi(chi, points, steps: int, n_traj: int, seed: int = 0,
     if n_traj < 1 or steps < 0:
         raise ValueError("n_traj must be >= 1 and steps >= 0")
     m = chi.meta
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     return _chunked(m["dynamics"], points, n_traj, steps + m["max_steps"],
                     seed, TAG_CHI, workers, box=m["box"], stop_from=steps)
 
@@ -577,10 +579,9 @@ def sample_set_exit_times(config: SdeConfig, gen: GeneratorMatrix, region_cells,
         raise ValueError("n_traj and horizon_steps must be >= 1")
     outside, cells_of = ~inside, gen.grid.cells_of
     rngs = [generator_for(seed, TAG_EXIT, p) for p in starts]
-    lo, hi = config.bounds
-    pos, exit_steps, _ = _run(
-        config.potential, config.sigma, config.dt, lo, hi, starts, rngs,
-        int(n_traj), int(horizon_steps), stop=lambda p: outside[cells_of(p)])
+    pos, exit_steps, _ = _run(config, starts, rngs, int(n_traj),
+                              int(horizon_steps),
+                              stop=lambda p: outside[cells_of(p)])
     return TrajectoryStats(starts=starts, endpoints=pos, exit_steps=exit_steps,
                            horizon_steps=int(horizon_steps), dt=config.dt)
 

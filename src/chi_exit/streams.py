@@ -24,19 +24,14 @@ def _as_words(part) -> tuple:
     arr = np.atleast_1d(np.asarray(part, dtype=np.float64))
     return tuple(int(w) for w in arr.view(np.uint64))
 
-def key_for(seed: int, tag: int, *parts) -> np.random.SeedSequence:
-    """Seed sequence for (master seed, role tag, coordinate/index parts).
+
+def generator_for(seed: int, tag: int, *parts) -> np.random.Generator:
+    """Philox generator on the stream keyed by (master seed, role tag,
+    coordinate/index parts).
 
     The word count enters the key so that keys of different arity never
     collide (SeedSequence treats trailing zero words as equivalent).
     """
-    words = []
-    for part in parts:
-        words.extend(_as_words(part))
-    entropy = [int(seed), int(tag), len(words)] + words
-    return np.random.SeedSequence(entropy)
-
-
-def generator_for(seed: int, tag: int, *parts) -> np.random.Generator:
-    """Philox generator on the stream keyed by (seed, tag, parts)."""
-    return np.random.Generator(np.random.Philox(key_for(seed, tag, *parts)))
+    words = [w for part in parts for w in _as_words(part)]
+    key = np.random.SeedSequence([int(seed), int(tag), len(words)] + words)
+    return np.random.Generator(np.random.Philox(key))

@@ -20,8 +20,9 @@ from chi_exit.cli import (
     parse_config_text,
 )
 from chi_exit.grid_generator import RegularGrid
-from chi_exit.membership import Membership
+from chi_exit.membership import Membership, mc_hitting_membership
 from chi_exit.rates import RegressionResult, rate_from_eigenpair
+from chi_exit.sde import estimate_ptau_chi, uniform_points
 
 SMALL = """
 # small grid for fast runs
@@ -227,14 +228,15 @@ def test_idea4_run_small(tmp_path):
     assert (out / "report.csv").exists()
 
 
-@pytest.mark.parametrize("n_traj,per_point,budget", [
-    (10, 1, 10 * (50 + 15)),
-    (8, 2, 10 * 15 + 8 * (50 + 15)),
+@pytest.mark.parametrize("n_traj,budget", [
+    (10, 10 * (50 + 15)),
+    (8, 8 * (50 + 15)),
 ], ids=["shared-ensemble", "own-ensembles"])
 def test_idea4_reads_chi_off_the_ptau_paths(tmp_path, capsys, monkeypatch,
-                                            n_traj, per_point, budget):
-    # with chi's n_traj, the P^tau paths give chi too: one stream per
-    # point, beside the stream of the points; otherwise chi runs its own
+                                            n_traj, budget):
+    # chi(x) and P^tau chi(x) come off one set of idea4.n_traj paths per
+    # point, whatever membership.n_traj is: one stream per point, beside
+    # the stream of the points
     calls = []
     real = sde.generator_for
 
@@ -244,11 +246,22 @@ def test_idea4_reads_chi_off_the_ptau_paths(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(sde, "generator_for", counted)
     text = IDEA4_SMALL.replace("idea4.n_traj = 8", "idea4.n_traj = %d" % n_traj)
-    assert main(["idea4", "--config", _cfg(tmp_path, text),
+    path = _cfg(tmp_path, text)
+    assert main(["idea4", "--config", path,
                  "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 1 + per_point * 6
+    assert len(calls) == 1 + 6
     assert ("per_point_step_budget=%d\n" % budget
             in capsys.readouterr().out)
+    # both scatter columns are the library's one pass
+    cfg = load_config("idea4", path, {})
+    chi = mc_hitting_membership(
+        cfg.dynamics, cfg["membership.core_box"], cfg["membership.n_traj"],
+        cfg["membership.max_steps"], cfg.seed)
+    pts = uniform_points(6, cfg.dynamics.potential.domain, cfg.seed)
+    xs, ys = estimate_ptau_chi(chi, pts, cfg["idea4.steps"], n_traj, cfg.seed)
+    _, _, rows = _read_csv(tmp_path / "out" / "scatter.csv")
+    assert [float(r[3]) for r in rows] == xs.tolist()
+    assert [float(r[4]) for r in rows] == ys.tolist()
 
 
 def test_dump_generator_triplets(tmp_path):
@@ -308,7 +321,14 @@ def test_exit_code_zero_tau(tmp_path, capsys):
     ("validate", VALIDATE_SMALL + "rates.tau = 0\n", "rates.tau"),
     ("idea4", IDEA4_SMALL + "idea4.steps = 0\n", "idea4.steps"),
     ("idea4", IDEA4_SMALL + "idea4.steps = -5\n", "idea4.steps"),
-], ids=["validate-tau-0", "idea4-steps-0", "idea4-steps-negative"])
+    ("idea4", IDEA4_SMALL.replace("n_points = 6", "n_points = 1"),
+     "idea4.n_points"),
+    ("idea4", IDEA4_SMALL.replace("n_points = 6", "n_points = 0"),
+     "idea4.n_points"),
+    ("validate", VALIDATE_SMALL.replace("n_starts = 5", "n_starts = 1"),
+     "validate.n_starts"),
+], ids=["validate-tau-0", "idea4-steps-0", "idea4-steps-negative",
+        "idea4-n-points-1", "idea4-n-points-0", "validate-n-starts-1"])
 def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
                                                text, key):
     cfg = _cfg(tmp_path, text)

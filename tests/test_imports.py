@@ -1,4 +1,5 @@
-"""Every top-level import of a chi_exit module is read by that module."""
+"""Every top-level import of a chi_exit module is read by that module, and
+every private top-level function of the package is called from it."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,39 @@ def test_scan_finds_an_unused_import():
                          ids=lambda path: path.name)
 def test_every_top_level_import_is_read(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _dead_helpers(sources):
+    """Top-level ``_private`` functions of the modules in ``sources``
+    (module name -> text) that no module names outside their own body."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                ref = (node.id if isinstance(node, ast.Name)
+                       else getattr(node, "attr", None))
+                if ref is not None and ref != own:
+                    named.add(ref)
+    return sorted("%s.%s" % (mod, node.name)
+                  for mod, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("_")
+                  and not node.name.startswith("__")
+                  and node.name not in named)
+
+
+def test_scan_finds_a_dead_helper():
+    sources = {"a": "def _used():\n    return 1\n"
+                    "def _dead(n):\n    return _dead(n - 1)\n",
+               "b": "from . import a\ndef f():\n    return a._used()\n"}
+    assert _dead_helpers(sources) == ["a._dead"]
+
+
+def test_every_private_function_is_called():
+    assert _dead_helpers({path.stem: path.read_text()
+                          for path in SRC.glob("*.py")}) == []
 
 
 def test_every_public_name_exists():

@@ -1,5 +1,7 @@
 """Potential surfaces: analytic gradients, symmetry, registry."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,19 @@ def test_flat_potential_constant():
     pts = np.random.default_rng(2).uniform(0, 1, size=(9, 2))
     np.testing.assert_array_equal(pot(pts), np.full(9, 1.5))
     np.testing.assert_array_equal(pot.grad(pts), np.zeros((9, 2)))
+
+
+@pytest.mark.parametrize("make", [lambda: flat_potential(2.5),
+                                  benchmark_potential],
+                         ids=["flat", "paper2d"])
+def test_registered_surfaces_pickle(make):
+    # worker processes receive the surface itself
+    pot = make()
+    back = pickle.loads(pickle.dumps(pot))
+    pts = np.random.default_rng(4).uniform(0, 1, size=(7, 2))
+    assert (back.name, back.domain) == (pot.name, pot.domain)
+    np.testing.assert_array_equal(back(pts), pot(pts))
+    np.testing.assert_array_equal(back.grad(pts), pot.grad(pts))
 
 
 def test_registry_lookup():

@@ -1,6 +1,7 @@
 """Euler-Maruyama dynamics, MC estimators, holding probabilities."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,62 @@ def test_hitting_fractions_worker_invariance():
     np.testing.assert_array_equal(seq, par)
 
 
+def _three_estimators(cfg, pts):
+    """hitting_fractions, estimate_ptau_chi and endpoint_ensemble on cfg."""
+    box = (0.2, 0.3, 0.4, 0.5)
+    chi = mc_hitting_membership(cfg, box, 12, 15, seed=4)
+    return (hitting_fractions(cfg, box, pts, 12, 15, seed=4),
+            *estimate_ptau_chi(chi, pts, 10, 12, seed=4),
+            endpoint_ensemble(cfg, pts, 20, 6, seed=4))
+
+
+def test_drift_is_the_surface_of_the_config():
+    # the paths follow the config's own surface, whatever its name: a
+    # surface named like the benchmark, but flat, runs flat
+    flat = flat_potential()
+    pts = uniform_points(9, flat.domain, seed=6)
+    named = _three_estimators(
+        SdeConfig(replace(flat, name="paper2d"), sigma=0.8, dt=0.001), pts)
+    custom = _three_estimators(
+        SdeConfig(replace(flat, name="custom"), sigma=0.8, dt=0.001), pts)
+    bench = _three_estimators(
+        SdeConfig(benchmark_potential(), sigma=0.8, dt=0.001), pts)
+    for a, b in zip(named, custom):
+        np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(named[-1], bench[-1])
+
+
+def test_unpicklable_surface_runs_in_this_process(monkeypatch):
+    # a surface of lambdas cannot go to a worker process; it runs here at
+    # any worker count, to the values of the benchmark it wraps
+    bench = benchmark_potential()
+    wrapped = PotentialSurface(lambda x: bench(x), lambda x: bench.grad(x),
+                               bench.domain)
+    pts = uniform_points(70, bench.domain, seed=2)  # two chunks
+    box = (0.2, 0.3, 0.4, 0.5)
+    ref = hitting_fractions(SdeConfig(bench), box, pts, 5, 8, seed=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(sde, "ProcessPoolExecutor", no_pool)
+    for workers in (1, 2):
+        got = hitting_fractions(SdeConfig(wrapped), box, pts, 5, 8, seed=1,
+                                workers=workers)
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_empty_batch_gives_empty_columns():
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 10, 15, seed=0)
+    none = uniform_points(0, cfg.potential.domain, seed=0)
+    assert none.shape == (0, 2)
+    assert chi.evaluate_batch(none).shape == (0,)
+    assert hitting_fractions(cfg, chi.meta["box"], none, 10, 15).shape == (0,)
+    assert [a.shape for a in estimate_ptau_chi(chi, none, 5, 10)] == [(0,)] * 2
+    assert endpoint_ensemble(cfg, none, 5, 10).shape == (0, 10, 2)
+
+
 def test_sample_set_exit_times_contract(gen50, chi1):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     region = chi1.values > 0.22
@@ -309,7 +366,6 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
     # a small noise budget forces several 4-step blocks per call
     monkeypatch.setattr(sde, "_NOISE_BYTES", noise_bytes)
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
-    lo, hi = cfg.bounds
     box = (0.2, 0.3, 0.4, 0.5)
     pts = np.array([[0.25, 0.45], [0.33, 0.45], [0.4, 0.55]])
     in_box = lambda p: sde._in_box(p, box)  # noqa: E731
@@ -319,8 +375,7 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
         hitting_fractions(cfg, box, pts, n_traj=20, max_steps=60, seed=4),
         (ref_first >= 0).mean(axis=1))
     rngs = [generator_for(4, TAG_CHI, p) for p in pts]
-    pos, first, hit_at = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi,
-                                  pts, rngs, 20, 60, in_box)
+    pos, first, hit_at = sde._run(cfg, pts, rngs, 20, 60, in_box)
     np.testing.assert_array_equal(first, ref_first)
     # from step 0 on, the first stop is the first step in the stop set,
     # and the kernel keeps one array for both
@@ -336,8 +391,8 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
     assert ((ref_hit >= 0) & (ref_hit < 21) & (ref_first > 21)).any()
     assert ((ref_hit > 21) & (ref_hit == ref_first)).any()
     rngs = [generator_for(4, TAG_CHI, p) for p in pts]
-    pos, first, hit_at = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi,
-                                  pts, rngs, 20, 60, in_box, stop_from=21)
+    pos, first, hit_at = sde._run(cfg, pts, rngs, 20, 60, in_box,
+                                  stop_from=21)
     np.testing.assert_array_equal(first, ref_first)
     np.testing.assert_array_equal(hit_at, ref_hit)
     np.testing.assert_array_equal(pos, ref_ends)
@@ -362,8 +417,7 @@ def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
     starts = np.vstack([[0.5, 0.1],
                         gen50.grid.centers[np.argsort(field)[-2:]]])
     rngs = [generator_for(2, TAG_EXIT, p) for p in starts]
-    pos, first, _ = sde._run(cfg.potential, cfg.sigma, cfg.dt, lo, hi, starts,
-                             rngs, 20, 300, lambda p: ~region(p))
+    pos, first, _ = sde._run(cfg, starts, rngs, 20, 300, lambda p: ~region(p))
     ref_ends, ref_exit, _ = _naive_run(
         cfg, starts, TAG_EXIT, 2, 20, 300,
         lambda p: ~region(p.reshape(-1, 2)).reshape(p.shape[:-1]))
