@@ -217,9 +217,9 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
     """Merge defaults, an optional config file, and CLI overrides.  For
     every subcommand, a core_box without four entries, a rates.norm other
     than ls or lad, rates.tau <= 0, idea4.steps < 1, idea4.n_points < 2,
-    validate.n_starts < 2, kbt <= 0, a potential, sde.sigma or sde.dt that
-    ``SdeConfig`` rejects, or a grid.nx or grid.ny that ``RegularGrid``
-    rejects is a ConfigError."""
+    validate.n_starts < 2, kbt <= 0, a seed outside [0, 2^64), a
+    potential, sde.sigma or sde.dt that ``SdeConfig`` rejects, or a
+    grid.nx or grid.ny that ``RegularGrid`` rejects is a ConfigError."""
     values = dict(DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
@@ -253,6 +253,8 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
         raise ConfigError("validate.n_starts must be >= 2 for a correlation")
     if values["kbt"] <= 0:
         raise ConfigError("kbt must be positive")
+    if not 0 <= values["seed"] < 2 ** 64:
+        raise ConfigError("seed must be an integer in [0, 2^64)")
     try:
         dynamics = SdeConfig(potential_by_name(values["potential"]),
                              values["sde.sigma"], values["sde.dt"])
@@ -402,6 +404,18 @@ def _fit_rate(reg, tau: float, provenance: str):
     return report
 
 
+def _correlation(cfg: ExperimentConfig, quantity: str, a, b):
+    """The Pearson correlation of ``a`` and ``b``, and a note.  When a side
+    has fewer than two distinct values it is NaN, and the note, naming
+    ``quantity``, is printed on stderr; otherwise the note is empty."""
+    if min(np.unique(a).size, np.unique(b).size) < 2:
+        note = ("%s undefined: a side has fewer than two distinct values"
+                % quantity)
+        print("%s: %s" % (cfg.experiment, note), file=sys.stderr)
+        return float("nan"), note
+    return float(np.corrcoef(a, b)[0, 1]), ""
+
+
 def _lag_rate(cfg: ExperimentConfig, gen, values, provenance: str):
     """P^tau chi at tau = rates.tau, its fit against chi, and the rate."""
     tau = cfg["rates.tau"]
@@ -485,38 +499,38 @@ def run_idea3(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _mc_membership(cfg: ExperimentConfig):
-    """The Monte Carlo core-hitting membership of the configured dynamics."""
+def _mc_membership(cfg: ExperimentConfig, n_traj: int):
+    """The Monte Carlo core-hitting membership of the configured dynamics,
+    with ``n_traj`` paths per point."""
     return _stage(
         "mc_membership", mc_hitting_membership, cfg.dynamics,
         tuple(cfg["membership.core_box"]),
-        cfg["membership.n_traj"], cfg["membership.max_steps"], cfg.seed,
+        n_traj, cfg["membership.max_steps"], cfg.seed,
     )
 
 
 def _mc_field(cfg: ExperimentConfig):
     """The Monte Carlo membership at the cell centers of the run's grid."""
-    chi = _mc_membership(cfg)
+    chi = _mc_membership(cfg, cfg["membership.n_traj"])
     return _stage("chi_field", chi.evaluate_batch, cfg.grid.centers,
                   cfg.workers)
 
 
 def run_idea4(cfg: ExperimentConfig) -> int:
     """Rate from short-time simulations only: MC chi and MC P^tau chi."""
-    chi = _mc_membership(cfg)
+    chi = _mc_membership(cfg, cfg["idea4.n_traj"])
     pts = _stage("sample_points", uniform_points, cfg["idea4.n_points"],
                  cfg.dynamics.potential.domain, cfg.seed)
-    # chi(x) and P^tau chi(x) off one set of idea4.n_traj paths per point
+    # chi(x) and P^tau chi(x) off one set of chi's paths per point
     xs, ys = _stage("ptau_estimates", estimate_ptau_chi, chi, pts,
-                    cfg["idea4.steps"], cfg["idea4.n_traj"], cfg.seed,
-                    cfg.workers)
+                    cfg["idea4.steps"], cfg.workers)
     _write_csv(cfg, "scatter.csv", ["point", "x1", "x2", "chi", "ptau_chi"],
                [np.arange(len(pts)), pts[:, 0], pts[:, 1], xs, ys])
     reg = _stage("regress", regress, xs, ys, cfg["rates.norm"])
     report = _fit_rate(reg, cfg["idea4.steps"] * cfg.dynamics.dt, "idea4")
     _write_report(cfg, report, reg)
-    cost = cfg["idea4.n_traj"] * (cfg["idea4.steps"]
-                                  + cfg["membership.max_steps"])
+    cost = chi.meta["n_traj"] * (cfg["idea4.steps"]
+                                 + chi.meta["max_steps"])
     print(
         "idea4: gamma1=%s gamma2=%s eps1=%s meaningful=%d "
         "per_point_step_budget=%d"
@@ -537,7 +551,8 @@ def run_compare_mht(cfg: ExperimentConfig) -> int:
     _write_cells(cfg, "mht.csv", ["chi", "in_region", "t1", "t"],
                  [chi.values, mask, t_fuzzy, t_set])
     high = chi.values > 0.4
-    pearson = float(np.corrcoef(t_set[high], t_fuzzy[high])[0, 1])
+    pearson, _ = _correlation(cfg, "pearson_high_chi", t_set[high],
+                              t_fuzzy[high])
     median_diff = float(np.median(t_set[mask] - t_fuzzy[mask]))
     _write_summary(cfg, {
         "threshold": threshold,
@@ -584,7 +599,8 @@ def run_validate(cfg: ExperimentConfig) -> int:
                 "censoring_fraction"],
                [picks, starts[:, 0], starts[:, 1], field[picks], means,
                 stats.censoring_fraction])
-    corr = float(np.corrcoef(field[picks], means)[0, 1])
+    corr, corr_note = _correlation(cfg, "corr_chi_exit_time", field[picks],
+                                   means)
 
     # exit rate of the jump process from the deepest cell, generator clock
     deep = int(cells[np.argmax(field[cells])])
@@ -593,13 +609,14 @@ def run_validate(cfg: ExperimentConfig) -> int:
         cfg["validate.jump_n_traj"], cfg["validate.jump_horizon"], cfg.seed,
     )
     censor_frac = float(censored.mean())
-    note = ""
+    notes = [corr_note] if corr_note else []
     # the survival curve has a point per exit but the last when none is
     # censored, where the survival fraction reaches zero
     if np.count_nonzero(~censored) - (not censored.any()) < 2:
         set_rate = float("nan")
-        note = "survival curve has fewer than two points; no rate fitted"
-        print("validate: %s" % note, file=sys.stderr)
+        notes.append("survival curve has fewer than two points; "
+                     "no rate fitted")
+        print("validate: %s" % notes[-1], file=sys.stderr)
     else:
         set_rate = _stage("survival_fit", fit_survival_rate, times, censored)
 
@@ -614,7 +631,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
         "eps1_grid": report.eps1,
         "rate_ratio": ratio,
         "jump_censoring_fraction": censor_frac,
-        "note": note,
+        "note": "; ".join(notes),
     })
     _write_report(cfg, report, reg)
     print(

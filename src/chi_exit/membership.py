@@ -37,8 +37,8 @@ class Membership:
 
     A grid membership holds one value per cell of its grid.  One without
     values is the core-hitting sampler: its meta holds the dynamics, box,
-    n_traj, max_steps and seed that ``evaluate_batch`` passes to
-    ``hitting_fractions``.
+    n_traj, max_steps and seed of its paths, checked when it is built, that
+    ``evaluate_batch`` and ``sde.estimate_ptau_chi`` run.
 
     Attributes
     ----------
@@ -65,6 +65,15 @@ class Membership:
             if missing:
                 raise ValueError("point_sampler membership needs meta %s"
                                  % ", ".join(missing))
+            if self.meta["n_traj"] < 1 or self.meta["max_steps"] < 1:
+                raise ValueError("n_traj and max_steps must be >= 1")
+            x1lo, x1hi, x2lo, x2hi = self.meta["box"]
+            if not (x1hi > x1lo and x2hi > x2lo):
+                raise ValueError("core box is degenerate")
+            (lo1, lo2), (hi1, hi2) = self.meta["dynamics"].potential.domain
+            if not (lo1 <= x1lo and x1hi <= hi1
+                    and lo2 <= x2lo and x2hi <= hi2):
+                raise ValueError("core box leaves the potential domain")
             return
         if self.grid is None:
             raise ValueError("grid membership needs its grid")
@@ -386,19 +395,11 @@ def mc_hitting_membership(dynamics: SdeConfig, box, n_traj: int,
         Point-sampler membership with provenance "mc_hitting"; its meta
         holds the dynamics, box, n_traj, max_steps and seed.
     """
-    if n_traj < 1 or max_steps < 1:
-        raise ValueError("n_traj and max_steps must be >= 1")
-    box = x1lo, x1hi, x2lo, x2hi = tuple(map(float, box))
-    if not (x1hi > x1lo and x2hi > x2lo):
-        raise ValueError("core box is degenerate")
-    (lo1, lo2), (hi1, hi2) = dynamics.potential.domain
-    if not (lo1 <= x1lo and x1hi <= hi1 and lo2 <= x2lo and x2hi <= hi2):
-        raise ValueError("core box leaves the potential domain")
     return Membership(
         provenance="mc_hitting",
         meta={
             "dynamics": dynamics,
-            "box": box,
+            "box": tuple(map(float, box)),
             "n_traj": int(n_traj),
             "max_steps": int(max_steps),
             "seed": int(seed),

@@ -350,51 +350,48 @@ def uniform_points(n: int, domain, seed: int) -> Array:
     return rng.uniform((lo1, lo2), (hi1, hi2), size=(int(n), 2))
 
 
-def estimate_ptau_chi(chi, points, steps: int, n_traj: int, seed: int = 0,
+def estimate_ptau_chi(chi, points, steps: int,
                       workers: int = 1) -> Tuple[Array, Array]:
     """Monte Carlo estimates of chi(x) and (P^tau chi)(x) for a core-hitting
     membership, at a lag of ``steps`` steps of chi's own dynamics
-    (tau = steps * dt), from one set of paths per point.
+    (tau = steps * dt), from one set of chi's own paths per point.
 
     chi(y) is the chance of entering chi's core box within T = ``max_steps``
     steps from y.  The Euler-Maruyama chain is Markov, so (P^tau chi)(x) is
     the chance of being in the box at some step in [k, k + T], k = ``steps``.
-    One pass runs ``n_traj`` paths of k + T steps from x on the stream chi
-    itself uses at x.  The share of them in the box at some step in [0, T]
-    estimates chi(x), and the share in the box at some step in [k, k + T]
-    estimates (P^tau chi)(x).  With the ``n_traj`` and ``seed`` of chi, the
-    first estimate is ``chi.evaluate_batch(points)`` bit for bit, and at
-    ``steps = 0`` so is the second.
+    One pass runs chi's ``n_traj`` paths of k + T steps from x on the stream
+    chi uses at x, under chi's seed.  The share of them in the box at some
+    step in [0, T] is chi(x), ``chi.evaluate_batch(points)`` bit for bit,
+    and the share in the box at some step in [k, k + T] estimates
+    (P^tau chi)(x); at ``steps = 0`` the two are equal.
 
     Parameters
     ----------
     chi : Membership
-        A core-hitting membership; the paths follow its recorded dynamics.
-        A grid membership raises: its P^tau is ``spectral.propagate``.
+        A core-hitting membership; its meta gives the dynamics, box,
+        n_traj, max_steps and seed of the paths.  A grid membership
+        raises: its P^tau is ``spectral.propagate``.
     points : array-like, shape (m, 2)
         Starting positions.
     steps : int
         Lag in time steps, >= 0.
-    n_traj : int
-        Trajectories per point.
-    seed : int
-        Master seed of the trajectories from each point.
     workers : int
         Worker processes; does not affect the values.
 
     Returns
     -------
     chi_x, ptau_chi : ndarray, shape (m,)
-        Estimates of chi(x) and (P^tau chi)(x), in [0, 1].
+        chi(x) and the estimate of (P^tau chi)(x), in [0, 1].
     """
     if chi.values is not None:
         raise ValueError("estimate_ptau_chi needs a hitting membership; P^tau "
                          "of a grid membership is spectral.propagate")
-    if n_traj < 1 or steps < 0:
-        raise ValueError("n_traj must be >= 1 and steps >= 0")
+    if steps < 0:
+        raise ValueError("estimate_ptau_chi needs steps >= 0")
     m = chi.meta
-    return _chunked(m["dynamics"], points, n_traj, steps + m["max_steps"],
-                    seed, TAG_CHI, workers, box=m["box"], stop_from=steps)
+    return _chunked(m["dynamics"], points, m["n_traj"], steps + m["max_steps"],
+                    m["seed"], TAG_CHI, workers, box=m["box"],
+                    stop_from=steps)
 
 
 def _fk_values(gen: GeneratorMatrix, chi, eps2: float, t: float) -> Array:

@@ -181,8 +181,8 @@ def test_criterion_04_idea4_stochastic_window(bench):
     for seed in range(10):
         chi = mc_hitting_membership(cfg, core, n_traj, max_steps, seed=seed)
         pts.append(uniform_points(50, bench.domain, seed=seed))
-        # chi's own n_traj and seed: one pass gives chi and P^tau chi
-        x, y = estimate_ptau_chi(chi, pts[-1], steps, n_traj, seed=seed)
+        # one pass of chi's own paths gives chi and P^tau chi
+        x, y = estimate_ptau_chi(chi, pts[-1], steps)
         xs.append(x)
         ys.append(y)
         fits.append(regress(xs[-1], ys[-1], "least_squares"))

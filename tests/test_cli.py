@@ -255,10 +255,10 @@ def test_idea4_reads_chi_off_the_ptau_paths(tmp_path, capsys, monkeypatch,
     # both scatter columns are the library's one pass
     cfg = load_config("idea4", path, {})
     chi = mc_hitting_membership(
-        cfg.dynamics, cfg["membership.core_box"], cfg["membership.n_traj"],
+        cfg.dynamics, cfg["membership.core_box"], cfg["idea4.n_traj"],
         cfg["membership.max_steps"], cfg.seed)
     pts = uniform_points(6, cfg.dynamics.potential.domain, cfg.seed)
-    xs, ys = estimate_ptau_chi(chi, pts, cfg["idea4.steps"], n_traj, cfg.seed)
+    xs, ys = estimate_ptau_chi(chi, pts, cfg["idea4.steps"])
     _, _, rows = _read_csv(tmp_path / "out" / "scatter.csv")
     assert [float(r[3]) for r in rows] == xs.tolist()
     assert [float(r[4]) for r in rows] == ys.tolist()
@@ -327,13 +327,22 @@ def test_exit_code_zero_tau(tmp_path, capsys):
      "idea4.n_points"),
     ("validate", VALIDATE_SMALL.replace("n_starts = 5", "n_starts = 1"),
      "validate.n_starts"),
+    ("idea1", "seed = -1\n", "seed"),
+    ("idea1 --seed -1", "", "seed"),
+    ("idea4 --seed -1", IDEA4_SMALL, "seed"),
+    ("validate", VALIDATE_SMALL + "seed = %d\n" % 2 ** 64, "seed"),
+    ("dump-chi --seed %d" % 2 ** 64, 'membership.kind = "mc"\n', "seed"),
 ], ids=["validate-tau-0", "idea4-steps-0", "idea4-steps-negative",
-        "idea4-n-points-1", "idea4-n-points-0", "validate-n-starts-1"])
+        "idea4-n-points-1", "idea4-n-points-0", "validate-n-starts-1",
+        "idea1-seed-key-negative", "idea1-seed-flag-negative",
+        "idea4-seed-flag-negative", "validate-seed-key-2-64",
+        "dump-chi-seed-flag-2-64"])
 def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
                                                text, key):
+    # a command may carry flags, such as --seed, after its name
     cfg = _cfg(tmp_path, text)
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
     assert "config error: %s" % key in capsys.readouterr().err
     assert not out.exists()
 
@@ -384,6 +393,46 @@ def test_validate_one_exit_fits_no_rate(tmp_path, capsys, n_traj):
     assert summary["note"] == ("survival curve has fewer than two points; "
                                "no rate fitted")
     assert "no rate fitted" in capsys.readouterr().err
+
+
+def test_seed_is_a_u64():
+    for seed in (0, 2 ** 64 - 1):
+        assert load_config("idea1", None, {"seed": seed}).seed == seed
+
+
+#: validate with every start at chi = 1.0.
+VALIDATE_FLAT = VALIDATE_SMALL.replace("validate.n_starts = 5\n", "") + \
+    "validate.threshold = 0.999\n"
+
+_FLAT_NOTE = ("corr_chi_exit_time undefined: a side has fewer than two "
+              "distinct values")
+
+
+@pytest.mark.parametrize("command,text,quantity,note", [
+    ("validate", VALIDATE_FLAT, "corr_chi_exit_time", _FLAT_NOTE),
+    ("validate", VALIDATE_FLAT + "validate.jump_n_traj = 1\n"
+     "validate.jump_horizon = 600\n", "corr_chi_exit_time",
+     _FLAT_NOTE + "; survival curve has fewer than two points; "
+     "no rate fitted"),
+    ("compare-mht", "grid.nx = 4\ngrid.ny = 1\n", "pearson_high_chi", None),
+    ("compare-mht", "grid.nx = 3\ngrid.ny = 3\n"
+     "membership.core_weight_threshold = 0.2\n", "pearson_high_chi", None),
+], ids=["validate-flat-chi", "validate-flat-chi-no-rate", "compare-mht-4x1",
+        "compare-mht-3x3"])
+def test_correlation_without_spread_says_so(tmp_path, capsys, command, text,
+                                            quantity, note):
+    # a side with fewer than two distinct values has no correlation: NaN,
+    # with no numpy warning (tier-1 makes a RuntimeWarning an error) and a
+    # note on stderr naming the quantity; validate's summary note holds it
+    out = tmp_path / "out"
+    assert main([command, "--config", _cfg(tmp_path, text),
+                 "--out", str(out)]) == 0
+    summary = dict(_read_csv(out / "summary.csv")[2])
+    assert summary[quantity] == "nan"
+    assert ("%s: %s undefined: a side has fewer than two distinct values\n"
+            % (command, quantity)) in capsys.readouterr().err
+    if note is not None:
+        assert summary["note"] == note
 
 
 def _peaked(grid, cell, weight):

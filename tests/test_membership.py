@@ -217,6 +217,28 @@ def test_point_sampler_needs_its_parameters(key):
         Membership(provenance="test", meta=meta)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("n_traj", 0, "n_traj and max_steps must be >= 1"),
+    ("max_steps", 0, "n_traj and max_steps must be >= 1"),
+    ("box", (0.3, 0.3, 0.4, 0.5), "degenerate"),
+    ("box", (0.2, 0.3, 0.5, 0.4), "degenerate"),
+    ("box", (0.9, 1.2, 0.4, 0.5), "domain"),
+], ids=["n-traj-0", "max-steps-0", "box-flat", "box-reversed",
+        "box-off-domain"])
+def test_point_sampler_checks_itself(key, value, message):
+    # a sampler built directly, not by mc_hitting_membership, is checked
+    # when it is built, before any path runs on its parameters
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    meta = dict(mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 10, 10,
+                                      seed=0).meta)
+    meta[key] = value
+    with pytest.raises(ValueError, match=message):
+        Membership(provenance="test", meta=meta)
+    with pytest.raises(ValueError, match=message):
+        mc_hitting_membership(cfg, meta["box"], meta["n_traj"],
+                              meta["max_steps"])
+
+
 def test_grid_membership_needs_grid_for_points():
     with pytest.raises(ValueError):
         Membership(provenance="test", values=np.array([0.2, 0.8]))

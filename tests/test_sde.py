@@ -171,8 +171,8 @@ def test_estimate_ptau_chi_batch_matches_single():
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 30, 20, seed=5)
     pts = np.array([[0.3, 0.5], [0.7, 0.5], [0.5, 0.2]])
-    batch = estimate_ptau_chi(chi, pts, 20, n_traj=30, seed=5)
-    single = estimate_ptau_chi(chi, pts[1], 20, n_traj=30, seed=5)
+    batch = estimate_ptau_chi(chi, pts, 20)
+    single = estimate_ptau_chi(chi, pts[1], 20)
     for b, s in zip(batch, single):
         assert b.shape == (3,) and s.shape == (1,)
         np.testing.assert_array_equal(b[1:2], s)
@@ -203,26 +203,31 @@ def test_estimate_ptau_chi_runs_on_the_hitting_paths():
             ptau_ref.append(seen[k:].any(axis=0).mean())
         assert not np.array_equal(chi_ref, ptau_ref)
         np.testing.assert_array_equal(chi.evaluate_batch(pts), chi_ref)
-        chi_x, ptau = estimate_ptau_chi(chi, pts, k, n, seed=3)
+        chi_x, ptau = estimate_ptau_chi(chi, pts, k)
         np.testing.assert_array_equal(chi_x, chi_ref)
         np.testing.assert_array_equal(ptau, ptau_ref)
 
 
 def test_estimate_ptau_chi_at_zero_steps_is_chi(chi1):
-    # with chi's own n_traj and seed, a lag of 0 steps reruns chi's paths
+    # the pass runs chi's own n_traj paths under chi's seed, so a lag of 0
+    # steps reruns chi's paths, and its chi column is chi at every lag
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 40, 30, seed=7)
     pts = uniform_points(70, cfg.potential.domain, seed=1)
     vals = chi.evaluate_batch(pts)
     assert np.any((vals > 0) & (vals < 1))
-    chi_x, ptau = estimate_ptau_chi(chi, pts, 0, 40, seed=7)
+    chi_x, ptau = estimate_ptau_chi(chi, pts, 0)
     np.testing.assert_array_equal(chi_x, vals)
     np.testing.assert_array_equal(ptau, vals)
+    for steps in (3, 8):
+        chi_x, ptau = estimate_ptau_chi(chi, pts, steps)
+        np.testing.assert_array_equal(chi_x, vals)
+        assert not np.array_equal(ptau, vals)
     # a grid membership has no paths; its P^tau is spectral.propagate
     with pytest.raises(ValueError, match="hitting membership"):
-        estimate_ptau_chi(chi1, pts, 10, 40)
+        estimate_ptau_chi(chi1, pts, 10)
     with pytest.raises(ValueError, match="steps >= 0"):
-        estimate_ptau_chi(chi, pts, -1, 40)
+        estimate_ptau_chi(chi, pts, -1)
 
 
 def test_hitting_fractions_batch_matches_single():
@@ -252,7 +257,7 @@ def _three_estimators(cfg, pts):
     box = (0.2, 0.3, 0.4, 0.5)
     chi = mc_hitting_membership(cfg, box, 12, 15, seed=4)
     return (hitting_fractions(cfg, box, pts, 12, 15, seed=4),
-            *estimate_ptau_chi(chi, pts, 10, 12, seed=4),
+            *estimate_ptau_chi(chi, pts, 10),
             endpoint_ensemble(cfg, pts, 20, 6, seed=4))
 
 
@@ -299,7 +304,7 @@ def test_empty_batch_gives_empty_columns():
     assert none.shape == (0, 2)
     assert chi.evaluate_batch(none).shape == (0,)
     assert hitting_fractions(cfg, chi.meta["box"], none, 10, 15).shape == (0,)
-    assert [a.shape for a in estimate_ptau_chi(chi, none, 5, 10)] == [(0,)] * 2
+    assert [a.shape for a in estimate_ptau_chi(chi, none, 5)] == [(0,)] * 2
     assert endpoint_ensemble(cfg, none, 5, 10).shape == (0, 10, 2)
 
 
