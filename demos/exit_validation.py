@@ -12,8 +12,7 @@ probabilities), realizes it on the grid, then checks two things:
 Run:  python3 demos/exit_validation.py   (a few seconds)
 """
 
-import numpy as np
-
+# chi_exit before numpy, so its one-thread BLAS policy holds
 from chi_exit import (
     RegularGrid,
     SdeConfig,
@@ -27,6 +26,8 @@ from chi_exit import (
     sample_jump_exit_times,
     sample_set_exit_times,
 )
+
+import numpy as np
 
 
 def main():

@@ -10,8 +10,7 @@ their correlation where chi is high.
 Run:  python3 demos/holding_times.py
 """
 
-import numpy as np
-
+# chi_exit before numpy, so its one-thread BLAS policy holds
 from chi_exit import (
     RegularGrid,
     benchmark_potential,
@@ -22,6 +21,8 @@ from chi_exit import (
     rate_from_eigenpair,
     set_mean_holding_time,
 )
+
+import numpy as np
 
 
 def main():

@@ -12,8 +12,7 @@ noise-free eps1 over all cells, on the diffusion clock, is -0.103.
 Run:  python3 demos/rate_routes.py
 """
 
-import numpy as np
-
+# chi_exit before numpy, so its one-thread BLAS policy holds
 from chi_exit import (
     RegularGrid,
     SdeConfig,
@@ -33,6 +32,8 @@ from chi_exit import (
     regress_generator_action,
     uniform_points,
 )
+
+import numpy as np
 
 
 def main():

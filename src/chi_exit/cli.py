@@ -216,10 +216,11 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
                 ) -> ExperimentConfig:
     """Merge defaults, an optional config file, and CLI overrides.  For
     every subcommand, a core_box without four entries, a rates.norm other
-    than ls or lad, rates.tau <= 0, idea4.steps < 1, idea4.n_points < 2,
-    validate.n_starts < 2, kbt <= 0, a seed outside [0, 2^64), a
-    potential, sde.sigma or sde.dt that ``SdeConfig`` rejects, or a
-    grid.nx or grid.ny that ``RegularGrid`` rejects is a ConfigError."""
+    than ls or lad, rates.tau, validate.jump_horizon or kbt <= 0, a step,
+    path or worker count below 1, idea4.n_points < 2, validate.n_starts <
+    2, a seed outside [0, 2^64), a potential, sde.sigma or sde.dt that
+    ``SdeConfig`` rejects, or a grid.nx or grid.ny that ``RegularGrid``
+    rejects is a ConfigError."""
     values = dict(DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
@@ -245,14 +246,18 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
         raise ConfigError("rates.norm must be ls or lad")
     if values["rates.tau"] <= 0:
         raise ConfigError("rates.tau must be positive (no decay at tau=0)")
-    if values["idea4.steps"] < 1:
-        raise ConfigError("idea4.steps must be >= 1")
+    for key in ("idea4.steps", "idea4.n_traj", "membership.n_traj",
+                "membership.max_steps", "validate.n_traj",
+                "validate.horizon_steps", "validate.jump_n_traj", "workers"):
+        if values[key] < 1:
+            raise ConfigError("%s must be >= 1" % key)
     if values["idea4.n_points"] < 2:
         raise ConfigError("idea4.n_points must be >= 2 for a regression")
     if values["validate.n_starts"] < 2:
         raise ConfigError("validate.n_starts must be >= 2 for a correlation")
-    if values["kbt"] <= 0:
-        raise ConfigError("kbt must be positive")
+    for key in ("validate.jump_horizon", "kbt"):
+        if values[key] <= 0:
+            raise ConfigError("%s must be positive" % key)
     if not 0 <= values["seed"] < 2 ** 64:
         raise ConfigError("seed must be an integer in [0, 2^64)")
     try:
@@ -614,8 +619,8 @@ def run_validate(cfg: ExperimentConfig) -> int:
     # censored, where the survival fraction reaches zero
     if np.count_nonzero(~censored) - (not censored.any()) < 2:
         set_rate = float("nan")
-        notes.append("survival curve has fewer than two points; "
-                     "no rate fitted")
+        notes.append("no rate fitted: survival curve has fewer than two "
+                     "points")
         print("validate: %s" % notes[-1], file=sys.stderr)
     else:
         set_rate = _stage("survival_fit", fit_survival_rate, times, censored)

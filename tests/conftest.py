@@ -4,9 +4,7 @@ Session scope keeps the 50x50 eigensolve and PCCA computations to one
 evaluation for the whole suite.
 """
 
-import numpy as np
-import pytest
-
+# chi_exit before numpy, so the suite runs under the package's thread policy
 from chi_exit import (
     RegularGrid,
     benchmark_potential,
@@ -16,6 +14,9 @@ from chi_exit import (
     pcca_single,
     rate_from_eigenpair,
 )
+
+import numpy as np
+import pytest
 
 
 @pytest.fixture(scope="session")

@@ -332,14 +332,37 @@ def test_exit_code_zero_tau(tmp_path, capsys):
     ("idea4 --seed -1", IDEA4_SMALL, "seed"),
     ("validate", VALIDATE_SMALL + "seed = %d\n" % 2 ** 64, "seed"),
     ("dump-chi --seed %d" % 2 ** 64, 'membership.kind = "mc"\n', "seed"),
+    ("idea4", IDEA4_SMALL.replace("membership.n_traj = 10",
+                                  "membership.n_traj = 0"),
+     "membership.n_traj"),
+    ("idea4", IDEA4_SMALL.replace("max_steps = 15", "max_steps = 0"),
+     "membership.max_steps"),
+    ("idea4", IDEA4_SMALL.replace("idea4.n_traj = 8", "idea4.n_traj = 0"),
+     "idea4.n_traj"),
+    ("validate", VALIDATE_SMALL.replace("validate.n_traj = 6",
+                                        "validate.n_traj = 0"),
+     "validate.n_traj"),
+    ("validate", VALIDATE_SMALL.replace("horizon_steps = 200",
+                                        "horizon_steps = 0"),
+     "validate.horizon_steps"),
+    ("validate", VALIDATE_SMALL + "validate.jump_n_traj = 0\n",
+     "validate.jump_n_traj"),
+    ("validate", VALIDATE_SMALL + "validate.jump_horizon = 0.0\n",
+     "validate.jump_horizon"),
+    ("idea4 --workers 0", IDEA4_SMALL, "workers"),
+    ("validate --workers -2", VALIDATE_SMALL, "workers"),
 ], ids=["validate-tau-0", "idea4-steps-0", "idea4-steps-negative",
         "idea4-n-points-1", "idea4-n-points-0", "validate-n-starts-1",
         "idea1-seed-key-negative", "idea1-seed-flag-negative",
         "idea4-seed-flag-negative", "validate-seed-key-2-64",
-        "dump-chi-seed-flag-2-64"])
+        "dump-chi-seed-flag-2-64", "idea4-membership-n-traj-0",
+        "idea4-membership-max-steps-0", "idea4-n-traj-0",
+        "validate-n-traj-0", "validate-horizon-steps-0",
+        "validate-jump-n-traj-0", "validate-jump-horizon-0",
+        "idea4-workers-flag-0", "validate-workers-flag-negative"])
 def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
                                                text, key):
-    # a command may carry flags, such as --seed, after its name
+    # a command may carry flags, such as --seed or --workers, after its name
     cfg = _cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
@@ -390,8 +413,8 @@ def test_validate_one_exit_fits_no_rate(tmp_path, capsys, n_traj):
     summary = dict(rows)
     assert summary["jump_censoring_fraction"] == "0.0"
     assert summary["set_exit_rate"] == "nan"
-    assert summary["note"] == ("survival curve has fewer than two points; "
-                               "no rate fitted")
+    assert summary["note"] == ("no rate fitted: survival curve has fewer "
+                               "than two points")
     assert "no rate fitted" in capsys.readouterr().err
 
 
@@ -412,8 +435,8 @@ _FLAT_NOTE = ("corr_chi_exit_time undefined: a side has fewer than two "
     ("validate", VALIDATE_FLAT, "corr_chi_exit_time", _FLAT_NOTE),
     ("validate", VALIDATE_FLAT + "validate.jump_n_traj = 1\n"
      "validate.jump_horizon = 600\n", "corr_chi_exit_time",
-     _FLAT_NOTE + "; survival curve has fewer than two points; "
-     "no rate fitted"),
+     _FLAT_NOTE + "; no rate fitted: survival curve has fewer than two "
+     "points"),
     ("compare-mht", "grid.nx = 4\ngrid.ny = 1\n", "pearson_high_chi", None),
     ("compare-mht", "grid.nx = 3\ngrid.ny = 3\n"
      "membership.core_weight_threshold = 0.2\n", "pearson_high_chi", None),
