@@ -286,9 +286,18 @@ def _fmt(value) -> str:
 _BLOCK_ROWS = 512
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field (RFC 4180): quoted, its quotes doubled,
+    when it holds a comma, a quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def _column_text(col) -> List[str]:
-    """``_fmt`` of each value; a numeric array in one pass, as ``tolist``
-    yields the float or int that ``_fmt`` converts each value to."""
+    """``_fmt`` of each value as a CSV field; a numeric array in one pass,
+    as ``tolist`` yields the float or int that ``_fmt`` converts each value
+    to (a number's text needs no quotes)."""
     if isinstance(col, np.ndarray):
         if col.dtype == bool:
             col = col.astype(np.uint8)
@@ -296,7 +305,7 @@ def _column_text(col) -> List[str]:
             return list(map(repr, col.tolist()))
         if col.dtype.kind in "iu":
             return list(map(str, col.tolist()))
-    return [_fmt(v) for v in col]
+    return [_csv_field(_fmt(v)) for v in col]
 
 
 def _write_csv(cfg: ExperimentConfig, name: str, header: List[str], columns,

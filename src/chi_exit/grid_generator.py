@@ -70,9 +70,13 @@ class RegularGrid:
 
         Positions on the upper domain boundary belong to the last cell,
         matching the clamped SDE convention.  A position off the domain,
-        or with a NaN coordinate, raises ValueError.
+        or with a NaN coordinate, raises ValueError, as does a last axis
+        of a length other than 2.
         """
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (2,):
+            raise ValueError("positions must have shape (..., 2), not %s"
+                             % (x.shape,))
         (lo1, lo2), (hi1, hi2) = self.domain
         h1, h2 = self.spacing
         x1, x2 = x[..., 0], x[..., 1]

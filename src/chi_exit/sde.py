@@ -20,13 +20,14 @@ for the jump process or for the diffusion's exit
 (``sample_set_exit_times``), and every start cell are checked by the
 ``GeneratorMatrix`` they run on.  The diffusion's starts and positions
 get their cells from ``RegularGrid.cells_of``, which rejects a position
-off the grid, and it reads its set as one per-cell stop table.
+off the grid, and every diffusion ensemble runs through one dispatch.
 """
 
 import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -199,7 +200,7 @@ def _run(config: SdeConfig, starts, rngs, n_traj: int, steps: int, stop=None,
     idx = np.flatnonzero(first < 0)
     live = pos[idx]
     # one step of the buffer is kept free for the gathered live noise
-    block = max(1, _NOISE_BYTES // (16 * m * n_traj) - 1)
+    block = max(1, _NOISE_BYTES // (16 * max(1, m * n_traj)) - 1)
     noise = np.empty((m, min(block, steps), n_traj, 2))
     flat_noise = noise.reshape(-1, 2)
     for s0 in range(0, steps, block):
@@ -247,17 +248,20 @@ def _in_box(pos: Array, box) -> Array:
     return (x1 >= x1lo) & (x1 <= x1hi) & (x2 >= x2lo) & (x2 <= x2hi)
 
 
+def _off_cells(grid, outside: Array, pos: Array) -> Array:
+    return outside[grid.cells_of(pos)]
+
+
 def _chunk(args):
-    """One worker task on a chunk of starts: their endpoints, or, given a
-    box, the fractions of their trajectories in it at some step in
-    [0, steps - stop_from] and at some step from ``stop_from`` on."""
-    config, pts, n_traj, steps, seed, tag, box, stop_from = args
+    """One task on a chunk of starts: the kernel's ``(pos, first)``, or,
+    given ``stop_from``, the fractions of paths where ``stop`` held at some
+    step in [0, steps - stop_from] and at some step from ``stop_from`` on."""
+    config, pts, n_traj, steps, seed, tag, stop, stop_from = args
     rngs = [generator_for(seed, tag, p) for p in pts]
-    stop = None if box is None else (lambda p: _in_box(p, box))
     pos, first, hit_at = _run(config, pts, rngs, n_traj, steps, stop,
-                              stop_from)
-    if box is None:
-        return (pos,)
+                              stop_from or 0)
+    if stop_from is None:
+        return pos, first
     early = (hit_at >= 0) & (hit_at <= steps - stop_from)
     return early.mean(axis=1), (first >= 0).mean(axis=1)
 
@@ -279,21 +283,21 @@ def _map_chunks(fn, tasks, workers: int):
 
 
 def _chunked(config: SdeConfig, points, n_traj: int, steps: int, seed: int,
-             tag: int, workers: int, box=None,
-             stop_from: int = 0) -> Tuple[Array, ...]:
-    """Run the kernel from ``points`` (one point, or shape (m, 2)) in chunks
-    of ``_CHUNK`` starts, joining each column ``_chunk`` returns.  Every
-    task carries ``config`` itself, so the paths follow its own surface's
-    drift.  No points give empty columns of the shapes ``_chunk`` returns:
-    endpoints (0, n_traj, 2), or two fractions (0,)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(points) == 0:
-        return ((np.empty((0, int(n_traj), 2)),) if box is None
-                else (np.empty(0), np.empty(0)))
+             tag: int, workers: int, stop=None,
+             stop_from: Optional[int] = None) -> Tuple[Array, ...]:
+    """The one dispatch of every diffusion ensemble: the kernel from
+    ``points`` (one point, or shape (m, 2)) in tasks of ``_CHUNK`` starts,
+    joining each column ``_chunk`` returns.  Every task carries ``config``
+    and the picklable predicate ``stop``; no points make one empty task."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim > 2 or points.shape[-1:] != (2,):
+        raise ValueError("points must have shape (2,) or (m, 2), not %s"
+                         % (points.shape,))
+    points = np.atleast_2d(points)
     tasks = [
         (config, points[i:i + _CHUNK], int(n_traj), int(steps), int(seed),
-         int(tag), box, int(stop_from))
-        for i in range(0, len(points), _CHUNK)
+         int(tag), stop, stop_from)
+        for i in range(0, max(1, len(points)), _CHUNK)
     ]
     parts = _map_chunks(_chunk, tasks, workers)
     return tuple(np.concatenate(col, axis=0) for col in zip(*parts))
@@ -326,7 +330,7 @@ def hitting_fractions(config: SdeConfig, box, points, n_traj: int,
     if n_traj < 1 or max_steps < 1:
         raise ValueError("n_traj and max_steps must be >= 1")
     return _chunked(config, points, n_traj, max_steps, seed, TAG_CHI,
-                    workers, box=tuple(box))[1]
+                    workers, partial(_in_box, box=tuple(box)), 0)[1]
 
 
 def endpoint_ensemble(config: SdeConfig, points, steps: int, n_traj: int,
@@ -390,8 +394,8 @@ def estimate_ptau_chi(chi, points, steps: int,
         raise ValueError("estimate_ptau_chi needs steps >= 0")
     m = chi.meta
     return _chunked(m["dynamics"], points, m["n_traj"], steps + m["max_steps"],
-                    m["seed"], TAG_CHI, workers, box=m["box"],
-                    stop_from=steps)
+                    m["seed"], TAG_CHI, workers,
+                    partial(_in_box, box=m["box"]), int(steps))
 
 
 def _fk_values(gen: GeneratorMatrix, chi, eps2: float, t: float) -> Array:
@@ -524,10 +528,10 @@ def sample_set_exit_times(config: SdeConfig, gen: GeneratorMatrix, region_cells,
     """First-exit steps of the diffusion from a set of grid cells, censored
     at the horizon.
 
-    All trajectories of all starts advance together in one array; each
-    start draws from its own stream, so a start's results do not depend
-    on the batch it comes in.  A trajectory exits at the first step whose
-    cell lies outside the set, read from one precomputed table.
+    The starts run in this process through ``_chunked``; each start draws
+    from its own stream, so a start's results do not depend on the batch
+    or task it comes in.  A trajectory exits at the first step whose cell
+    lies outside the set, read from one per-cell table.
 
     Parameters
     ----------
@@ -574,11 +578,9 @@ def sample_set_exit_times(config: SdeConfig, gen: GeneratorMatrix, region_cells,
         raise ValueError("starting position lies outside the region")
     if n_traj < 1 or horizon_steps < 1:
         raise ValueError("n_traj and horizon_steps must be >= 1")
-    outside, cells_of = ~inside, gen.grid.cells_of
-    rngs = [generator_for(seed, TAG_EXIT, p) for p in starts]
-    pos, exit_steps, _ = _run(config, starts, rngs, int(n_traj),
-                              int(horizon_steps),
-                              stop=lambda p: outside[cells_of(p)])
+    pos, exit_steps = _chunked(config, starts, n_traj, horizon_steps, seed,
+                               TAG_EXIT, 1,
+                               partial(_off_cells, gen.grid, ~inside))
     return TrajectoryStats(starts=starts, endpoints=pos, exit_steps=exit_steps,
                            horizon_steps=int(horizon_steps), dt=config.dt)
 

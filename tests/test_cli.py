@@ -1,5 +1,6 @@
 """Config parsing, experiment orchestration, exit codes, CSV format."""
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -575,6 +576,18 @@ def test_column_writer_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="length"):
         _write_csv(_out_cfg(tmp_path), "t.csv", ["a", "b"],
                    [np.zeros(3), np.zeros(2)])
+
+
+def test_summary_text_reads_back_through_a_csv_reader(tmp_path):
+    # a text value holding a comma, a quote, CR or LF is one quoted field
+    # (RFC 4180), so it adds no field and no row
+    note = 'corr undefined, "flat"\nsecond line\rthird; x'
+    summary = {"note": note, "rate": 0.25, "plain": "no rate", "n": 3}
+    path = cli._write_summary(_out_cfg(tmp_path), summary)
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+    assert rows == [["quantity", "value"], ["note", note],
+                    ["rate", "0.25"], ["plain", "no rate"], ["n", "3"]]
 
 
 def test_benchmark_tracer_finds_every_traced_name(monkeypatch):

@@ -49,6 +49,15 @@ def test_off_grid_position_raises(grid50, bad):
         grid50.cells_of(bad)
 
 
+@pytest.mark.parametrize("bad", [[[0.1, 0.2, 0.9]], [0.1, 0.2, 0.3, 0.4],
+                                 0.5, [[0.5], [0.5]]],
+                         ids=["m-by-3", "flat-4", "scalar", "m-by-1"])
+def test_position_of_another_shape_raises(grid50, bad):
+    # a third coordinate must not be dropped, nor a flat list read in pairs
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 2\), not \("):
+        grid50.cells_of(bad)
+
+
 def test_row_sums_vanish(gen50):
     ones = np.ones(gen50.n)
     assert np.max(np.abs(gen50.rates @ ones)) < 1e-10

@@ -79,6 +79,26 @@ def test_every_private_function_is_called():
                           for path in SRC.glob("*.py")}) == []
 
 
+def _places_naming(sources, name):
+    """``module.function`` of each top-level definition of ``sources``
+    (module name -> text) whose body names ``name``."""
+    return sorted({"%s.%s" % (mod, top.name)
+                   for mod, text in sources.items()
+                   for top in ast.parse(text).body
+                   if hasattr(top, "name")
+                   for node in ast.walk(top)
+                   if (node.id if isinstance(node, ast.Name)
+                       else getattr(node, "attr", None)) == name})
+
+
+def test_the_stepping_kernel_has_one_dispatch():
+    # every diffusion ensemble reaches the kernel through sde._chunk, so
+    # chunking, stream keys and stops are decided in one place
+    assert _places_naming({path.stem: path.read_text()
+                           for path in SRC.glob("*.py")},
+                          "_run") == ["sde._chunk"]
+
+
 def test_every_public_name_exists():
     # the scan above counts __all__ entries as read, so a stale entry
     # would pass it

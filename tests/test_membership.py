@@ -249,3 +249,6 @@ def test_grid_membership_needs_grid_for_points():
     for x in ([1.5, 0.5], [np.nan, 0.5], [0.5, np.nan]):
         with pytest.raises(ValueError, match="off the grid"):
             chi.evaluate_batch([x])
+    for x in ([[0.1, 0.2, 0.9]], [0.1, 0.2, 0.3, 0.4]):
+        with pytest.raises(ValueError, match="shape"):
+            chi.evaluate_batch(x)

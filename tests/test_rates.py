@@ -278,3 +278,5 @@ def test_exit_path_needs_a_grid_membership_and_position(chi1):
     for x in ([1.5, 0.5], [0.5, np.nan]):
         with pytest.raises(ValueError, match="off the grid"):
             exit_path_direction(chi1, np.array(x))
+    with pytest.raises(ValueError, match=r"not \(3,\)"):
+        exit_path_direction(chi1, np.array([0.1, 0.2, 0.9]))

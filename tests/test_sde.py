@@ -308,6 +308,22 @@ def test_empty_batch_gives_empty_columns():
     assert endpoint_ensemble(cfg, none, 5, 10).shape == (0, 10, 2)
 
 
+def test_ensembles_reject_points_of_another_shape():
+    # a third coordinate or a flat list of numbers is no batch of starts,
+    # and the one dispatch names its shape
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 4, 5, seed=0)
+    for pts, shape in ((np.full((5, 3), 0.5), r"\(5, 3\)"),
+                       ([0.1, 0.2, 0.3, 0.4], r"\(4,\)")):
+        for run in (lambda: hitting_fractions(cfg, chi.meta["box"], pts, 4, 5),
+                    lambda: endpoint_ensemble(cfg, pts, 5, 4),
+                    lambda: estimate_ptau_chi(chi, pts, 3)):
+            with pytest.raises(ValueError, match="not " + shape):
+                run()
+    with pytest.raises(ValueError, match=r"not \(1, 4\)"):
+        chi.evaluate_batch([0.1, 0.2, 0.3, 0.4])
+
+
 def test_sample_set_exit_times_contract(gen50, chi1):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     region = chi1.values > 0.22
@@ -472,6 +488,17 @@ def test_sample_set_exit_times_batch_matches_single(gen50, chi1):
         np.testing.assert_array_equal(batch.endpoints[i], one.endpoints[0])
         assert batch.mean_exit_time()[i] == one.mean_exit_time()[0]
         assert batch.censoring_fraction[i] == one.censoring_fraction[0]
+    # one start past a task of sde._CHUNK starts makes two tasks, and the
+    # task boundary changes no row
+    many = gen50.grid.centers[inside[:sde._CHUNK + 1]]
+    batch = sample_set_exit_times(cfg, gen50, region, many, n_traj=3,
+                                  horizon_steps=40, seed=3)
+    assert batch.exit_steps.shape == (sde._CHUNK + 1, 3)
+    for i in range(len(many)):
+        one = sample_set_exit_times(cfg, gen50, region, many[i:i + 1],
+                                    n_traj=3, horizon_steps=40, seed=3)
+        np.testing.assert_array_equal(batch.exit_steps[i], one.exit_steps[0])
+        np.testing.assert_array_equal(batch.endpoints[i], one.endpoints[0])
 
 
 def test_sample_set_exit_times_batch_rejects_outside_start(gen50, chi1):
