@@ -25,6 +25,7 @@ import numpy as np
 
 from .grid_generator import RegularGrid, build_sqrt_generator
 from .membership import (
+    Membership,
     committor,
     find_weight_cores,
     mc_hitting_membership,
@@ -172,12 +173,13 @@ def _coerce(key: str, value, default):
 
 @dataclass
 class ExperimentConfig:
-    """Effective configuration of one subcommand run."""
+    """One subcommand run's configuration, dynamics, grid and sampler."""
 
     experiment: str
     values: Dict[str, object]
     dynamics: SdeConfig
     grid: RegularGrid
+    sampler: Membership
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -219,8 +221,9 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
     than ls or lad, rates.tau, validate.jump_horizon or kbt <= 0, a step,
     path or worker count below 1, idea4.n_points < 2, validate.n_starts <
     2, a seed outside [0, 2^64), a potential, sde.sigma or sde.dt that
-    ``SdeConfig`` rejects, or a grid.nx or grid.ny that ``RegularGrid``
-    rejects is a ConfigError."""
+    ``SdeConfig`` rejects, a grid.nx or grid.ny that ``RegularGrid``
+    rejects, or a core box that ``mc_hitting_membership`` rejects is a
+    ConfigError."""
     values = dict(DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
@@ -260,14 +263,18 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
             raise ConfigError("%s must be positive" % key)
     if not 0 <= values["seed"] < 2 ** 64:
         raise ConfigError("seed must be an integer in [0, 2^64)")
+    paths = "idea4.n_traj" if experiment == "idea4" else "membership.n_traj"
     try:
         dynamics = SdeConfig(potential_by_name(values["potential"]),
                              values["sde.sigma"], values["sde.dt"])
         grid = RegularGrid(values["grid.nx"], values["grid.ny"],
                            dynamics.potential.domain)
+        sampler = mc_hitting_membership(
+            dynamics, values["membership.core_box"], values[paths],
+            values["membership.max_steps"], values["seed"])
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return ExperimentConfig(experiment, values, dynamics, grid)
+    return ExperimentConfig(experiment, values, dynamics, grid, sampler)
 
 
 def _fmt(value) -> str:
@@ -513,26 +520,15 @@ def run_idea3(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _mc_membership(cfg: ExperimentConfig, n_traj: int):
-    """The Monte Carlo core-hitting membership of the configured dynamics,
-    with ``n_traj`` paths per point."""
-    return _stage(
-        "mc_membership", mc_hitting_membership, cfg.dynamics,
-        tuple(cfg["membership.core_box"]),
-        n_traj, cfg["membership.max_steps"], cfg.seed,
-    )
-
-
 def _mc_field(cfg: ExperimentConfig):
-    """The Monte Carlo membership at the cell centers of the run's grid."""
-    chi = _mc_membership(cfg, cfg["membership.n_traj"])
-    return _stage("chi_field", chi.evaluate_batch, cfg.grid.centers,
+    """The run's core-hitting membership at the cell centers of its grid."""
+    return _stage("chi_field", cfg.sampler.evaluate_batch, cfg.grid.centers,
                   cfg.workers)
 
 
 def run_idea4(cfg: ExperimentConfig) -> int:
     """Rate from short-time simulations only: MC chi and MC P^tau chi."""
-    chi = _mc_membership(cfg, cfg["idea4.n_traj"])
+    chi = cfg.sampler
     pts = _stage("sample_points", uniform_points, cfg["idea4.n_points"],
                  cfg.dynamics.potential.domain, cfg.seed)
     # chi(x) and P^tau chi(x) off one set of chi's paths per point

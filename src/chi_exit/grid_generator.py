@@ -29,7 +29,8 @@ class RegularGrid:
     """A regular nx-by-ny box discretization with row-major cell indexing.
 
     Cell k = i * ny + j covers the i-th slab along x1 and the j-th along
-    x2; centers lie strictly inside the domain.
+    x2; centers lie strictly inside the domain.  nx and ny are integers
+    >= 1 (Python or numpy, not bool).
     """
 
     nx: int
@@ -40,6 +41,10 @@ class RegularGrid:
     )
 
     def __post_init__(self):
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer))
+               for c in (self.nx, self.ny)):
+            raise ValueError("grid cell counts must be integers, not %r, %r"
+                             % (self.nx, self.ny))
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs at least one cell per axis")
         (lo1, lo2), (hi1, hi2) = self.domain
@@ -89,6 +94,25 @@ class RegularGrid:
         j = np.minimum(((x2 - lo2) / h2).astype(np.int64), self.ny - 1)
         return i * self.ny + j
 
+    def cell_values(self, chi) -> Array:
+        """Per-cell floats of a grid membership on this grid or of an
+        array; ValueError for a point-sampler membership, a membership on
+        another grid, values of another shape, or a value not finite."""
+        if getattr(chi, "kind", None) == "point_sampler":
+            raise ValueError("needs a grid membership, not a point sampler")
+        grid = getattr(chi, "grid", None)
+        if grid is not None and grid != self:
+            raise ValueError("membership lives on a %dx%d grid, not on this "
+                             "%dx%d grid" % (grid.nx, grid.ny, self.nx, self.ny))
+        vals = getattr(chi, "values", None)
+        vals = np.asarray(chi if vals is None else vals, dtype=float)
+        if vals.shape != (self.n,):
+            raise ValueError("vector shape %s does not match grid shape (%d,)"
+                             % (vals.shape, self.n))
+        if not np.isfinite(vals).all():
+            raise ValueError("per-cell values are not all finite")
+        return vals
+
 
 @dataclass
 class GeneratorMatrix:
@@ -96,8 +120,8 @@ class GeneratorMatrix:
 
     Everything derived from it stays sparse: ``symmetrized()`` builds
     D L* D^-1 on each call, and only the jump-process tables are cached.
-    Cells, cell sets and per-cell values are checked against it, and
-    ``restricted`` gives L* on a cell set.
+    Cells and cell sets are checked against it, and ``restricted`` gives
+    L* on a cell set; per-cell values are checked against its grid.
 
     Attributes
     ----------
@@ -151,23 +175,6 @@ class GeneratorMatrix:
             raise ValueError("cell mask has shape %s, not (%d,)"
                              % (cells.shape, self.n))
         return cells.copy()
-
-    def cell_values(self, chi) -> Array:
-        """Per-cell floats of a grid membership or an array; ValueError for
-        a point-sampler membership, a membership on another grid, or values
-        that do not match the grid."""
-        if getattr(chi, "kind", None) == "point_sampler":
-            raise ValueError("needs a grid membership, not a point sampler")
-        grid = getattr(chi, "grid", None)
-        if grid is not None and grid != self.grid:
-            raise ValueError("membership lives on a %dx%d grid, the generator "
-                             "on a %dx%d grid" % (grid.nx, grid.ny,
-                                                  self.grid.nx, self.grid.ny))
-        vals = getattr(chi, "values", None)
-        vals = np.asarray(chi if vals is None else vals, dtype=float)
-        if vals.shape != (self.n,):
-            raise ValueError("membership does not match the generator grid")
-        return vals
 
     def restricted(self, cells) -> sp.csr_matrix:
         """L* on a cell set (as for ``cell_mask``), the generator killed on
@@ -234,7 +241,7 @@ def build_sqrt_generator(
     grid : RegularGrid
         At least two cells (chains such as 2x1 are allowed).
     kbt : float
-        Boltzmann temperature scale, pi_i = exp(-V_i / kbt).
+        Boltzmann temperature scale, pi_i = exp(-V_i / kbt); finite, > 0.
 
     Returns
     -------
@@ -248,8 +255,8 @@ def build_sqrt_generator(
     """
     if grid.n < 2:
         raise ValueError("build_sqrt_generator needs at least two cells")
-    if kbt <= 0:
-        raise ValueError("kbt must be positive")
+    if not (np.isfinite(kbt) and kbt > 0):
+        raise ValueError("kbt must be positive and finite (got %r)" % kbt)
     centers = grid.centers
     v = potential(centers) / kbt
     if not np.all(np.isfinite(v)):

@@ -35,7 +35,8 @@ GAP_TOL = 0.05
 class Membership:
     """A fuzzy set chi with values in [0, 1].
 
-    A grid membership holds one value per cell of its grid.  One without
+    A grid membership holds one value per cell of its grid, checked by
+    ``RegularGrid.cell_values`` and clipped into [0, 1].  One without
     values is the core-hitting sampler: its meta holds the dynamics, box,
     n_traj, max_steps and seed of its paths, checked when it is built, that
     ``evaluate_batch`` and ``sde.estimate_ptau_chi`` run.
@@ -77,12 +78,7 @@ class Membership:
             return
         if self.grid is None:
             raise ValueError("grid membership needs its grid")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(
-                "membership has %d values for a %d-cell grid"
-                % (vals.size, self.grid.n)
-            )
+        vals = self.grid.cell_values(self.values)
         if vals.min() < -1e-9 or vals.max() > 1 + 1e-9:
             raise ValueError(
                 "membership values leave [0,1]: min %.3e max %.3e"
@@ -280,7 +276,7 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
         out.append(
             Membership(
                 provenance="pcca_multi",
-                values=np.clip(chis[:, j], 0.0, 1.0),
+                values=chis[:, j],
                 grid=eig.grid,
                 meta={
                     "coefficients": a[:, j].copy(),
@@ -327,7 +323,6 @@ def committor(gen: GeneratorMatrix, core_a, core_b) -> Membership:
     q = np.zeros(gen.n)
     q[a] = 1.0
     q[free] = spsolve(sub.tocsc(), rhs)
-    q = np.clip(q, 0.0, 1.0)
     return Membership(provenance="committor", values=q, grid=gen.grid)
 
 

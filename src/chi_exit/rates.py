@@ -85,7 +85,7 @@ def regress(xs, ys, norm_kind: str = "least_squares") -> RegressionResult:
     Parameters
     ----------
     xs, ys : array-like
-        Equal lengths >= 2; xs must not be constant.
+        Equal lengths >= 2, finite; xs must not be constant.
     norm_kind : str
         "least_squares"/"ls" or "least_absolute"/"lad".
 
@@ -103,6 +103,8 @@ def regress(xs, ys, norm_kind: str = "least_squares") -> RegressionResult:
         raise ValueError("xs and ys must have equal length")
     if xs.size < 2:
         raise ValueError("regression needs at least two points")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("regression needs finite xs and ys")
     if xs.max() - xs.min() < 1e-14:
         raise ValueError("degenerate regression: predictor has zero variance")
     n = xs.size
@@ -228,7 +230,7 @@ def regress_generator_action(gen: GeneratorMatrix, chi,
     ----------
     gen : GeneratorMatrix
     chi : Membership or ndarray
-        Grid membership values.
+        Grid membership values, as ``RegularGrid.cell_values`` checks.
     norm_kind : str
         Regression norm, as in :func:`regress`.
 
@@ -239,9 +241,9 @@ def regress_generator_action(gen: GeneratorMatrix, chi,
     Raises
     ------
     ValueError
-        For a point-sampler membership or values off the generator grid.
+        For a chi that ``RegularGrid.cell_values`` of ``gen.grid`` rejects.
     """
-    vals = gen.cell_values(chi)
+    vals = gen.grid.cell_values(chi)
     reg = regress(vals, gen.rates @ vals, norm_kind)
     return _fit_report(reg.gamma1, reg.gamma2, reg, "generator_action")
 
@@ -305,7 +307,8 @@ def exit_path_direction(chi, x) -> Array:
     chi : Membership
         A grid membership; a point sampler raises ValueError.
     x : array-like, shape (2,)
-        Position on the grid; ``RegularGrid.cells_of`` rejects one off it.
+        One position on the grid; another shape raises ValueError, and
+        ``RegularGrid.cells_of`` rejects one off the grid.
 
     Returns
     -------
@@ -315,6 +318,9 @@ def exit_path_direction(chi, x) -> Array:
     if chi.values is None:
         raise ValueError("exit_path_direction needs a grid membership, "
                          "not a point sampler")
+    if np.shape(x) != (2,):
+        raise ValueError("exit_path_direction takes one position of shape "
+                         "(2,), not %s" % (np.shape(x),))
     grid = chi.grid
     cell = int(grid.cells_of(x))
     h1, h2 = grid.spacing

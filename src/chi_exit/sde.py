@@ -404,7 +404,7 @@ def _fk_values(gen: GeneratorMatrix, chi, eps2: float, t: float) -> Array:
         raise ValueError("eps2 must be finite and nonnegative (got %r)" % eps2)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative (got %r)" % t)
-    return gen.cell_values(chi)
+    return gen.grid.cell_values(chi)
 
 
 def feynman_kac_holding(gen: GeneratorMatrix, chi, eps2: float,
@@ -423,7 +423,7 @@ def feynman_kac_holding(gen: GeneratorMatrix, chi, eps2: float,
     gen : GeneratorMatrix
         The grid operator, whose clock t is on.
     chi : Membership or ndarray
-        Grid membership values.
+        Grid membership values, as ``RegularGrid.cell_values`` checks.
     eps2 : float
         Penalty rate, finite and >= 0.
     t : float
@@ -437,7 +437,7 @@ def feynman_kac_holding(gen: GeneratorMatrix, chi, eps2: float,
     ------
     ValueError
         For a negative or non-finite eps2 or t, or a chi that
-        ``GeneratorMatrix.cell_values`` rejects.
+        ``RegularGrid.cell_values`` of the generator's grid rejects.
     """
     vals = _fk_values(gen, chi, eps2, t)
     if t == 0:

@@ -184,16 +184,13 @@ def propagate(gen: GeneratorMatrix, v: Array, tau: float) -> Array:
     ----------
     gen : GeneratorMatrix
     v : ndarray
-        Vector over the grid cells.
+        Vector over the grid cells, as ``RegularGrid.cell_values`` checks.
     tau : float
         Lag time, finite and >= 0.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError("tau must be finite and nonnegative (got %r)" % tau)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (gen.n,):
-        raise ValueError("vector shape %s does not match grid shape (%d,)"
-                         % (v.shape, gen.n))
+    v = gen.grid.cell_values(v)
     if tau == 0:
         return v.copy()
     return expm_action(gen.rates, v, float(tau))

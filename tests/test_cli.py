@@ -401,6 +401,39 @@ def test_exit_code_dynamics_checked_before_any_work(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    "idea1", "idea2", "idea3", "idea4", "compare-mht", "validate",
+    "dump-generator", "dump-eigen", "dump-chi", "dump-chi mc"])
+@pytest.mark.parametrize("box,message", [
+    ("[0.3, 0.2, 0.4, 0.5]", "core box is degenerate"),
+    ("[0.2, 1.3, 0.4, 0.5]", "core box leaves the potential domain"),
+], ids=["degenerate", "off-domain"])
+def test_exit_code_core_box_checked_before_any_work(tmp_path, capsys, command,
+                                                    box, message):
+    # load_config builds the run's sampler, so its box is checked for every
+    # subcommand, whether it samples or not
+    command, _, kind = command.partition(" ")
+    text = SMALL + "membership.core_box = %s\n" % box
+    if kind:
+        text += 'membership.kind = "%s"\n' % kind
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: %s" % message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_config_builds_the_run_sampler(tmp_path):
+    # idea4 samples with idea4.n_traj paths, every other run with
+    # membership.n_traj
+    cfg = _cfg(tmp_path, IDEA4_SMALL)
+    for command, n_traj in (("idea4", 8), ("validate", 10), ("dump-chi", 10)):
+        sampler = load_config(command, cfg, {}).sampler
+        assert sampler.meta["n_traj"] == n_traj
+        assert sampler.meta["max_steps"] == 15
+        assert sampler.meta["box"] == (0.2, 0.3, 0.4, 0.5)
+
+
 @pytest.mark.parametrize("n_traj", [1, 2])
 def test_validate_one_exit_fits_no_rate(tmp_path, capsys, n_traj):
     # every jump trajectory exits, and the last exit leaves the survival

@@ -122,6 +122,24 @@ def test_single_cell_rejected():
         build_sqrt_generator(pot, grid, 1.0)
 
 
+@pytest.mark.parametrize("nx,ny", [(2.5, 2), (2, 3.0), (True, 3),
+                                   (3, np.bool_(True))],
+                         ids=["float-nx", "float-ny", "bool-nx", "numpy-bool-ny"])
+def test_grid_counts_must_be_integers(nx, ny):
+    # 2.5 gave n == 5.0 beside three centers along x1, and True one cell
+    with pytest.raises(ValueError, match="grid cell counts must be integers"):
+        RegularGrid(nx, ny)
+    assert RegularGrid(np.int64(3), np.int32(2)).centers.shape == (6, 2)
+
+
+@pytest.mark.parametrize("kbt", [np.nan, np.inf])
+def test_kbt_must_be_finite(kbt):
+    # NaN failed later as a potential not finite; inf gave uniform weights
+    pot = benchmark_potential()
+    with pytest.raises(ValueError, match="kbt must be positive"):
+        build_sqrt_generator(pot, RegularGrid(4, 4, pot.domain), kbt)
+
+
 def test_huge_potential_range_rejected(bench):
     steep = PotentialSurface(
         evaluator=lambda x: 400.0 * bench.evaluator(x),

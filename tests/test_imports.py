@@ -99,6 +99,13 @@ def test_the_stepping_kernel_has_one_dispatch():
                           "_run") == ["sde._chunk"]
 
 
+def test_the_run_sampler_is_built_at_load():
+    # load_config builds the run's core-hitting sampler once, beside its
+    # dynamics and grid, so its box is checked before any work
+    assert _places_naming({"cli": (SRC / "cli.py").read_text()},
+                          "mc_hitting_membership") == ["cli.load_config"]
+
+
 def test_every_public_name_exists():
     # the scan above counts __all__ entries as read, so a stale entry
     # would pass it

@@ -71,6 +71,19 @@ def test_regress_rejects_constant_predictor():
         regress(np.full(10, 0.3), np.linspace(0, 1, 10))
 
 
+@pytest.mark.parametrize("norm", ["ls", "lad"])
+@pytest.mark.parametrize("side", ["xs", "ys"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_regress_rejects_nonfinite_points(capfd, norm, side, bad):
+    # a NaN reached LAPACK, which printed DLASCL lines on stderr before its
+    # SVD failed to converge
+    xs, ys = np.linspace(0.0, 1.0, 6), np.linspace(0.1, 0.6, 6)
+    (xs if side == "xs" else ys)[2] = bad
+    with pytest.raises(ValueError, match="regression needs finite xs and ys"):
+        regress(xs, ys, norm)
+    assert capfd.readouterr().err == ""
+
+
 def test_regress_norm_names():
     xs = np.linspace(0, 1, 5)
     with pytest.raises(ValueError):
@@ -278,5 +291,7 @@ def test_exit_path_needs_a_grid_membership_and_position(chi1):
     for x in ([1.5, 0.5], [0.5, np.nan]):
         with pytest.raises(ValueError, match="off the grid"):
             exit_path_direction(chi1, np.array(x))
-    with pytest.raises(ValueError, match=r"not \(3,\)"):
-        exit_path_direction(chi1, np.array([0.1, 0.2, 0.9]))
+    for x, shape in (([0.1, 0.2, 0.9], r"\(3,\)"),
+                     (np.full((2, 2), 0.5), r"\(2, 2\)")):
+        with pytest.raises(ValueError, match="not " + shape):
+            exit_path_direction(chi1, np.array(x))

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from chi_exit import (
+    Membership,
     PotentialSurface,
     RegularGrid,
     SdeConfig,
@@ -18,6 +19,7 @@ from chi_exit import (
     feynman_kac_holding,
     feynman_kac_holding_mc,
     flat_potential,
+    propagate,
     regress_generator_action,
     sample_jump_exit_times,
     sample_set_exit_times,
@@ -754,6 +756,27 @@ def test_grid_routes_reject_a_membership_of_another_grid(bench, chi1):
         regress_generator_action(other, chi1)
     with pytest.raises(ValueError, match="50x50 grid.* 25x100 grid"):
         feynman_kac_holding(other, chi1, 0.0017, t=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_per_cell_readers_reject_a_value_not_finite(gen50, chi1, bad):
+    # RegularGrid.cell_values is the one per-cell check of every reader: a
+    # NaN passed the membership's range check, held 0 in the Feynman-Kac
+    # solve and made every propagated value NaN
+    vals = chi1.values.copy()
+    vals[7] = bad
+    readers = [
+        lambda: Membership(provenance="test", values=vals, grid=gen50.grid),
+        lambda: propagate(gen50, vals, 1.0),
+        lambda: feynman_kac_holding(gen50, vals, 0.0017, t=1.0),
+        lambda: feynman_kac_holding_mc(gen50, vals, 0.0017, [0], t=1.0,
+                                       n_traj=4),
+        lambda: regress_generator_action(gen50, vals),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match="per-cell values are not all "
+                                             "finite"):
+            read()
 
 
 def test_feynman_kac_mc_matches_grid(gen50, chi1, report1):
