@@ -18,7 +18,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -222,8 +222,8 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
     path or worker count below 1, idea4.n_points < 2, validate.n_starts <
     2, a seed outside [0, 2^64), a potential, sde.sigma or sde.dt that
     ``SdeConfig`` rejects, a grid.nx or grid.ny that ``RegularGrid``
-    rejects, or a core box that ``mc_hitting_membership`` rejects is a
-    ConfigError."""
+    rejects, a core box that ``mc_hitting_membership`` rejects, or a
+    membership.kind not in ``_KINDS`` is a ConfigError."""
     values = dict(DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
@@ -247,6 +247,10 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
         raise ConfigError("membership.core_box expects [x1min,x1max,x2min,x2max]")
     if values["rates.norm"] not in ("ls", "lad"):
         raise ConfigError("rates.norm must be ls or lad")
+    if values["membership.kind"] not in _KINDS:
+        raise ConfigError("membership.kind must be %s, or %s (got %r)" % (
+            ", ".join(list(_KINDS)[:-1]), list(_KINDS)[-1],
+            values["membership.kind"]))
     if values["rates.tau"] <= 0:
         raise ConfigError("rates.tau must be positive (no decay at tau=0)")
     for key in ("idea4.steps", "idea4.n_traj", "membership.n_traj",
@@ -287,6 +291,12 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
+
+
+def _say(cfg: ExperimentConfig, **figures) -> None:
+    """Print the run's summary line, each figure as ``_fmt`` writes it."""
+    print("%s: %s" % (cfg.experiment, " ".join(
+        "%s=%s" % (key, _fmt(value)) for key, value in figures.items())))
 
 
 #: Rows formatted and written at a time, so no whole-file text is held.
@@ -338,19 +348,12 @@ def _write_csv(cfg: ExperimentConfig, name: str, header: List[str], columns,
     return path
 
 
-_REPORT_HEADER = [
-    "provenance", "alpha", "beta", "eps1", "eps2", "pi_chi", "meaningful",
-    "tau", "residual_norm", "n_points", "norm_kind", "note",
-    "gamma1", "gamma2",
-]
-
-
 def _write_report(cfg: ExperimentConfig, report, reg=None) -> str:
-    """The report's fields, then the fit's gammas (empty without a fit)."""
-    values = [getattr(report, key) for key in _REPORT_HEADER[:-2]]
-    values += [getattr(reg, key, None) for key in _REPORT_HEADER[-2:]]
-    return _write_csv(cfg, "report.csv", _REPORT_HEADER,
-                      [[v] for v in values])
+    """One row: the fields of ``ExitRateReport`` in their order, then the
+    fit's gamma1 and gamma2 (empty without a fit)."""
+    header = [f.name for f in fields(report)] + ["gamma1", "gamma2"]
+    values = [getattr(report, key, getattr(reg, key, None)) for key in header]
+    return _write_csv(cfg, "report.csv", header, [[v] for v in values])
 
 
 def _write_summary(cfg: ExperimentConfig, summary: Dict[str, object]) -> str:
@@ -369,7 +372,7 @@ def _write_cells(cfg: ExperimentConfig, name: str, header: List[str], columns,
 
 
 def _write_eigen(cfg: ExperimentConfig, eig) -> str:
-    comments = ["eigenvalue,%d,%s" % (i + 1, repr(float(v)))
+    comments = ["eigenvalue,%d,%s" % (i + 1, _fmt(v))
                 for i, v in enumerate(eig.eigenvalues)]
     header = ["f%d" % (i + 1) for i in range(eig.count)]
     return _write_cells(cfg, "eigen.csv", header, eig.eigenvectors.T, comments)
@@ -451,11 +454,8 @@ def run_idea1(cfg: ExperimentConfig) -> int:
     _write_cells(cfg, "chi.csv", ["chi"], [chi.values])
     _write_eigen(cfg, eig)
     _write_report(cfg, report)
-    print(
-        "idea1: eps_bar=%s pi_chi=%s eps1=%s eps2=%s meaningful=%d"
-        % (repr(chi.meta["eps_bar"]), repr(report.pi_chi),
-           repr(report.eps1), repr(report.eps2), int(report.meaningful))
-    )
+    _say(cfg, eps_bar=chi.meta["eps_bar"], pi_chi=report.pi_chi,
+         eps1=report.eps1, eps2=report.eps2, meaningful=report.meaningful)
     return 0
 
 
@@ -486,13 +486,10 @@ def run_idea2(cfg: ExperimentConfig) -> int:
     _write_cells(cfg, "chi.csv", ["chi%d" % (j + 1) for j in range(m)],
                  [c.values for c in chis],
                  ["selected_cluster,%d" % selected,
-                  "weights," + ",".join(repr(c.meta["weight"]) for c in chis)])
+                  "weights," + ",".join(_fmt(c.meta["weight"]) for c in chis)])
     _write_report(cfg, report)
-    print(
-        "idea2: lambda2=%s weight=%s eps1=%s meaningful=%d"
-        % (repr(float(eig.eigenvalues[1])), repr(chi.meta["weight"]),
-           repr(report.eps1), int(report.meaningful))
-    )
+    _say(cfg, lambda2=eig.eigenvalues[1], weight=chi.meta["weight"],
+         eps1=report.eps1, meaningful=report.meaningful)
     return 0
 
 
@@ -512,11 +509,8 @@ def run_idea3(cfg: ExperimentConfig) -> int:
     _write_cells(cfg, "scatter.csv", ["chi", "ptau_chi"], [chi.values, ptau],
                  ["cores,left=%d,right=%d" % (left.size, right.size)])
     _write_report(cfg, report, reg)
-    print(
-        "idea3: gamma1=%s gamma2=%s eps1=%s meaningful=%d"
-        % (repr(reg.gamma1), repr(reg.gamma2), repr(report.eps1),
-           int(report.meaningful))
-    )
+    _say(cfg, gamma1=reg.gamma1, gamma2=reg.gamma2, eps1=report.eps1,
+         meaningful=report.meaningful)
     return 0
 
 
@@ -539,14 +533,9 @@ def run_idea4(cfg: ExperimentConfig) -> int:
     reg = _stage("regress", regress, xs, ys, cfg["rates.norm"])
     report = _fit_rate(reg, cfg["idea4.steps"] * cfg.dynamics.dt, "idea4")
     _write_report(cfg, report, reg)
-    cost = chi.meta["n_traj"] * (cfg["idea4.steps"]
-                                 + chi.meta["max_steps"])
-    print(
-        "idea4: gamma1=%s gamma2=%s eps1=%s meaningful=%d "
-        "per_point_step_budget=%d"
-        % (repr(reg.gamma1), repr(reg.gamma2), repr(report.eps1),
-           int(report.meaningful), cost)
-    )
+    cost = chi.meta["n_traj"] * (cfg["idea4.steps"] + chi.meta["max_steps"])
+    _say(cfg, gamma1=reg.gamma1, gamma2=reg.gamma2, eps1=report.eps1,
+         meaningful=report.meaningful, per_point_step_budget=cost)
     return 0
 
 
@@ -572,10 +561,8 @@ def run_compare_mht(cfg: ExperimentConfig) -> int:
         "pearson_high_chi": pearson,
         "median_t_minus_t1_inside": median_diff,
     })
-    print(
-        "compare-mht: t1_at_threshold=%s pearson_high_chi=%s n_region=%d"
-        % (repr(threshold / report.eps1), repr(pearson), int(mask.sum()))
-    )
+    _say(cfg, t1_at_threshold=threshold / report.eps1,
+         pearson_high_chi=pearson, n_region=mask.sum())
     return 0
 
 
@@ -644,10 +631,8 @@ def run_validate(cfg: ExperimentConfig) -> int:
         "note": "; ".join(notes),
     })
     _write_report(cfg, report, reg)
-    print(
-        "validate: corr=%s set_rate=%s eps1_grid=%s ratio=%s"
-        % (repr(corr), repr(set_rate), repr(report.eps1), repr(ratio))
-    )
+    _say(cfg, corr=corr, set_rate=set_rate, eps1_grid=report.eps1,
+         ratio=ratio)
     return 0
 
 
@@ -667,29 +652,25 @@ def run_dump_eigen(cfg: ExperimentConfig) -> int:
     k = cfg["eigen.k"]
     _, eig = _spectral_setup(cfg, k)
     _write_eigen(cfg, eig)
-    print("dump-eigen: k=%d eigenvalues=%s"
-          % (k, ",".join(repr(float(v)) for v in eig.eigenvalues)))
+    _say(cfg, k=k, eigenvalues=",".join(map(_fmt, eig.eigenvalues)))
     return 0
+
+
+#: Each membership.kind and the per-cell values dump-chi writes of it.
+_KINDS = {
+    "pcca_single": lambda cfg: _idea1_membership(cfg)[-1].values,
+    "pcca_multi": lambda cfg: _pcca_clusters(cfg)[-1].values,
+    "committor": lambda cfg: _committor(cfg)[-1].values,
+    "mc": _mc_field,
+}
 
 
 def run_dump_chi(cfg: ExperimentConfig) -> int:
     """Write a membership of the configured kind on the grid."""
     kind = cfg["membership.kind"]
-    if kind == "pcca_single":
-        values = _idea1_membership(cfg)[-1].values
-    elif kind == "pcca_multi":
-        values = _pcca_clusters(cfg)[-1].values
-    elif kind == "committor":
-        values = _committor(cfg)[-1].values
-    elif kind == "mc":
-        values = _mc_field(cfg)
-    else:
-        raise ConfigError(
-            "membership.kind must be pcca_single, pcca_multi, committor, "
-            "or mc (got %r)" % kind
-        )
-    _write_cells(cfg, "chi.csv", ["chi"], [values], ["kind,%s" % kind])
-    print("dump-chi: kind=%s cells=%d" % (kind, cfg.grid.n))
+    _write_cells(cfg, "chi.csv", ["chi"], [_KINDS[kind](cfg)],
+                 ["kind,%s" % kind])
+    _say(cfg, kind=kind, cells=cfg.grid.n)
     return 0
 
 

@@ -59,19 +59,22 @@ class RegressionResult:
 class ExitRateReport:
     """Rates of one fuzzy set.
 
-    eps1 = alpha + beta is the chi-exit rate, eps2 = -beta the penalty
-    rate, pi_chi the statistical-weight estimate, and meaningful is the
-    eps2 < eps1 criterion (equivalently pi_chi < 1/2).  residual_norm
-    and n_points describe the regression behind the report, when any.
+    provenance names the route that made the report.  eps1 = alpha + beta
+    is the chi-exit rate, eps2 = -beta the penalty rate, pi_chi the
+    statistical-weight estimate, and meaningful is the eps2 < eps1
+    criterion (equivalently pi_chi < 1/2).  residual_norm and n_points
+    describe the regression behind the report, when any.  The fields, in
+    this order, are the columns of the CLI's report.csv; build a report
+    by keyword.
     """
 
+    provenance: str
     alpha: float
     beta: float
     eps1: float
     eps2: float
     pi_chi: float
     meaningful: bool
-    provenance: str
     tau: Optional[float] = None
     residual_norm: float = float("nan")
     n_points: int = 0
@@ -157,9 +160,9 @@ def gammas_to_rate(reg: RegressionResult, tau: float,
     Raises
     ------
     ValueError
-        When tau <= 0.
+        When tau is not positive (NaN included).
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     g1, g2 = reg.gamma1, reg.gamma2
     if not 0 < g1 < 1:
@@ -196,7 +199,7 @@ def rate_from_eigenpair(eps_bar: float, beta_bar: float,
     Parameters
     ----------
     eps_bar : float
-        Eigenvalue, > 0.
+        Eigenvalue, positive and finite.
     beta_bar : float
         Shift in [0, 1]; equals the statistical weight.
 
@@ -204,8 +207,8 @@ def rate_from_eigenpair(eps_bar: float, beta_bar: float,
     -------
     ExitRateReport
     """
-    if eps_bar <= 0:
-        raise ValueError("eps_bar must be positive")
+    if not 0 < eps_bar < math.inf:
+        raise ValueError("eps_bar must be positive and finite")
     if not 0 <= beta_bar <= 1:
         raise ValueError("beta_bar must lie in [0, 1]")
     alpha = float(eps_bar)
@@ -250,7 +253,7 @@ def regress_generator_action(gen: GeneratorMatrix, chi,
 
 def holding_probability(report: ExitRateReport, chi_at_x, t: float):
     """p_chi(x, t) = chi(x) e^{-eps1 t} under a meaningful report."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     if not report.meaningful:
         raise ValueError("holding probability needs a meaningful report")
@@ -367,7 +370,7 @@ def dominance_timescale(chi_level: float, eps2: float) -> float:
     """
     if not 0 < chi_level < 1:
         raise ValueError("chi_level must lie strictly between 0 and 1")
-    if eps2 <= 0:
+    if not eps2 > 0:
         raise ValueError("eps2 must be positive")
     return -math.log(chi_level) * chi_level / ((1.0 - chi_level) * eps2)
 
@@ -383,7 +386,8 @@ def fit_survival_rate(times, censored=None) -> float:
     Parameters
     ----------
     times : array-like
-        Exit times; censored entries hold the horizon.
+        Exit times, finite where not censored; censored entries hold the
+        horizon.
     censored : array-like of bool, optional
         Marks entries that never exited.
 
@@ -395,7 +399,8 @@ def fit_survival_rate(times, censored=None) -> float:
     Raises
     ------
     ValueError
-        When fewer than two exits were observed (e.g. 100% censoring).
+        When an exit time that is not censored is not finite, or fewer
+        than two exits were observed (e.g. 100% censoring).
     """
     times = np.asarray(times, dtype=float).ravel()
     if censored is None:
@@ -403,6 +408,8 @@ def fit_survival_rate(times, censored=None) -> float:
     censored = np.asarray(censored, dtype=bool).ravel()
     n = times.size
     exits = np.sort(times[~censored])
+    if not np.isfinite(exits).all():
+        raise ValueError("exit times that are not censored must be finite")
     if exits.size < 2:
         raise ValueError(
             "survival fit needs at least two observed exits "

@@ -503,7 +503,8 @@ def feynman_kac_holding_mc(gen: GeneratorMatrix, chi, eps2: float, cells,
     ``seed``; states with chi below ``CHI_MIN`` carry an infinite penalty
     and zero out the trajectory.  ``gen``, ``chi``, ``eps2`` and ``t`` are
     as for ``feynman_kac_holding``, and raise as there; cells that
-    ``GeneratorMatrix.cell_indices`` rejects raise ``ValueError``.
+    ``GeneratorMatrix.cell_indices`` rejects, or ``n_traj`` < 1, raise
+    ``ValueError``.
 
     Returns
     -------
@@ -512,6 +513,8 @@ def feynman_kac_holding_mc(gen: GeneratorMatrix, chi, eps2: float, cells,
     """
     vals = _fk_values(gen, chi, eps2, t)
     cells = gen.cell_indices(np.ravel(cells))
+    if not n_traj >= 1:
+        raise ValueError("n_traj must be >= 1")
     ests, ses = vals[cells].copy(), np.zeros(cells.size)
     if t > 0:
         pen = np.where(vals >= CHI_MIN,

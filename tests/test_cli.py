@@ -9,10 +9,10 @@ import pytest
 from chi_exit import cli, sde
 from chi_exit.cli import (
     _BLOCK_ROWS,
-    _REPORT_HEADER,
     ConfigError,
     DEFAULTS,
     _fmt,
+    _say,
     _select_cluster,
     _write_csv,
     _write_report,
@@ -318,6 +318,11 @@ def test_exit_code_zero_tau(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+#: The load check of a membership.kind outside dump-chi's table.
+_BAD_KIND = ("membership.kind must be pcca_single, pcca_multi, committor, "
+             "or mc (got 'bogus')")
+
+
 @pytest.mark.parametrize("command,text,key", [
     ("validate", VALIDATE_SMALL + "rates.tau = 0\n", "rates.tau"),
     ("idea4", IDEA4_SMALL + "idea4.steps = 0\n", "idea4.steps"),
@@ -352,6 +357,8 @@ def test_exit_code_zero_tau(tmp_path, capsys):
      "validate.jump_horizon"),
     ("idea4 --workers 0", IDEA4_SMALL, "workers"),
     ("validate --workers -2", VALIDATE_SMALL, "workers"),
+    *[(command, "membership.kind = bogus\n", _BAD_KIND)
+      for command in cli._COMMANDS],
 ], ids=["validate-tau-0", "idea4-steps-0", "idea4-steps-negative",
         "idea4-n-points-1", "idea4-n-points-0", "validate-n-starts-1",
         "idea1-seed-key-negative", "idea1-seed-flag-negative",
@@ -360,7 +367,8 @@ def test_exit_code_zero_tau(tmp_path, capsys):
         "idea4-membership-max-steps-0", "idea4-n-traj-0",
         "validate-n-traj-0", "validate-horizon-steps-0",
         "validate-jump-n-traj-0", "validate-jump-horizon-0",
-        "idea4-workers-flag-0", "validate-workers-flag-negative"])
+        "idea4-workers-flag-0", "validate-workers-flag-negative",
+        *["%s-kind-bogus" % command for command in cli._COMMANDS]])
 def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
                                                text, key):
     # a command may carry flags, such as --seed or --workers, after its name
@@ -593,6 +601,10 @@ def test_column_writer_matches_row_writer(tmp_path, n):
 
 
 def test_one_row_report_matches_row_writer(tmp_path):
+    # the columns are ExitRateReport's fields in order, then the gammas
+    header = ["provenance", "alpha", "beta", "eps1", "eps2", "pi_chi",
+              "meaningful", "tau", "residual_norm", "n_points", "norm_kind",
+              "note", "gamma1", "gamma2"]
     cfg = _out_cfg(tmp_path)
     report = rate_from_eigenpair(0.0086, 0.1965, "idea1")
     reg = RegressionResult(gamma1=0.8, gamma2=0.05, residual_norm=0.0,
@@ -602,7 +614,14 @@ def test_one_row_report_matches_row_writer(tmp_path):
     for fit, gammas in ((None, ",,"), (reg, ",0.8,0.05")):
         with open(_write_report(cfg, report, fit), "rb") as fh:
             assert fh.read() == _row_writer_bytes(
-                cfg, _REPORT_HEADER, [(row + gammas).split(",")])
+                cfg, header, [(row + gammas).split(",")])
+
+
+def test_say_prints_each_figure_as_its_csv_cell(capsys):
+    # a numpy scalar prints as the CSV writes it, not as its repr
+    _say(load_config("dump-chi", None, {}), a=np.float64(0.1),
+         b=np.bool_(True), c=3, d="mc", e=float("nan"))
+    assert capsys.readouterr().out == "dump-chi: a=0.1 b=1 c=3 d=mc e=nan\n"
 
 
 def test_column_writer_rejects_ragged_columns(tmp_path):

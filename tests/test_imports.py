@@ -106,6 +106,15 @@ def test_the_run_sampler_is_built_at_load():
                           "mc_hitting_membership") == ["cli.load_config"]
 
 
+def test_the_cli_formats_numbers_in_one_place():
+    # every printed or written figure goes through _fmt (a numeric CSV
+    # column through _column_text, its one-pass twin); config_hash keeps
+    # its own text, so the hash stays the same
+    assert _places_naming({"cli": (SRC / "cli.py").read_text()},
+                          "repr") == ["cli.ExperimentConfig",
+                                      "cli._column_text", "cli._fmt"]
+
+
 def test_every_public_name_exists():
     # the scan above counts __all__ entries as read, so a stale entry
     # would pass it

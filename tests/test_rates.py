@@ -139,9 +139,10 @@ def test_gammas_to_rate_noise_dominated():
     assert report.note == "lag time too long / noise dominated"
     assert not report.meaningful
     assert math.isnan(report.eps1)
-    with pytest.raises(ValueError):
-        gammas_to_rate(RegressionResult(0.5, 0.1, 0.0, 10, "least_squares"),
-                       0.0, "noisy")
+    for tau in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            gammas_to_rate(RegressionResult(0.5, 0.1, 0.0, 10,
+                                            "least_squares"), tau, "noisy")
 
 
 def test_rate_from_eigenpair_frozen(report1):
@@ -153,8 +154,12 @@ def test_rate_from_eigenpair_frozen(report1):
 
 
 def test_rate_from_eigenpair_validation():
-    with pytest.raises(ValueError):
-        rate_from_eigenpair(-0.01, 0.2, "bad")
+    # NaN failed no comparison, and inf made eps1 = inf - inf: both gave a
+    # report of NaN rates
+    for eps_bar in (-0.01, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps_bar must be positive and "
+                                             "finite"):
+            rate_from_eigenpair(eps_bar, 0.2, "bad")
     with pytest.raises(ValueError):
         rate_from_eigenpair(0.01, 1.2, "bad")
 
@@ -173,6 +178,8 @@ def test_holding_probability(report1):
     bad = rate_from_eigenpair(0.01, 0.9, "bad")
     with pytest.raises(ValueError, match="meaningful"):
         holding_probability(bad, 0.8, 10.0)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        holding_probability(report1, 0.8, math.nan)
 
 
 def test_chi_mean_holding_time(report1):
@@ -222,8 +229,9 @@ def test_dominance_timescale():
                                1.0 / eps2, rtol=1e-6)
     with pytest.raises(ValueError):
         dominance_timescale(1.0, eps2)
-    with pytest.raises(ValueError):
-        dominance_timescale(0.5, 0.0)
+    for eps2 in (0.0, math.nan):
+        with pytest.raises(ValueError, match="eps2 must be positive"):
+            dominance_timescale(0.5, eps2)
 
 
 def test_fit_survival_rate_exact_quantiles():
@@ -250,6 +258,16 @@ def test_fit_survival_rate_needs_exits():
     with pytest.raises(ValueError, match="censor"):
         fit_survival_rate(np.array([5.0, 5.0, 5.0]),
                           np.array([True, True, True]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_survival_rate_rejects_an_exit_time_not_finite(bad):
+    # sorted last, it sat at survival 0 and was dropped without a word
+    with pytest.raises(ValueError, match="not censored must be finite"):
+        fit_survival_rate([1.0, bad, 3.0])
+    # a censored entry is no exit, whatever it holds
+    assert fit_survival_rate([1.0, bad, 2.0, 3.0],
+                             [False, True, False, False]) > 0
 
 
 def test_exit_path_direction_unit_norm(chi1):

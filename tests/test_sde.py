@@ -726,6 +726,17 @@ def test_feynman_kac_rejects_nonfinite(gen_small, name, value):
         feynman_kac_holding_mc(gen_small, chi, cells=[0], n_traj=4, **kwargs)
 
 
+@pytest.mark.parametrize("n_traj", [0, -1])
+def test_feynman_kac_mc_needs_a_trajectory(n_traj):
+    # 0 gave a NaN estimate with RuntimeWarnings, -1 numpy's "negative
+    # dimensions are not allowed"
+    flat = flat_potential()
+    gen = build_sqrt_generator(flat, RegularGrid(4, 4, flat.domain), 1.0)
+    with pytest.raises(ValueError, match="n_traj must be >= 1"):
+        feynman_kac_holding_mc(gen, np.full(gen.n, 0.5), 0.01, [0], t=1.0,
+                               n_traj=n_traj)
+
+
 def test_feynman_kac_requires_generator(gen50, chi1, report1):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     with pytest.raises(ValueError):
