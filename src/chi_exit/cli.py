@@ -152,11 +152,7 @@ def _finite(key: str, value) -> float:
 
 
 def _coerce(key: str, value, default):
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError("key %s expects true/false" % key)
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError("key %s expects an integer" % key)
         return value
@@ -184,18 +180,6 @@ class ExperimentConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    @property
-    def seed(self) -> int:
-        return self.values["seed"]
-
-    @property
-    def workers(self) -> int:
-        return self.values["workers"]
-
-    @property
-    def output_dir(self) -> str:
-        return self.values["output_dir"]
-
     def config_hash(self) -> str:
         # workers and output_dir must not influence results
         parts = []
@@ -203,12 +187,8 @@ class ExperimentConfig:
             if key in ("workers", "output_dir"):
                 continue
             value = self.values[key]
-            if isinstance(value, float):
-                text = repr(value)
-            elif isinstance(value, list):
-                text = "[" + ",".join(repr(float(v)) for v in value) + "]"
-            else:
-                text = str(value)
+            text = ("[%s]" % ",".join(map(_fmt, value))
+                    if isinstance(value, list) else _fmt(value))
             parts.append("%s=%s" % (key, text))
         digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
         return digest[:16]
@@ -216,33 +196,37 @@ class ExperimentConfig:
 
 def load_config(experiment: str, path: Optional[str], overrides: Dict[str, object]
                 ) -> ExperimentConfig:
-    """Merge defaults, an optional config file, and CLI overrides.  For
-    every subcommand, a core_box without four entries, a rates.norm other
-    than ls or lad, rates.tau, validate.jump_horizon or kbt <= 0, a step,
-    path or worker count below 1, idea4.n_points < 2, validate.n_starts <
-    2, a seed outside [0, 2^64), a potential, sde.sigma or sde.dt that
-    ``SdeConfig`` rejects, a grid.nx or grid.ny that ``RegularGrid``
-    rejects, a core box that ``mc_hitting_membership`` rejects, or a
-    membership.kind not in ``_KINDS`` is a ConfigError."""
-    values = dict(DEFAULTS)
+    """Merge defaults, an optional config file, and ``overrides`` (the
+    flags by the keys they set; None is a flag not given), each file key
+    and override checked alike.  A file that cannot be read as UTF-8 or
+    is tagged for another experiment, an unknown key, a value without its
+    default's type, and for every subcommand a core_box without four
+    entries, a rates.norm other than ls or lad, rates.tau,
+    validate.jump_horizon or kbt <= 0, a step, path or worker count below
+    1, idea4.n_points < 2, validate.n_starts < 2, a seed outside [0,
+    2^64), a potential, sde.sigma or sde.dt that ``SdeConfig`` rejects, a
+    grid.nx or grid.ny that ``RegularGrid`` rejects, a core box that
+    ``mc_hitting_membership`` rejects, or a membership.kind not in
+    ``_KINDS`` is a ConfigError."""
+    given = {}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError("config file not found: %s" % path)
-        with open(path) as fh:
-            parsed = parse_config_text(fh.read())
-        for key, value in parsed.items():
-            if key == "experiment":
-                if str(value) != experiment:
-                    raise ConfigError(
-                        "config is for experiment %r, not %r" % (value, experiment)
-                    )
-                continue
-            if key not in DEFAULTS:
-                raise ConfigError("unknown config key %r" % key)
-            values[key] = _coerce(key, value, DEFAULTS[key])
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = _coerce(key, value, DEFAULTS[key])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError("cannot read config file %s: %s" % (
+                path, getattr(err, "strerror", None) or err)) from err
+        given = parse_config_text(text)
+    tag = given.pop("experiment", experiment)
+    if str(tag) != experiment:
+        raise ConfigError("config is for experiment %r, not %r"
+                          % (tag, experiment))
+    flags = [(k, v) for k, v in overrides.items() if v is not None]
+    values = dict(DEFAULTS)
+    for key, value in [*given.items(), *flags]:
+        if key not in DEFAULTS:
+            raise ConfigError("unknown config key %r" % key)
+        values[key] = _coerce(key, value, DEFAULTS[key])
     if len(values["membership.core_box"]) != 4:
         raise ConfigError("membership.core_box expects [x1min,x1max,x2min,x2max]")
     if values["rates.norm"] not in ("ls", "lad"):
@@ -332,11 +316,11 @@ def _write_csv(cfg: ExperimentConfig, name: str, header: List[str], columns,
     n = len(columns[0]) if columns else 0
     if any(len(col) != n for col in columns):
         raise ValueError("columns of %s differ in length" % name)
-    path = os.path.join(cfg.output_dir, name)
+    path = os.path.join(cfg["output_dir"], name)
     try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        os.makedirs(cfg["output_dir"], exist_ok=True)
         with open(path, "w") as fh:
-            first = "config=%s seed=%d" % (cfg.config_hash(), cfg.seed)
+            first = "config=%s seed=%d" % (cfg.config_hash(), cfg["seed"])
             fh.writelines("# %s\n" % c for c in [first, *comments])
             fh.write(",".join(header) + "\n")
             for lo in range(0, n, _BLOCK_ROWS):
@@ -517,17 +501,17 @@ def run_idea3(cfg: ExperimentConfig) -> int:
 def _mc_field(cfg: ExperimentConfig):
     """The run's core-hitting membership at the cell centers of its grid."""
     return _stage("chi_field", cfg.sampler.evaluate_batch, cfg.grid.centers,
-                  cfg.workers)
+                  cfg["workers"])
 
 
 def run_idea4(cfg: ExperimentConfig) -> int:
     """Rate from short-time simulations only: MC chi and MC P^tau chi."""
     chi = cfg.sampler
     pts = _stage("sample_points", uniform_points, cfg["idea4.n_points"],
-                 cfg.dynamics.potential.domain, cfg.seed)
+                 cfg.dynamics.potential.domain, cfg["seed"])
     # chi(x) and P^tau chi(x) off one set of chi's paths per point
     xs, ys = _stage("ptau_estimates", estimate_ptau_chi, chi, pts,
-                    cfg["idea4.steps"], cfg.workers)
+                    cfg["idea4.steps"], cfg["workers"])
     _write_csv(cfg, "scatter.csv", ["point", "x1", "x2", "chi", "ptau_chi"],
                [np.arange(len(pts)), pts[:, 0], pts[:, 1], xs, ys])
     reg = _stage("regress", regress, xs, ys, cfg["rates.norm"])
@@ -589,7 +573,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
     starts = cfg.grid.centers[picks]
     stats = _stage("exit_times", sample_set_exit_times, cfg.dynamics, gen,
                    mask, starts, cfg["validate.n_traj"],
-                   cfg["validate.horizon_steps"], cfg.seed)
+                   cfg["validate.horizon_steps"], cfg["seed"])
     means = stats.mean_exit_time()
     _write_csv(cfg, "exit_times.csv",
                ["cell", "x1", "x2", "chi", "mean_exit_time",
@@ -603,7 +587,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
     deep = int(cells[np.argmax(field[cells])])
     times, censored = _stage(
         "jump_exit_times", sample_jump_exit_times, gen, mask, deep,
-        cfg["validate.jump_n_traj"], cfg["validate.jump_horizon"], cfg.seed,
+        cfg["validate.jump_n_traj"], cfg["validate.jump_horizon"], cfg["seed"],
     )
     censor_frac = float(censored.mean())
     notes = [corr_note] if corr_note else []
@@ -697,26 +681,20 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=(fn.__doc__ or name).splitlines()[0])
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", dest="output_dir", metavar="OUT",
+                       default=None, help="output directory")
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes (never changes results)")
-        p.add_argument("--norm", choices=("ls", "lad"), default=None,
-                       help="regression norm")
+        p.add_argument("--norm", dest="rates.norm", choices=("ls", "lad"),
+                       default=None, help="regression norm")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(
-            args.command, args.config,
-            {
-                "seed": args.seed,
-                "output_dir": args.out,
-                "workers": args.workers,
-                "rates.norm": args.norm,
-            },
-        )
+        cfg = load_config(args.command, args.config,
+                          {k: v for k, v in vars(args).items() if k in DEFAULTS})
         return _COMMANDS[args.command](cfg)
     except ConfigError as err:
         print("config error: %s" % err, file=sys.stderr)

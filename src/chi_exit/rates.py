@@ -160,10 +160,10 @@ def gammas_to_rate(reg: RegressionResult, tau: float,
     Raises
     ------
     ValueError
-        When tau is not positive (NaN included).
+        When tau is not positive and finite (NaN included).
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     g1, g2 = reg.gamma1, reg.gamma2
     if not 0 < g1 < 1:
         return _fit_report(math.nan, math.nan, reg, provenance, float(tau),
@@ -399,14 +399,18 @@ def fit_survival_rate(times, censored=None) -> float:
     Raises
     ------
     ValueError
-        When an exit time that is not censored is not finite, or fewer
-        than two exits were observed (e.g. 100% censoring).
+        When censored and times differ in length, an exit time that is
+        not censored is not finite, or fewer than two exits were observed
+        (e.g. 100% censoring).
     """
     times = np.asarray(times, dtype=float).ravel()
     if censored is None:
         censored = np.zeros(times.shape, dtype=bool)
     censored = np.asarray(censored, dtype=bool).ravel()
     n = times.size
+    if censored.size != n:
+        raise ValueError("times has %d entries but censored has %d"
+                         % (n, censored.size))
     exits = np.sort(times[~censored])
     if not np.isfinite(exits).all():
         raise ValueError("exit times that are not censored must be finite")

@@ -622,14 +622,17 @@ def sample_jump_exit_times(gen: GeneratorMatrix, region_cells, start_cell: int,
     Raises
     ------
     ValueError
-        For cells ``GeneratorMatrix.cell_mask`` rejects or a start off S.
+        For cells ``GeneratorMatrix.cell_mask`` rejects, a start off S,
+        n_traj < 1, or a horizon that is not positive and finite (NaN
+        included).
     """
     mask = gen.cell_mask(region_cells)
     start_cell = int(gen.cell_indices(start_cell))
     if not mask[start_cell]:
         raise ValueError("start cell lies outside the region")
-    if n_traj < 1 or horizon_time <= 0:
-        raise ValueError("n_traj must be >= 1 and horizon_time positive")
+    if n_traj < 1 or not 0 < horizon_time < math.inf:
+        raise ValueError("n_traj must be >= 1 and horizon_time positive and "
+                         "finite")
     rng = generator_for(seed, TAG_JUMP, start_cell)
     _, times, exited, _ = _jump_run(gen, rng, start_cell, int(n_traj),
                                     float(horizon_time), ~mask)

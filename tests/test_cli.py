@@ -81,7 +81,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
                                       "workers": None, "rates.norm": None})
     assert cfg["grid.nx"] == 30
     assert cfg["grid.ny"] == DEFAULTS["grid.ny"]
-    assert cfg.seed == 9  # CLI override beats the file
+    assert cfg["seed"] == 9  # CLI override beats the file
     assert cfg["rates.norm"] == "ls"
 
 
@@ -119,6 +119,31 @@ def test_load_config_experiment_tag(tmp_path):
     with pytest.raises(ConfigError, match="experiment"):
         load_config("idea1", path, {})
     assert load_config("idea2", path, {}).experiment == "idea2"
+
+
+def test_default_config_hash_is_pinned():
+    # the hash on every CSV's first row ties its numbers to their config,
+    # so its bytes must not drift
+    assert load_config("idea1", None, {}).config_hash() == "9d8ea8102753f5de"
+
+
+def test_every_flag_names_the_key_it_overrides():
+    parser = cli.build_parser()
+    for command in cli._COMMANDS:
+        dests = set(vars(parser.parse_args([command]))) - {"command", "config"}
+        assert dests and dests <= set(DEFAULTS)
+
+
+def test_a_flag_passes_the_checks_of_a_file_key(tmp_path):
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        load_config("idea1", None, {"workers": 0})
+    with pytest.raises(ConfigError, match="key seed expects an integer"):
+        load_config("idea1", None, {"seed": 1.5})
+    with pytest.raises(ConfigError, match="unknown config key 'grid.nz'"):
+        load_config("idea1", None, {"grid.nz": 10})
+    # a flag beats the file, but the file's value is still checked
+    with pytest.raises(ConfigError, match="key seed expects an integer"):
+        load_config("idea1", _cfg(tmp_path, "seed = x\n"), {"seed": 3})
 
 
 def test_config_hash_scope(tmp_path):
@@ -257,8 +282,8 @@ def test_idea4_reads_chi_off_the_ptau_paths(tmp_path, capsys, monkeypatch,
     cfg = load_config("idea4", path, {})
     chi = mc_hitting_membership(
         cfg.dynamics, cfg["membership.core_box"], cfg["idea4.n_traj"],
-        cfg["membership.max_steps"], cfg.seed)
-    pts = uniform_points(6, cfg.dynamics.potential.domain, cfg.seed)
+        cfg["membership.max_steps"], cfg["seed"])
+    pts = uniform_points(6, cfg.dynamics.potential.domain, cfg["seed"])
     xs, ys = estimate_ptau_chi(chi, pts, cfg["idea4.steps"])
     _, _, rows = _read_csv(tmp_path / "out" / "scatter.csv")
     assert [float(r[3]) for r in rows] == xs.tolist()
@@ -462,7 +487,7 @@ def test_validate_one_exit_fits_no_rate(tmp_path, capsys, n_traj):
 
 def test_seed_is_a_u64():
     for seed in (0, 2 ** 64 - 1):
-        assert load_config("idea1", None, {"seed": seed}).seed == seed
+        assert load_config("idea1", None, {"seed": seed})["seed"] == seed
 
 
 #: validate with every start at chi = 1.0.
@@ -548,8 +573,27 @@ def test_exit_code_unwritable_output(tmp_path, capsys):
     assert "stage write" in err and str(out) in err
 
 
-def test_missing_config_file():
-    assert main(["idea1", "--config", "/does/not/exist.cfg"]) == 2
+def test_missing_config_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["idea1", "--config", str(tmp_path / "none.cfg"),
+                 "--out", str(out)]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    # both raised a traceback with exit code 1
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"grid.nx = 16\n\xff\xfe\n")
+    out = tmp_path / "out"
+    assert main(["idea1", "--config", str(path), "--out", str(out)]) == 2
+    assert ("config error: cannot read config file %s" % path
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -563,7 +607,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def _row_writer_bytes(cfg, header, rows, comments=()) -> bytes:
     """The row writer the column-wise one replaced: ``_fmt`` per value."""
-    lines = ["# config=%s seed=%d" % (cfg.config_hash(), cfg.seed)]
+    lines = ["# config=%s seed=%d" % (cfg.config_hash(), cfg["seed"])]
     lines += ["# %s" % comment for comment in comments]
     lines.append(",".join(header))
     lines += [",".join(_fmt(v) for v in row) for row in rows]

@@ -107,12 +107,11 @@ def test_the_run_sampler_is_built_at_load():
 
 
 def test_the_cli_formats_numbers_in_one_place():
-    # every printed or written figure goes through _fmt (a numeric CSV
-    # column through _column_text, its one-pass twin); config_hash keeps
-    # its own text, so the hash stays the same
+    # every printed or written figure and every value of the config hash
+    # goes through _fmt (a numeric CSV column through _column_text, its
+    # one-pass twin)
     assert _places_naming({"cli": (SRC / "cli.py").read_text()},
-                          "repr") == ["cli.ExperimentConfig",
-                                      "cli._column_text", "cli._fmt"]
+                          "repr") == ["cli._column_text", "cli._fmt"]
 
 
 def test_every_public_name_exists():

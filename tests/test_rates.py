@@ -139,7 +139,8 @@ def test_gammas_to_rate_noise_dominated():
     assert report.note == "lag time too long / noise dominated"
     assert not report.meaningful
     assert math.isnan(report.eps1)
-    for tau in (0.0, math.nan):
+    # tau = inf gave eps1 = eps2 = 0 and pi_chi = nan, with no note
+    for tau in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tau must be positive"):
             gammas_to_rate(RegressionResult(0.5, 0.1, 0.0, 10,
                                             "least_squares"), tau, "noisy")
@@ -258,6 +259,13 @@ def test_fit_survival_rate_needs_exits():
     with pytest.raises(ValueError, match="censor"):
         fit_survival_rate(np.array([5.0, 5.0, 5.0]),
                           np.array([True, True, True]))
+
+
+def test_fit_survival_rate_rejects_censored_of_another_length():
+    # a short mask raised numpy's IndexError
+    with pytest.raises(ValueError, match="times has 3 entries but censored "
+                       "has 2"):
+        fit_survival_rate([1.0, 2.0, 3.0], [False, True])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

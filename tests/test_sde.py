@@ -547,6 +547,16 @@ def test_jump_exit_times_censoring():
         sample_jump_exit_times(gen, np.array([1]), -1, 10, 1.0)
 
 
+@pytest.mark.parametrize("horizon", [np.nan, np.inf])
+def test_jump_exit_times_reject_a_horizon_not_finite(horizon):
+    # NaN failed the positivity check and was ignored; inf never stops a
+    # path that cannot leave S
+    pot = flat_potential()
+    gen = build_sqrt_generator(pot, RegularGrid(6, 6, pot.domain), 1.0)
+    with pytest.raises(ValueError, match="horizon_time positive and finite"):
+        sample_jump_exit_times(gen, np.arange(18), 0, 5, horizon)
+
+
 def _loop_jump_exit_times(gen, mask, start_cell, n_traj, horizon_time, rng):
     """Reference: the exit-time loop the jump kernel replaced, frozen."""
     rate_out, neighbors, cum = gen.jump_tables()
