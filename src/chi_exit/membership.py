@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import fmin
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
@@ -29,6 +28,9 @@ Array = np.ndarray
 
 #: Reject eigenvalues whose relative gap to a neighbor is below this.
 GAP_TOL = 0.05
+
+# Objective evaluations, and iterations, the PCCA+ crispness search may spend.
+_CRISPNESS_BUDGET = 20000
 
 
 @dataclass(eq=False)
@@ -209,6 +211,76 @@ def _crispness(a_free: Array, x: Array, m: int) -> float:
     return -float(((a * a).sum(axis=0) / a[0, :]).sum())
 
 
+class _BudgetSpent(Exception):
+    """The Nelder-Mead objective was asked for one evaluation too many."""
+
+
+def _nelder_mead(fun, x0: Array, args: tuple, tol: float, budget: int
+                 ) -> Tuple[Array, bool]:
+    """Minimize fun(x, *args) by the Nelder-Mead simplex (Nelder & Mead,
+    Comput. J. 1965), repeating each step of scipy 1.17's ``fmin`` with
+    xtol = ftol = tol and maxiter = maxfun = budget, so that it returns
+    fmin's vertex bit for bit; like fmin, it stops partway through a step
+    once the budget is spent.  Returns the best vertex and whether it
+    converged (fmin's warnflag 0)."""
+    n = len(x0)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= budget:
+            raise _BudgetSpent
+        calls += 1
+        return fun(np.copy(x), *args)
+
+    def ordered(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = ordered(*ordered(sim, fsim))  # fmin sorts twice here
+    iterations = 1
+    while calls < budget and iterations < budget:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= tol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= tol):
+            break
+        # fmin's rho = 1, chi = 2, psi = sigma = 0.5, written out
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside if xr beats the worst vertex
+                outside = fxr < fsim[-1]
+                xc = (1.5 * xbar - 0.5 * sim[-1] if outside
+                      else 0.5 * xbar + 0.5 * sim[-1])
+                fxc = f(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], calls < budget and iterations < budget
+
+
 def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
     """Inner-simplex PCCA+ memberships from the first n_clusters eigenpairs.
 
@@ -216,7 +288,8 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
     the vertex matrix is inverted for the initial linear-combination
     coefficients, and the free coefficients are then polished by a
     crispness maximization that keeps nonnegativity and partition of
-    unity exact.
+    unity exact.  A maximization that spends its budget of evaluations
+    unconverged issues a UserWarning and keeps its best vertex.
 
     Parameters
     ----------
@@ -259,9 +332,11 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
             "singular simplex vertex matrix (condition number %.2e)" % cond
         )
     a0 = _fill_a(np.linalg.inv(vert), x)
-    free = fmin(_crispness, a0[1:, 1:].ravel(), args=(x, m),
-                xtol=1e-10, ftol=1e-10, maxiter=20000, maxfun=20000,
-                disp=False)
+    free, converged = _nelder_mead(_crispness, a0[1:, 1:].ravel(), (x, m),
+                                   1e-10, _CRISPNESS_BUDGET)
+    if not converged:
+        warnings.warn("PCCA+ crispness search stopped unconverged after %d "
+                      "evaluations" % _CRISPNESS_BUDGET)
     a = np.zeros((m, m))
     a[1:, 1:] = free.reshape(m - 1, m - 1)
     a = _fill_a(a, x)

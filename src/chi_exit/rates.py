@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 from scipy.sparse.linalg import spsolve
 
 from .grid_generator import GeneratorMatrix
@@ -117,7 +116,9 @@ def regress(xs, ys, norm_kind: str = "least_squares") -> RegressionResult:
         g1, g2 = float(coef[0]), float(coef[1])
         resid = float(np.linalg.norm(ys - g1 * xs - g2))
     else:
-        # LAD as a linear program: min sum(u+v), y - g1 x - g2 = u - v
+        # LAD as a linear program: min sum(u+v), y - g1 x - g2 = u - v;
+        # imported here so that no other run loads scipy.optimize
+        from scipy.optimize import linprog
         eye = sp.identity(n, format="csc")
         a_eq = sp.hstack(
             [sp.csc_matrix(xs[:, None]), sp.csc_matrix(np.ones((n, 1))),

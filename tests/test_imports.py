@@ -2,6 +2,10 @@
 every private top-level function of the package is called from it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,3 +123,30 @@ def test_every_public_name_exists():
     # would pass it
     assert [name for name in chi_exit.__all__
             if not hasattr(chi_exit, name)] == []
+
+
+#: A fresh interpreter that reports whether scipy.optimize is loaded after
+#: the package's imports, after a PCCA+ fit, and after a LAD regression.
+_OPTIMIZE_LOADED = """
+import json, sys
+import chi_exit, chi_exit.cli
+from chi_exit import (RegularGrid, benchmark_potential, build_sqrt_generator,
+                      eigensolve, pcca_multi, regress)
+seen = ["scipy.optimize" in sys.modules]
+pot = benchmark_potential()
+gen = build_sqrt_generator(pot, RegularGrid(20, 20, pot.domain), 1.0)
+pcca_multi(eigensolve(gen, 3), 3)
+seen.append("scipy.optimize" in sys.modules)
+regress([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], "lad")
+seen.append("scipy.optimize" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_only_a_lad_fit_loads_scipy_optimize():
+    # module sets, not import times: PCCA+ runs on the package's own
+    # Nelder-Mead, and only regress's LAD branch imports linprog
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", _OPTIMIZE_LOADED], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == [False, False, True]

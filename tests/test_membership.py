@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import fmin, rosen
 
 from chi_exit import (
     RegularGrid,
@@ -17,6 +18,7 @@ from chi_exit import (
     pcca_multi,
     pcca_single,
 )
+from chi_exit import membership
 from chi_exit.grid_generator import GeneratorMatrix
 from chi_exit.membership import Membership
 from chi_exit.sde import _in_box
@@ -92,6 +94,58 @@ def test_pcca_multi_weights(eig3):
 def test_pcca_multi_single_cluster(eig3):
     (chi,) = pcca_multi(eig3, 1)
     np.testing.assert_array_equal(chi.values, np.ones_like(chi.values))
+
+
+def test_pcca_multi_warns_when_its_budget_is_spent(eig3, monkeypatch):
+    monkeypatch.setattr(membership, "_CRISPNESS_BUDGET", 50)
+    with pytest.warns(UserWarning, match="unconverged after 50 evaluations"):
+        chis = pcca_multi(eig3, 3)
+    total = sum(c.values for c in chis)
+    np.testing.assert_allclose(total, np.ones_like(total), rtol=0,
+                               atol=1e-10)
+
+
+def _assert_repeats_fmin(fun, x0, args, budget):
+    # scipy's fmin is the reference the port must repeat bit for bit
+    x_ref, _, _, _, warnflag = fmin(fun, x0, args=args, xtol=1e-10,
+                                    ftol=1e-10, maxiter=budget,
+                                    maxfun=budget, disp=False,
+                                    full_output=True)
+    x, converged = membership._nelder_mead(fun, x0, args, 1e-10, budget)
+    assert x.tobytes() == x_ref.tobytes()
+    assert converged == (warnflag == 0)
+
+
+@pytest.fixture(scope="module")
+def eig5(gen50):
+    return eigensolve(gen50, 5)
+
+
+@pytest.mark.parametrize("budget", [100, 20000])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_nelder_mead_repeats_fmin_on_crispness(eig5, m, budget):
+    x = eig5.eigenvectors[:, :m]
+    a0 = membership._fill_a(
+        np.linalg.inv(x[membership._isa_vertices(x)]), x)
+    _assert_repeats_fmin(membership._crispness, a0[1:, 1:].ravel(), (x, m),
+                         budget)
+
+
+def _floors(x):
+    # flat steps tie vertices and force shrinks: budgets 7 and 8 stop
+    # partway through a three-vertex shrink
+    return float(np.floor(4 * np.abs(x)).sum())
+
+
+@pytest.mark.parametrize("budget", [7, 8, 40, 133, 20000])
+@pytest.mark.parametrize("fun, x0", [
+    (rosen, [-1.2, 1.0]),
+    (rosen, [0.0, 2.0, -1.0]),
+    (rosen, [1.3, 0.7, 0.8, 1.9]),
+    (_floors, [0.3, 0.3, 0.3]),
+], ids=["rosen2", "rosen3-zero", "rosen4", "floors3"])
+def test_nelder_mead_repeats_fmin(fun, x0, budget):
+    _assert_repeats_fmin(fun, np.array(x0), (), budget)
 
 
 def test_grid_memberships_carry_their_grid(gen50, eig3):
