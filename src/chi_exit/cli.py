@@ -203,11 +203,11 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
     default's type, and for every subcommand a core_box without four
     entries, a rates.norm other than ls or lad, rates.tau,
     validate.jump_horizon or kbt <= 0, a step, path or worker count below
-    1, idea4.n_points < 2, validate.n_starts < 2, a seed outside [0,
-    2^64), a potential, sde.sigma or sde.dt that ``SdeConfig`` rejects, a
-    grid.nx or grid.ny that ``RegularGrid`` rejects, a core box that
-    ``mc_hitting_membership`` rejects, or a membership.kind not in
-    ``_KINDS`` is a ConfigError."""
+    1, idea4.n_points, validate.n_starts, membership.eigen_index or
+    membership.n_clusters < 2, a seed outside [0, 2^64), a potential,
+    sde.sigma or sde.dt that ``SdeConfig`` rejects, a grid.nx or grid.ny
+    that ``RegularGrid`` rejects, a core box that ``mc_hitting_membership``
+    rejects, or a membership.kind not in ``_KINDS`` is a ConfigError."""
     given = {}
     if path is not None:
         try:
@@ -246,6 +246,9 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
         raise ConfigError("idea4.n_points must be >= 2 for a regression")
     if values["validate.n_starts"] < 2:
         raise ConfigError("validate.n_starts must be >= 2 for a correlation")
+    for key in ("membership.eigen_index", "membership.n_clusters"):
+        if values[key] < 2:
+            raise ConfigError("%s must be >= 2" % key)
     for key in ("validate.jump_horizon", "kbt"):
         if values[key] <= 0:
             raise ConfigError("%s must be positive" % key)
@@ -365,8 +368,6 @@ def _write_eigen(cfg: ExperimentConfig, eig) -> str:
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (ConfigError, StageError):
-        raise
     except Exception as err:
         raise StageError(name, err) from err
 
@@ -591,15 +592,11 @@ def run_validate(cfg: ExperimentConfig) -> int:
     )
     censor_frac = float(censored.mean())
     notes = [corr_note] if corr_note else []
-    # the survival curve has a point per exit but the last when none is
-    # censored, where the survival fraction reaches zero
-    if np.count_nonzero(~censored) - (not censored.any()) < 2:
-        set_rate = float("nan")
+    set_rate = _stage("survival_fit", fit_survival_rate, times, censored)
+    if np.isnan(set_rate):
         notes.append("no rate fitted: survival curve has fewer than two "
                      "points")
         print("validate: %s" % notes[-1], file=sys.stderr)
-    else:
-        set_rate = _stage("survival_fit", fit_survival_rate, times, censored)
 
     # reference eps1 of the same membership on the same clock
     _, reg, report = _lag_rate(cfg, gen, field, "validate")

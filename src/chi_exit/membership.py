@@ -53,7 +53,7 @@ class Membership:
     grid : RegularGrid, optional
         The discretization of the values, required with them.
     meta : dict
-        Construction metadata (e.g. alpha_bar, beta_bar, eps_bar).
+        Construction metadata (e.g. eps_bar, beta_bar, weight).
     """
 
     provenance: str
@@ -135,9 +135,9 @@ def pcca_single(eig: EigenSystem, which: int) -> Membership:
     Returns
     -------
     Membership
-        Grid membership with meta alpha_bar = 1/(max f - min f),
-        beta_bar = -min f/(max f - min f) and eps_bar the eigenvalue.
-        beta_bar equals the statistical weight pi_chi.
+        Grid membership with meta beta_bar = -min f/(max f - min f), the
+        statistical weight pi_chi; eps_bar, the eigenvalue; eigen_index,
+        ``which``; and eigenfunction, f.
     """
     if which < 2 or which > eig.count:
         raise ValueError("which must be between 2 and %d" % eig.count)
@@ -153,7 +153,6 @@ def pcca_single(eig: EigenSystem, which: int) -> Membership:
     fmax, fmin = float(f.max()), float(f.min())
     if fmax - fmin < 1e-14:
         raise ValueError("eigenfunction %d is constant; cannot rescale" % which)
-    alpha_bar = 1.0 / (fmax - fmin)
     beta_bar = -fmin / (fmax - fmin)
     chi = (f - fmin) / (fmax - fmin)
     assert chi.min() > -1e-12 and chi.max() < 1 + 1e-12
@@ -162,7 +161,6 @@ def pcca_single(eig: EigenSystem, which: int) -> Membership:
         values=chi,
         grid=eig.grid,
         meta={
-            "alpha_bar": alpha_bar,
             "beta_bar": beta_bar,
             "eps_bar": eps_bar,
             "eigen_index": which,
@@ -295,27 +293,17 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
     ----------
     eig : EigenSystem
     n_clusters : int
-        Number of memberships, <= eig.count.
+        Number of memberships, 2 <= n_clusters <= eig.count.
 
     Returns
     -------
     list of Membership
-        Each with meta "coefficients" (the linear combination in the
-        eigenfunction basis) and "weight" (pi_chi, the coefficient of
-        the constant eigenfunction).
+        Each with meta "weight" (pi_chi, the coefficient of the constant
+        eigenfunction in its linear combination).
     """
     m = int(n_clusters)
-    if m < 1 or m > eig.count:
-        raise ValueError("n_clusters must be between 1 and %d" % eig.count)
-    if m == 1:
-        return [
-            Membership(
-                provenance="pcca_multi",
-                values=np.ones(eig.grid.n),
-                grid=eig.grid,
-                meta={"coefficients": np.array([1.0]), "weight": 1.0},
-            )
-        ]
+    if m < 2 or m > eig.count:
+        raise ValueError("n_clusters must be between 2 and %d" % eig.count)
     if eig.count > m:
         lam_in, lam_out = eig.eigenvalues[m - 1], eig.eigenvalues[m]
         if lam_out - lam_in < GAP_TOL * max(lam_out, 1e-300):
@@ -353,11 +341,7 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
                 provenance="pcca_multi",
                 values=chis[:, j],
                 grid=eig.grid,
-                meta={
-                    "coefficients": a[:, j].copy(),
-                    "weight": float(a[0, j]),
-                    "eigenvalues": eig.eigenvalues[:m].copy(),
-                },
+                meta={"weight": float(a[0, j])},
             )
         )
     return out

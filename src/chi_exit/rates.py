@@ -395,14 +395,15 @@ def fit_survival_rate(times, censored=None) -> float:
     Returns
     -------
     float
-        The fitted exit rate.
+        The fitted exit rate; NaN when the curve keeps fewer than two
+        points (fewer than two exits, or two with none censored, whose
+        last survival fraction is zero).
 
     Raises
     ------
     ValueError
-        When censored and times differ in length, an exit time that is
-        not censored is not finite, or fewer than two exits were observed
-        (e.g. 100% censoring).
+        When censored and times differ in length, or an exit time that
+        is not censored is not finite.
     """
     times = np.asarray(times, dtype=float).ravel()
     if censored is None:
@@ -415,14 +416,9 @@ def fit_survival_rate(times, censored=None) -> float:
     exits = np.sort(times[~censored])
     if not np.isfinite(exits).all():
         raise ValueError("exit times that are not censored must be finite")
-    if exits.size < 2:
-        raise ValueError(
-            "survival fit needs at least two observed exits "
-            "(%d of %d censored)" % (int(censored.sum()), n)
-        )
     survival = (n - np.arange(1, exits.size + 1)) / n
     keep = survival > 0
     if keep.sum() < 2:
-        raise ValueError("survival curve degenerates after one exit")
+        return float("nan")
     reg = regress(exits[keep], np.log(survival[keep]), "least_squares")
     return -reg.gamma1

@@ -24,7 +24,6 @@ off the grid, and every diffusion ensemble runs through one dispatch.
 """
 
 import math
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -266,29 +265,16 @@ def _chunk(args):
     return early.mean(axis=1), (first >= 0).mean(axis=1)
 
 
-def _map_chunks(fn, tasks, workers: int):
-    """``fn`` over ``tasks``, in up to ``workers`` processes when there are
-    several tasks and they pickle; a task that does not (a surface built
-    from lambdas or closures) runs with the rest in this process, to the
-    same values."""
-    if workers > 1 and len(tasks) > 1:
-        try:
-            pickle.dumps(tasks[0])
-        except (pickle.PicklingError, AttributeError, TypeError):
-            workers = 1
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _chunked(config: SdeConfig, points, n_traj: int, steps: int, seed: int,
              tag: int, workers: int, stop=None,
              stop_from: Optional[int] = None) -> Tuple[Array, ...]:
     """The one dispatch of every diffusion ensemble: the kernel from
     ``points`` (one point, or shape (m, 2)) in tasks of ``_CHUNK`` starts,
     joining each column ``_chunk`` returns.  Every task carries ``config``
-    and the picklable predicate ``stop``; no points make one empty task."""
+    and the picklable predicate ``stop``; no points make one empty task.
+    Several tasks run in up to ``workers`` processes; a task that does not
+    pickle (a surface built from lambdas or closures) raises the pool's
+    error there, so it runs only at ``workers = 1``."""
     points = np.asarray(points, dtype=float)
     if points.ndim > 2 or points.shape[-1:] != (2,):
         raise ValueError("points must have shape (2,) or (m, 2), not %s"
@@ -299,7 +285,11 @@ def _chunked(config: SdeConfig, points, n_traj: int, steps: int, seed: int,
          int(tag), stop, stop_from)
         for i in range(0, max(1, len(points)), _CHUNK)
     ]
-    parts = _map_chunks(_chunk, tasks, workers)
+    if workers <= 1 or len(tasks) <= 1:
+        parts = [_chunk(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(min(workers, len(tasks))) as pool:
+            parts = list(pool.map(_chunk, tasks))
     return tuple(np.concatenate(col, axis=0) for col in zip(*parts))
 
 

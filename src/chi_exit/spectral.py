@@ -190,7 +190,4 @@ def propagate(gen: GeneratorMatrix, v: Array, tau: float) -> Array:
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError("tau must be finite and nonnegative (got %r)" % tau)
-    v = gen.grid.cell_values(v)
-    if tau == 0:
-        return v.copy()
-    return expm_action(gen.rates, v, float(tau))
+    return expm_action(gen.rates, gen.grid.cell_values(v), float(tau))

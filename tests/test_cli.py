@@ -358,6 +358,9 @@ _BAD_KIND = ("membership.kind must be pcca_single, pcca_multi, committor, "
      "idea4.n_points"),
     ("validate", VALIDATE_SMALL.replace("n_starts = 5", "n_starts = 1"),
      "validate.n_starts"),
+    ("idea1", "membership.eigen_index = 1\n", "membership.eigen_index"),
+    ("idea2", "membership.n_clusters = 1\n", "membership.n_clusters"),
+    ("idea3", "membership.n_clusters = 0\n", "membership.n_clusters"),
     ("idea1", "seed = -1\n", "seed"),
     ("idea1 --seed -1", "", "seed"),
     ("idea4 --seed -1", IDEA4_SMALL, "seed"),
@@ -386,6 +389,7 @@ _BAD_KIND = ("membership.kind must be pcca_single, pcca_multi, committor, "
       for command in cli._COMMANDS],
 ], ids=["validate-tau-0", "idea4-steps-0", "idea4-steps-negative",
         "idea4-n-points-1", "idea4-n-points-0", "validate-n-starts-1",
+        "idea1-eigen-index-1", "idea2-n-clusters-1", "idea3-n-clusters-0",
         "idea1-seed-key-negative", "idea1-seed-flag-negative",
         "idea4-seed-flag-negative", "validate-seed-key-2-64",
         "dump-chi-seed-flag-2-64", "idea4-membership-n-traj-0",

@@ -103,6 +103,14 @@ def test_the_stepping_kernel_has_one_dispatch():
                           "_run") == ["sde._chunk"]
 
 
+def test_one_place_starts_worker_processes():
+    # every diffusion ensemble reaches a process pool through sde._chunked,
+    # so a second task runner with its own fallback fails here
+    assert _places_naming({path.stem: path.read_text()
+                           for path in SRC.glob("*.py")},
+                          "ProcessPoolExecutor") == ["sde._chunked"]
+
+
 def test_the_run_sampler_is_built_at_load():
     # load_config builds the run's core-hitting sampler once, beside its
     # dynamics and grid, so its box is checked before any work

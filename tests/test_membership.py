@@ -91,9 +91,11 @@ def test_pcca_multi_weights(eig3):
     assert abs(weights[0] - 0.1067) < 0.01
 
 
-def test_pcca_multi_single_cluster(eig3):
-    (chi,) = pcca_multi(eig3, 1)
-    np.testing.assert_array_equal(chi.values, np.ones_like(chi.values))
+def test_pcca_multi_needs_two_clusters(eig3):
+    # one cluster is the constant membership, which no route reads
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="between 2 and 3"):
+            pcca_multi(eig3, m)
 
 
 def test_pcca_multi_warns_when_its_budget_is_spent(eig3, monkeypatch):
@@ -150,7 +152,7 @@ def test_nelder_mead_repeats_fmin(fun, x0, budget):
 
 def test_grid_memberships_carry_their_grid(gen50, eig3):
     assert pcca_single(eig3, 3).grid is gen50.grid
-    for m in (1, 3):
+    for m in (2, 3):
         assert all(c.grid is gen50.grid for c in pcca_multi(eig3, m))
 
 

@@ -256,9 +256,10 @@ def test_fit_survival_rate_with_censoring():
 
 
 def test_fit_survival_rate_needs_exits():
-    with pytest.raises(ValueError, match="censor"):
-        fit_survival_rate(np.array([5.0, 5.0, 5.0]),
-                          np.array([True, True, True]))
+    assert math.isnan(fit_survival_rate(np.array([5.0, 5.0, 5.0]),
+                                        np.array([True, True, True])))
+    # two exits with none censored: the second sits at survival zero
+    assert math.isnan(fit_survival_rate([1.0, 2.0]))
 
 
 def test_fit_survival_rate_rejects_censored_of_another_length():
