@@ -17,8 +17,9 @@ import argparse
 import hashlib
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -94,8 +95,6 @@ class StageError(Exception):
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__("stage %s: %s" % (stage, cause))
-        self.stage = stage
-        self.cause = cause
 
 
 def _parse_scalar(text: str):
@@ -126,12 +125,19 @@ def _parse_value(text: str):
     return _parse_scalar(text)
 
 
+#: A line up to its first ``#`` outside quotes, or up to a quote left open.
+_BEFORE_COMMENT = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*')*""")
+
+
 def parse_config_text(text: str) -> Dict[str, object]:
-    """Parse flat ``key = value`` lines; # starts a comment."""
+    """Parse flat ``key = value`` lines; # outside quotes starts a comment,
+    and a quote left open is a ConfigError."""
     data = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = _BEFORE_COMMENT.match(raw).group()
+        if raw[len(line):len(line) + 1] in ("'", '"'):
+            raise ConfigError("config line %d: unclosed quote" % lineno)
+        if not line.strip():
             continue
         if "=" not in line:
             raise ConfigError("config line %d: expected key = value" % lineno)
@@ -465,8 +471,8 @@ def run_idea2(cfg: ExperimentConfig) -> int:
     """Rate by regressing the generator action of a PCCA+ membership."""
     gen, eig, chis, chi = _pcca_clusters(cfg)
     m = len(chis)
-    report = _stage("rates", regress_generator_action, gen, chi,
-                    cfg["rates.norm"])
+    report = replace(_stage("rates", regress_generator_action, gen, chi,
+                            cfg["rates.norm"]), provenance="idea2")
     selected = chis.index(chi) + 1
     _write_cells(cfg, "chi.csv", ["chi%d" % (j + 1) for j in range(m)],
                  [c.values for c in chis],

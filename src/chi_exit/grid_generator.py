@@ -9,8 +9,9 @@ operator is P^tau = exp(-tau L*).  ``RegularGrid.cells_of`` is the one
 lookup from positions to cells; a position off the grid raises there.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,7 +120,7 @@ class GeneratorMatrix:
     """Sparse rate operator L* with its stationary distribution.
 
     Everything derived from it stays sparse: ``symmetrized()`` builds
-    D L* D^-1 on each call, and only the jump-process tables are cached.
+    D L* D^-1 on each call, and only ``jump_tables`` is cached.
     Cells and cell sets are checked against it, and ``restricted`` gives
     L* on a cell set; per-cell values are checked against its grid.
 
@@ -137,7 +138,6 @@ class GeneratorMatrix:
     rates: sp.csr_matrix
     weights: Array
     grid: RegularGrid
-    _jump_tables: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -193,8 +193,9 @@ class GeneratorMatrix:
                 "(%d cells, e.g. %s)" % (cells.size, cells[:8].tolist()))
         return sub
 
+    @cached_property
     def jump_tables(self):
-        """Tables for simulating the jump process generated by L*.
+        """Tables for simulating the jump process generated by L*, cached.
 
         Returns
         -------
@@ -205,28 +206,26 @@ class GeneratorMatrix:
         cum : ndarray, shape (n, 4)
             Cumulative jump probabilities aligned with ``neighbors``.
         """
-        if self._jump_tables is None:
-            r, n = self.rates, self.n
-            row = np.repeat(np.arange(n), np.diff(r.indptr))
-            keep = r.indices != row
-            row, js = row[keep], r.indices[keep].astype(np.int64)
-            count = np.bincount(row, minlength=n)
-            end = np.cumsum(count)
-            off = sp.csr_matrix((r.data[keep], js, np.append(0, end)),
-                                shape=(n, n))
-            rate_out = np.asarray(-off.sum(axis=1)).ravel()
-            # each row is padded with its last neighbour at zero rate, so
-            # the row cumsum adds the rates in CSR order, its last column
-            # is their total, and the padded slots hold exactly 1
-            slot = np.arange(row.size) - (end - count)[row]
-            neighbors = np.broadcast_to(js[end - 1][:, None], (n, 4)).copy()
-            neighbors[row, slot] = js
-            cum = np.zeros((n, 4))
-            cum[row, slot] = -off.data
-            np.cumsum(cum, axis=1, out=cum)
-            cum /= cum[:, -1:]
-            self._jump_tables = (rate_out, neighbors, cum)
-        return self._jump_tables
+        r, n = self.rates, self.n
+        row = np.repeat(np.arange(n), np.diff(r.indptr))
+        keep = r.indices != row
+        row, js = row[keep], r.indices[keep].astype(np.int64)
+        count = np.bincount(row, minlength=n)
+        end = np.cumsum(count)
+        off = sp.csr_matrix((r.data[keep], js, np.append(0, end)),
+                            shape=(n, n))
+        rate_out = np.asarray(-off.sum(axis=1)).ravel()
+        # each row is padded with its last neighbour at zero rate, so
+        # the row cumsum adds the rates in CSR order, its last column
+        # is their total, and the padded slots hold exactly 1
+        slot = np.arange(row.size) - (end - count)[row]
+        neighbors = np.broadcast_to(js[end - 1][:, None], (n, 4)).copy()
+        neighbors[row, slot] = js
+        cum = np.zeros((n, 4))
+        cum[row, slot] = -off.data
+        np.cumsum(cum, axis=1, out=cum)
+        cum /= cum[:, -1:]
+        return rate_out, neighbors, cum
 
 
 def build_sqrt_generator(

@@ -136,8 +136,8 @@ def pcca_single(eig: EigenSystem, which: int) -> Membership:
     -------
     Membership
         Grid membership with meta beta_bar = -min f/(max f - min f), the
-        statistical weight pi_chi; eps_bar, the eigenvalue; eigen_index,
-        ``which``; and eigenfunction, f.
+        statistical weight pi_chi, and eps_bar, the eigenvalue: all that
+        the rate eps1 = eps_bar (1 - beta_bar) reads.
     """
     if which < 2 or which > eig.count:
         raise ValueError("which must be between 2 and %d" % eig.count)
@@ -154,18 +154,11 @@ def pcca_single(eig: EigenSystem, which: int) -> Membership:
     if fmax - fmin < 1e-14:
         raise ValueError("eigenfunction %d is constant; cannot rescale" % which)
     beta_bar = -fmin / (fmax - fmin)
-    chi = (f - fmin) / (fmax - fmin)
-    assert chi.min() > -1e-12 and chi.max() < 1 + 1e-12
     return Membership(
         provenance="pcca_single",
-        values=chi,
+        values=(f - fmin) / (fmax - fmin),
         grid=eig.grid,
-        meta={
-            "beta_bar": beta_bar,
-            "eps_bar": eps_bar,
-            "eigen_index": which,
-            "eigenfunction": f.copy(),
-        },
+        meta={"beta_bar": beta_bar, "eps_bar": eps_bar},
     )
 
 

@@ -302,9 +302,9 @@ def exit_path_direction(chi, x) -> Array:
     """Normalized exit direction -grad chi(x) on the cell lattice.
 
     The gradient uses central differences in the grid interior and
-    one-sided differences at the edges.  For pcca_single memberships the
-    direction is verified to be collinear with the eigenfunction's
-    lattice gradient.
+    one-sided differences at the edges.  A pcca_single membership is a
+    positive affine image of its eigenfunction f, so its direction is
+    also that of -grad f.
 
     Parameters
     ----------
@@ -343,17 +343,7 @@ def exit_path_direction(chi, x) -> Array:
     norm = float(np.linalg.norm(vec))
     if norm < 1e-10:
         raise ValueError("at a critical point of chi (gradient ~ 0)")
-    direction = vec / norm
-    f = chi.meta.get("eigenfunction")
-    if f is not None:
-        e1, e2 = np.gradient(np.asarray(f).reshape(grid.nx, grid.ny), h1, h2)
-        ref = -np.array([e1[i, j], e2[i, j]])
-        ref_norm = float(np.linalg.norm(ref))
-        if ref_norm > 1e-14 and abs(float(direction @ (ref / ref_norm))) < 1 - 1e-8:
-            raise RuntimeError(
-                "membership gradient is not collinear with its eigenfunction"
-            )
-    return direction
+    return vec / norm
 
 
 def dominance_timescale(chi_level: float, eps2: float) -> float:

@@ -448,7 +448,7 @@ def _jump_run(gen: GeneratorMatrix, rng, cell: int, n_traj: int,
     boolean table ``stop`` holds (``cell`` is not one).  Returns the final
     cells, the end times, the stop flags, and the integrals of the table
     ``pen`` along the paths (zeros without ``pen``)."""
-    rate_out, neighbors, cum = gen.jump_tables()
+    rate_out, neighbors, cum = gen.jump_tables
     cells = np.full(n_traj, cell, dtype=np.int64)
     clock, integral = np.zeros(n_traj), np.zeros(n_traj)
     idx = np.arange(n_traj)

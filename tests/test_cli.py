@@ -61,10 +61,12 @@ def test_parse_config_text_values():
     data = parse_config_text(
         'a = 1\nb = 2.5\nc = true\nd = hello\ne = "quoted"\n'
         "f = [1, 2.5, 3]\n# comment\ng = 7 # trailing\n"
+        'h = "runs#1"\ni = "a # b"  # note\nj = \'x#y\'\nk = []\n'
     )
     assert data == {
         "a": 1, "b": 2.5, "c": True, "d": "hello", "e": "quoted",
-        "f": [1, 2.5, 3], "g": 7,
+        "f": [1, 2.5, 3], "g": 7, "h": "runs#1", "i": "a # b", "j": "x#y",
+        "k": [],
     }
 
 
@@ -73,6 +75,22 @@ def test_parse_config_text_rejects_bad_lines():
         parse_config_text("just some words\n")
     with pytest.raises(ConfigError):
         parse_config_text("a = 1\na = 2\n")
+    # a # inside a quote left open must not end the line quietly
+    for text in ('a = 1\nb = "runs#1\n', "a = 1\nb = 'runs # 1\n"):
+        with pytest.raises(ConfigError, match="config line 2: unclosed quote"):
+            parse_config_text(text)
+
+
+def test_a_hash_inside_quotes_is_part_of_the_value(tmp_path, capsys):
+    # "runs#1" was cut to the text `"runs`, and the run wrote there
+    out = tmp_path / "runs#1"
+    cfg = _cfg(tmp_path, SMALL + 'output_dir = "%s"  # a comment\n' % out)
+    assert main(["dump-generator", "--config", cfg]) == 0
+    assert (out / "generator.csv").exists()
+    cfg = _cfg(tmp_path, SMALL + 'output_dir = "%s\n' % out, "open.cfg")
+    assert main(["dump-generator", "--config", cfg]) == 2
+    assert "config error: config line 5: unclosed quote" in (
+        capsys.readouterr().err)
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -101,6 +119,12 @@ def test_load_config_type_checks(tmp_path):
                     {})
     with pytest.raises(ConfigError):
         load_config("idea1", _cfg(tmp_path, "sde.antithetic = true\n"), {})
+    for text, message in (
+            ("membership.core_box = 0.5\n", "expects a list like"),
+            ("membership.core_box = []\n", "core_box expects"),
+            ("potential = 3\n", "key potential expects a string")):
+        with pytest.raises(ConfigError, match=message):
+            load_config("idea1", _cfg(tmp_path, text), {})
 
 
 @pytest.mark.parametrize("key,value", [("rates.tau", "nan"),
@@ -182,6 +206,21 @@ def test_idea1_run_and_artifacts(tmp_path):
     assert len(chi_rows) == 16 * 16
     values = np.array([float(r[3]) for r in chi_rows])
     assert values.min() >= 0.0 and values.max() <= 1.0
+
+
+@pytest.mark.parametrize("command,text", [
+    ("idea1", SMALL),
+    ("idea2", SMALL),
+    ("idea3", SMALL + "membership.core_weight_threshold = 0.02\n"),
+    ("idea4", IDEA4_SMALL),
+], ids=["idea1", "idea2", "idea3", "idea4"])
+def test_report_names_its_route(tmp_path, command, text):
+    # idea2's report named the function behind it, generator_action
+    out = tmp_path / "out"
+    assert main([command, "--config", _cfg(tmp_path, text), "--out",
+                 str(out)]) == 0
+    _, header, rows = _read_csv(out / "report.csv")
+    assert header[0] == "provenance" and rows[0][0] == command
 
 
 def test_idea3_run(tmp_path):
@@ -385,6 +424,7 @@ _BAD_KIND = ("membership.kind must be pcca_single, pcca_multi, committor, "
      "validate.jump_horizon"),
     ("idea4 --workers 0", IDEA4_SMALL, "workers"),
     ("validate --workers -2", VALIDATE_SMALL, "workers"),
+    ("idea3", 'rates.norm = "l1"\n', "rates.norm must be ls or lad"),
     *[(command, "membership.kind = bogus\n", _BAD_KIND)
       for command in cli._COMMANDS],
 ], ids=["validate-tau-0", "idea4-steps-0", "idea4-steps-negative",
@@ -397,6 +437,7 @@ _BAD_KIND = ("membership.kind must be pcca_single, pcca_multi, committor, "
         "validate-n-traj-0", "validate-horizon-steps-0",
         "validate-jump-n-traj-0", "validate-jump-horizon-0",
         "idea4-workers-flag-0", "validate-workers-flag-negative",
+        "idea3-norm-key-l1",
         *["%s-kind-bogus" % command for command in cli._COMMANDS]])
 def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
                                                text, key):

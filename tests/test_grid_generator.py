@@ -140,6 +140,19 @@ def test_kbt_must_be_finite(kbt):
         build_sqrt_generator(pot, RegularGrid(4, 4, pot.domain), kbt)
 
 
+def test_potential_not_finite_on_a_cell_rejected(bench):
+    holed = PotentialSurface(
+        evaluator=lambda x: np.where(x[..., 0] > 0.9, np.nan,
+                                     bench.evaluator(x)),
+        gradient=bench.gradient,
+        domain=bench.domain,
+        name="holed",
+    )
+    with pytest.raises(ValueError, match="potential is not finite on all "
+                       "grid cells"):
+        build_sqrt_generator(holed, RegularGrid(10, 10, holed.domain), 1.0)
+
+
 def test_huge_potential_range_rejected(bench):
     steep = PotentialSurface(
         evaluator=lambda x: 400.0 * bench.evaluator(x),
@@ -250,5 +263,5 @@ def test_vectorized_builders_match_loops(bench, nx, ny):
     ref = _loop_rates(bench, grid, 0.7)
     for attr in ("indptr", "indices", "data"):
         _assert_bits_equal(getattr(gen.rates, attr), getattr(ref, attr))
-    for table, expected in zip(gen.jump_tables(), _loop_jump_tables(ref)):
+    for table, expected in zip(gen.jump_tables, _loop_jump_tables(ref)):
         _assert_bits_equal(table, expected)

@@ -21,6 +21,7 @@ from chi_exit import (
 from chi_exit import membership
 from chi_exit.grid_generator import GeneratorMatrix
 from chi_exit.membership import Membership
+from chi_exit.spectral import EigenSystem
 from chi_exit.sde import _in_box
 
 # frozen from the 50x50 benchmark build
@@ -46,7 +47,6 @@ def test_pcca_single_normalization(chi1):
 def test_pcca_single_meta(chi1):
     np.testing.assert_allclose(chi1.meta["eps_bar"], EPS_BAR, rtol=1e-9)
     np.testing.assert_allclose(chi1.meta["beta_bar"], BETA_BAR, rtol=1e-9)
-    assert chi1.meta["eigen_index"] == 3
 
 
 def test_pcca_single_affine_identity(gen50, chi1):
@@ -60,6 +60,32 @@ def test_pcca_single_affine_identity(gen50, chi1):
 def test_pcca_single_rejects_kernel(eig3):
     with pytest.raises(ValueError):
         pcca_single(eig3, 1)
+
+
+#: A slow-eigenfunction-like column on a 3x2 grid, for hand-made pairs.
+_F = np.array([-1.0, -1.0, 0.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("lam2,f2,message", [
+    (1e-13, _F, "eigenvalue 1e-13 is not separated from zero"),
+    (0.5, np.full(6, 0.3), "eigenfunction 2 is constant"),
+], ids=["zero-eigenvalue", "constant-eigenfunction"])
+def test_pcca_single_rejects_an_unusable_pair(lam2, f2, message):
+    eig = EigenSystem(np.array([0.0, lam2, 1.0]),
+                      np.column_stack([np.ones(6), f2, _F ** 2]),
+                      RegularGrid(3, 2))
+    with pytest.raises(ValueError, match=message):
+        pcca_single(eig, 2)
+
+
+def test_pcca_multi_rejects_a_singular_vertex_matrix():
+    # the third column is the second up to 1e-14, so the simplex is flat
+    wiggle = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    eig = EigenSystem(np.array([0.0, 0.5, 1.0]),
+                      np.column_stack([np.ones(6), _F, _F + 1e-14 * wiggle]),
+                      RegularGrid(3, 2))
+    with pytest.raises(ValueError, match="singular simplex vertex matrix"):
+        pcca_multi(eig, 3)
 
 
 def test_pcca_single_rejects_degenerate_pair():
@@ -135,11 +161,12 @@ def test_nelder_mead_repeats_fmin_on_crispness(eig5, m, budget):
 
 def _floors(x):
     # flat steps tie vertices and force shrinks: budgets 7 and 8 stop
-    # partway through a three-vertex shrink
+    # partway through a three-vertex shrink, and budget 2 stops before
+    # every vertex of the first simplex is evaluated
     return float(np.floor(4 * np.abs(x)).sum())
 
 
-@pytest.mark.parametrize("budget", [7, 8, 40, 133, 20000])
+@pytest.mark.parametrize("budget", [2, 7, 8, 40, 133, 20000])
 @pytest.mark.parametrize("fun, x0", [
     (rosen, [-1.2, 1.0]),
     (rosen, [0.0, 2.0, -1.0]),

@@ -1,8 +1,11 @@
 """Regression, rate algebra, holding times, survival fits."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.optimize
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +91,22 @@ def test_regress_norm_names():
     xs = np.linspace(0, 1, 5)
     with pytest.raises(ValueError):
         regress(xs, xs, "l-infinity")
+
+
+@pytest.mark.parametrize("norm", ["ls", "lad"])
+def test_regress_rejects_bad_lengths(norm):
+    with pytest.raises(ValueError, match="equal length"):
+        regress(np.linspace(0, 1, 5), np.linspace(0, 1, 4), norm)
+    with pytest.raises(ValueError, match="at least two points"):
+        regress([0.5], [0.5], norm)
+
+
+def test_lad_reports_a_solver_failure(monkeypatch):
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k:
+                        SimpleNamespace(success=False, message="infeasible"))
+    with pytest.raises(RuntimeError, match="LAD regression failed: "
+                       "infeasible"):
+        regress(np.linspace(0, 1, 5), np.linspace(0, 1, 5), "lad")
 
 
 def test_gammas_to_rate_published_chain():
@@ -186,6 +205,9 @@ def test_holding_probability(report1):
 def test_chi_mean_holding_time(report1):
     np.testing.assert_allclose(chi_mean_holding_time(report1, 0.22),
                                0.22 / report1.eps1, rtol=1e-14)
+    for eps1 in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="needs eps1 > 0"):
+            chi_mean_holding_time(replace(report1, eps1=eps1), 0.22)
 
 
 def test_set_mean_holding_time_chain(flat_chain3):
@@ -299,6 +321,15 @@ def test_exit_path_rejects_extremum(chi1):
     peak = chi1.grid.centers[int(np.argmax(chi1.values))]
     with pytest.raises(ValueError, match="critical point"):
         exit_path_direction(chi1, peak)
+
+
+def test_exit_path_rejects_a_flat_cell():
+    # no neighbour is strictly above or below, yet the gradient vanishes
+    grid = RegularGrid(5, 5, flat_potential().domain)
+    chi = Membership(provenance="test", values=np.full(grid.n, 0.5),
+                     grid=grid)
+    with pytest.raises(ValueError, match=r"critical point of chi \(gradient"):
+        exit_path_direction(chi, np.array([0.5, 0.5]))
 
 
 def test_exit_path_linear_field():

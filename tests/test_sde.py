@@ -509,6 +509,24 @@ def test_sample_set_exit_times_batch_matches_single(gen50, chi1):
         np.testing.assert_array_equal(batch.endpoints[i], one.endpoints[0])
 
 
+def test_ensembles_reject_an_empty_budget(gen50, chi1):
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    pts = np.array([[0.5, 0.5]])
+    for n_traj, max_steps in ((0, 10), (5, 0)):
+        with pytest.raises(ValueError, match="n_traj and max_steps"):
+            hitting_fractions(cfg, (0.2, 0.3, 0.4, 0.5), pts, n_traj,
+                              max_steps)
+    for n_traj, steps in ((0, 10), (5, -1)):
+        with pytest.raises(ValueError, match="n_traj must be >= 1 and "
+                           "steps >= 0"):
+            endpoint_ensemble(cfg, pts, steps, n_traj)
+    region = chi1.values > 0.22
+    start = gen50.grid.centers[[int(np.argmax(chi1.values))]]
+    for n_traj, horizon in ((0, 10), (5, 0)):
+        with pytest.raises(ValueError, match="n_traj and horizon_steps"):
+            sample_set_exit_times(cfg, gen50, region, start, n_traj, horizon)
+
+
 def test_sample_set_exit_times_batch_rejects_outside_start(gen50, chi1):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     region = chi1.values > 0.22
@@ -565,7 +583,7 @@ def test_jump_exit_times_reject_a_horizon_not_finite(horizon):
 
 def _loop_jump_exit_times(gen, mask, start_cell, n_traj, horizon_time, rng):
     """Reference: the exit-time loop the jump kernel replaced, frozen."""
-    rate_out, neighbors, cum = gen.jump_tables()
+    rate_out, neighbors, cum = gen.jump_tables
     cells = np.full(n_traj, start_cell, dtype=np.int64)
     clock = np.zeros(n_traj)
     times = np.full(n_traj, float(horizon_time))
@@ -595,7 +613,7 @@ def _loop_fk_mc_cell(gen, chi, eps2, cell, t, n_traj, rng):
     """Reference: the Feynman-Kac loop the jump kernel replaced, frozen."""
     if chi[cell] < sde.CHI_MIN:
         return 0.0, 0.0
-    rate_out, neighbors, cum = gen.jump_tables()
+    rate_out, neighbors, cum = gen.jump_tables
     pen = np.where(chi >= sde.CHI_MIN,
                    (1.0 - chi) / np.maximum(chi, sde.CHI_MIN), np.inf)
     cells = np.full(n_traj, cell, dtype=np.int64)

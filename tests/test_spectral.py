@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import ArpackNoConvergence, expm_multiply
 
 from chi_exit import (
     RegularGrid,
@@ -12,6 +13,8 @@ from chi_exit import (
     flat_potential,
     propagate,
 )
+from chi_exit import spectral
+from chi_exit.grid_generator import GeneratorMatrix
 
 # frozen from the 50x50 benchmark build
 LAMBDA_2 = 0.0025711021476007576
@@ -28,9 +31,9 @@ def test_eigenvalues_ascending(eig3):
     assert np.all(np.diff(eig3.eigenvalues) >= 0)
 
 
-def test_weighted_orthonormality(eig3):
+def test_weighted_orthonormality(gen50, eig3):
     f = eig3.eigenvectors
-    gram = f.T @ (eig3.weights[:, None] * f)
+    gram = f.T @ (gen50.weights[:, None] * f)
     np.testing.assert_allclose(gram, np.eye(eig3.count), rtol=0, atol=1e-10)
 
 
@@ -154,3 +157,26 @@ def test_eigensolve_k_bounds(gen_small):
         eigensolve(gen_small, 0)
     with pytest.raises(ValueError):
         eigensolve(gen_small, gen_small.n)
+
+
+def test_eigensolve_rejects_a_generator_without_detailed_balance():
+    # a one-way cycle keeps the uniform vector stationary, but its flux
+    # runs one way round, so no symmetrization of it is symmetric
+    cycle = sp.csr_matrix(np.eye(3) - np.roll(np.eye(3), 1, axis=1))
+    gen = GeneratorMatrix(rates=cycle, weights=np.full(3, 1 / 3),
+                          grid=RegularGrid(3, 1))
+    np.testing.assert_allclose(gen.weights @ cycle.toarray(), 0.0, atol=1e-15)
+    with pytest.raises(ValueError, match="violates detailed balance"):
+        eigensolve(gen, 1)
+
+
+def test_eigensolve_reports_arpack_no_convergence(gen_small, monkeypatch):
+    def stalled(a, k, **kwargs):
+        vec = np.ones((a.shape[0], 1)) / np.sqrt(a.shape[0])
+        raise ArpackNoConvergence("stalled", np.zeros(1), vec)
+
+    monkeypatch.setattr(spectral, "eigsh", stalled)
+    with pytest.raises(RuntimeError, match=r"converged only 1 of 3 pairs; "
+                       r"residuals \[[0-9.e-]+\]") as info:
+        eigensolve(gen_small, 3)
+    assert isinstance(info.value.__cause__, ArpackNoConvergence)
