@@ -15,7 +15,6 @@ from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .potential import PotentialSurface
 
@@ -121,8 +120,9 @@ class GeneratorMatrix:
 
     Everything derived from it stays sparse: ``symmetrized()`` builds
     D L* D^-1 on each call, and only ``jump_tables`` is cached.
-    Cells and cell sets are checked against it, and ``restricted`` gives
-    L* on a cell set; per-cell values are checked against its grid.
+    Cells and cell sets are checked against it, ``components`` labels a
+    cell set's connected components, and ``restricted`` gives L* on a cell
+    set; per-cell values are checked against its grid.
 
     Attributes
     ----------
@@ -176,6 +176,34 @@ class GeneratorMatrix:
                              % (cells.shape, self.n))
         return cells.copy()
 
+    def components(self, cells) -> Array:
+        """Component labels of a cell set (as for ``cell_mask``), one per
+        cell of the set in ascending order.  Two cells are joined when
+        L* has a nonzero rate between them in either direction, and the
+        components are numbered by their lowest cell, as
+        ``scipy.sparse.csgraph.connected_components`` numbers them."""
+        mask = self.cell_mask(cells)
+        sub = self.rates[mask]
+        # each nonzero of the set's rows between two cells of the set,
+        # as positions in the set
+        row = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
+        keep = mask[sub.indices] & (sub.data != 0)
+        row, col = row[keep], (np.cumsum(mask) - 1)[sub.indices[keep]]
+        # min-label hooking with pointer jumping (Shiloach & Vishkin,
+        # J. Algorithms 1982): every root is the lowest cell of its tree
+        root = np.arange(sub.shape[0])
+        while True:
+            a, b = root[row], root[col]
+            if (a == b).all():
+                break
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                up = root[root]
+                if (up == root).all():
+                    break
+                root = up
+        return np.unique(root, return_inverse=True)[1]
+
     def restricted(self, cells) -> sp.csr_matrix:
         """L* on a cell set (as for ``cell_mask``), the generator killed on
         leaving it; ValueError when a connected component of the set has
@@ -184,8 +212,8 @@ class GeneratorMatrix:
         sub = self.rates[mask][:, mask]
         touch = np.asarray(
             np.abs(self.rates[mask][:, ~mask]).sum(axis=1)).ravel() > 0
-        ncomp, labels = connected_components(sub != 0, directed=False)
-        stuck = np.bincount(labels, weights=touch, minlength=ncomp) == 0
+        labels = self.components(mask)
+        stuck = np.bincount(labels, weights=touch) == 0
         if stuck.any():
             cells = np.flatnonzero(mask)[labels == np.argmax(stuck)]
             raise ValueError(

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .grid_generator import GeneratorMatrix, RegularGrid
@@ -400,8 +399,8 @@ def find_weight_cores(gen: GeneratorMatrix, threshold: float = 0.0025
     mask = gen.weights > threshold
     if not mask.any():
         raise ValueError("no cells above weight threshold %g" % threshold)
-    sub = gen.rates[mask][:, mask]
-    ncomp, labels = connected_components(sub != 0, directed=False)
+    labels = gen.components(mask)
+    ncomp = labels.max() + 1
     if ncomp != 2:
         raise ValueError(
             "expected two cores above weight %g, found %d components"

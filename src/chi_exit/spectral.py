@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-from scipy.special import ive
 
 from .grid_generator import GeneratorMatrix, RegularGrid
 
@@ -105,17 +104,33 @@ def eigensolve(gen: GeneratorMatrix, k: int) -> EigenSystem:
 
 
 def _chebyshev_weights(c: float) -> Array:
-    """ive(k, c), doubled for k >= 1, up to the last k whose tail mass
+    """I_k(c) e^-c, doubled for k >= 1, up to the last k whose tail mass
     sum_{j >= k} is at least the unit roundoff (the weights sum to 1).
-    ValueError where ive is not finite, as for every k at c >= 2^30."""
+
+    Miller's backward recurrence I_(k-1) = (2k/c) I_k + I_(k+1), started
+    far past the cut and normalized by I_0 + 2 sum_k I_k = e^c (Gautschi,
+    SIAM Rev. 1967), gives every weight to a few units of roundoff.
+    ValueError for c >= 2^30, where the series would take over 2^18
+    sparse products."""
+    if not c < 2.0 ** 30:
+        raise ValueError("t (hi - lo) / 2 = %g is past the Chebyshev "
+                         "series' range (2^30)" % c)
+    # below 2^-60 the weights round to [1.0]; the floor keeps 2k/c finite
+    c = max(c, 2.0 ** -60)
     # the weights fall off faster than geometrically once k is past
-    # sqrt(c); computing them down to 1e-32 puts the cut well inside
+    # sqrt(c); starting where they are below 1e-32 puts the cut well inside
     count = 16
     while True:
-        w = ive(np.arange(count), c)
-        if not np.isfinite(w).all():
-            raise ValueError("Chebyshev weights are not finite at "
-                             "t (hi - lo) / 2 = %g" % c)
+        # y_k proportional to I_k(c), from y_count = 0 and y_(count-1) = 1,
+        # rescaled on the way down so that it cannot overflow
+        y = [0.0, 1.0]
+        for k in range(count - 1, 0, -1):
+            y.append(2.0 * k / c * y[-1] + y[-2])
+            if y[-1] > 1e250:
+                top = y[-1]
+                y = [v / top for v in y]
+        w = np.array(y[:0:-1])
+        w /= w[0] + 2.0 * w[1:].sum()
         if w[-1] < 1e-32:
             break
         count *= 2
@@ -131,13 +146,13 @@ def expm_action(a: sp.spmatrix, v: Array, t: float) -> Array:
     Phys. 1984).
 
     With c = t (hi - lo) / 2, the coefficient of T_k is
-    exp(-t lo) (-1)^k ive(k, c), doubled for k >= 1.  The series stops
+    exp(-t lo) (-1)^k I_k(c) e^-c, doubled for k >= 1.  The series stops
     where the remaining coefficient mass falls below the unit roundoff,
     after about sqrt(t (hi - lo)) sparse products.  The error is absolute,
     of order the unit roundoff times the size of ``v`` in the norm that
     makes ``a`` symmetric: an entry whose exact value is about 1e-22 can
     come out as -1e-19.  ``t`` must be finite and >= 0; a c of 2^30 or
-    more, where ``ive`` is not finite, raises ValueError.
+    more raises ValueError.
     """
     diag = a.diagonal()
     radius = np.asarray(abs(a).sum(axis=1)).ravel() - np.abs(diag)

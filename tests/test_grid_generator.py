@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from chi_exit import (
     PotentialSurface,
@@ -13,6 +14,7 @@ from chi_exit import (
     build_sqrt_generator,
     flat_potential,
 )
+from chi_exit.grid_generator import GeneratorMatrix
 
 
 def test_centers_round_trip(grid50):
@@ -205,6 +207,44 @@ def test_generator_properties_random(nx, ny, a1, a2, c1, c2, kbt):
         assert np.max(np.abs(residual.data)) < 1e-12
     vals = np.linalg.eigvalsh(gen.symmetrized().toarray())
     assert vals[0] > -1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=12), st.data())
+def test_components_match_csgraph(nx, ny, data):
+    grid = RegularGrid(nx, ny)
+    if grid.n == 1:
+        # build_sqrt_generator needs two cells; one cell has no rate
+        gen = GeneratorMatrix(rates=sp.csr_matrix((1, 1)),
+                              weights=np.ones(1), grid=grid)
+    else:
+        gen = build_sqrt_generator(flat_potential(), grid, 1.0)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=grid.n,
+                                       max_size=grid.n)), dtype=bool)
+    count, labels = connected_components(gen.rates[mask][:, mask] != 0,
+                                         directed=False)
+    got = gen.components(mask)
+    np.testing.assert_array_equal(got, labels)
+    assert np.unique(got).size == count
+
+
+def test_components_join_one_way_rates():
+    # rates 0 -> 2 and 3 -> 1 only, plus a stored zero at (1, 2) that is
+    # no edge: the undirected components are {0, 2} and {1, 3}
+    rates = sp.csr_matrix((np.array([1.0, -1.0, 0.0, -2.0, 2.0]),
+                           np.array([0, 2, 2, 1, 3]),
+                           np.array([0, 2, 3, 3, 5])), shape=(4, 4))
+    gen = GeneratorMatrix(rates=rates, weights=np.full(4, 0.25),
+                          grid=RegularGrid(4, 1))
+    np.testing.assert_array_equal(gen.components(np.ones(4, dtype=bool)),
+                                  [0, 1, 0, 1])
+    np.testing.assert_array_equal(gen.components([1, 2, 3]), [0, 1, 0])
+    for cells in ([0, 1, 2, 3], [1, 2, 3]):
+        mask = gen.cell_mask(cells)
+        count, labels = connected_components(rates[mask][:, mask] != 0,
+                                             directed=False)
+        np.testing.assert_array_equal(gen.components(cells), labels)
 
 
 def _loop_rates(potential, grid, kbt):

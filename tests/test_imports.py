@@ -158,3 +158,44 @@ def test_only_a_lad_fit_loads_scipy_optimize():
     run = subprocess.run([sys.executable, "-c", _OPTIMIZE_LOADED], env=env,
                          capture_output=True, text=True, check=True)
     assert json.loads(run.stdout) == [False, False, True]
+
+
+#: A fresh interpreter that runs the four rate routes, the holding-time
+#: comparison and the validation on small configs, then prints their exit
+#: codes and which of scipy.special and scipy.sparse.csgraph are loaded.
+_RUNS_LOADED = """
+import json, sys
+from chi_exit import cli
+grid, idea4, validate, out = sys.argv[1:]
+runs = [("idea1", grid), ("idea2", grid), ("idea3", grid),
+        ("compare-mht", grid), ("idea4", idea4), ("validate", validate)]
+codes = [cli.main([command, "--config", cfg, "--out", out + "/" + command])
+         for command, cfg in runs]
+print(json.dumps([codes, [name in sys.modules for name in
+                          ("scipy.special", "scipy.sparse.csgraph")]]))
+"""
+
+
+def test_no_run_loads_scipy_special_or_csgraph(tmp_path):
+    # module sets, not import times: the Chebyshev weights and the cell
+    # components are the package's own, so scipy.sparse and
+    # scipy.sparse.linalg are all of scipy that these runs load
+    configs = {
+        "grid": "grid.nx = 16\ngrid.ny = 16\n"
+                "membership.core_weight_threshold = 0.02\n",
+        "idea4": "idea4.n_points = 6\nmembership.n_traj = 10\n"
+                 "membership.max_steps = 15\nidea4.n_traj = 8\n",
+        "validate": "grid.nx = 20\ngrid.ny = 20\nmembership.n_traj = 15\n"
+                    "membership.max_steps = 25\nvalidate.n_starts = 5\n"
+                    "validate.n_traj = 6\nvalidate.horizon_steps = 200\n",
+    }
+    paths = []
+    for name, text in configs.items():
+        paths.append(tmp_path / (name + ".cfg"))
+        paths[-1].write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", _RUNS_LOADED]
+                         + [str(path) for path in paths] + [str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [[0] * 6,
+                                                       [False, False]]

@@ -1,5 +1,8 @@
 """Eigensolver and transfer-operator propagation."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -140,10 +143,23 @@ def test_nonfinite_tau_rejected(gen50, tau):
 
 
 def test_propagate_rejects_a_tau_past_the_chebyshev_range(gen50):
-    # c = tau max L*_ii is past 2^30, where every ive(k, c) is NaN; the
-    # weights must raise there, not grow until an allocation fails
-    with pytest.raises(ValueError, match="not finite"):
+    # c = tau max L*_ii is past 2^30, where the series would take over
+    # 2^18 sparse products; the weights must raise there, not run on
+    with pytest.raises(ValueError, match="past the Chebyshev series' range"):
         propagate(gen50, np.ones(gen50.n), 3e8)
+
+
+@pytest.mark.parametrize("c", [0.0, 5e-324, 1e-300, 1e-8, 2.0, 17.0,
+                               411.2354267873026, 5000.0])
+def test_chebyshev_weights_match_the_exact_bessel_values(c):
+    # 411.235... is the c of a default idea3 or validate run, where
+    # scipy.special.ive(k, c) misses by 3.0e-14 relative (1.3e-13 at 5000)
+    w = spectral._chebyshev_weights(c)
+    with mpmath.workdps(50):
+        exact = [float((1 if k == 0 else 2) * mpmath.besseli(k, c)
+                       * mpmath.exp(-c)) for k in range(w.size)]
+    np.testing.assert_allclose(w, exact, rtol=4e-15, atol=0)
+    assert abs(math.fsum(w) - 1.0) <= 2.0 ** -52
 
 
 def test_propagate_shape_error_names_the_shape(gen50):
