@@ -243,7 +243,7 @@ def load_config(experiment: str, path: Optional[str], overrides: Dict[str, objec
             values["membership.kind"]))
     if values["rates.tau"] <= 0:
         raise ConfigError("rates.tau must be positive (no decay at tau=0)")
-    for key in ("idea4.steps", "idea4.n_traj", "membership.n_traj",
+    for key in ("eigen.k", "idea4.steps", "idea4.n_traj", "membership.n_traj",
                 "membership.max_steps", "validate.n_traj",
                 "validate.horizon_steps", "validate.jump_n_traj", "workers"):
         if values[key] < 1:

@@ -175,10 +175,12 @@ def _isa_vertices(x: Array) -> Array:
     return idx
 
 
-def _fill_a(a: Array, x: Array) -> Array:
-    """Feasibility completion: nonnegative memberships, partition of unity."""
-    m = a.shape[0]
-    a = a.copy()
+def _fill_a(free: Array, x: Array) -> Array:
+    """Feasibility completion of the (m-1)^2 free coefficients (rows and
+    columns 1..m-1 of ``a``): nonnegative memberships, partition of unity."""
+    m = x.shape[1]
+    a = np.zeros((m, m))
+    a[1:, 1:] = np.reshape(free, (m - 1, m - 1))
     a[1:, 0] = -a[1:, 1:].sum(axis=1)
     for j in range(m):
         a[0, j] = -(x[:, 1:] @ a[1:, j]).min()
@@ -188,11 +190,9 @@ def _fill_a(a: Array, x: Array) -> Array:
     return a / total
 
 
-def _crispness(a_free: Array, x: Array, m: int) -> float:
-    a = np.zeros((m, m))
-    a[1:, 1:] = a_free.reshape(m - 1, m - 1)
+def _crispness(free: Array, x: Array) -> float:
     try:
-        a = _fill_a(a, x)
+        a = _fill_a(free, x)
     except ValueError:
         return 1e6
     if np.any(a[0, :] < 1e-12):
@@ -311,15 +311,13 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
         raise ValueError(
             "singular simplex vertex matrix (condition number %.2e)" % cond
         )
-    a0 = _fill_a(np.linalg.inv(vert), x)
-    free, converged = _nelder_mead(_crispness, a0[1:, 1:].ravel(), (x, m),
+    a0 = _fill_a(np.linalg.inv(vert)[1:, 1:], x)
+    free, converged = _nelder_mead(_crispness, a0[1:, 1:].ravel(), (x,),
                                    1e-10, _CRISPNESS_BUDGET)
     if not converged:
         warnings.warn("PCCA+ crispness search stopped unconverged after %d "
                       "evaluations" % _CRISPNESS_BUDGET)
-    a = np.zeros((m, m))
-    a[1:, 1:] = free.reshape(m - 1, m - 1)
-    a = _fill_a(a, x)
+    a = _fill_a(free, x)
     chis = x @ a
     if chis.min() < -1e-10:
         raise ValueError("PCCA+ produced negative memberships")

@@ -151,9 +151,11 @@ def expm_action(a: sp.spmatrix, v: Array, t: float) -> Array:
     after about sqrt(t (hi - lo)) sparse products.  The error is absolute,
     of order the unit roundoff times the size of ``v`` in the norm that
     makes ``a`` symmetric: an entry whose exact value is about 1e-22 can
-    come out as -1e-19.  ``t`` must be finite and >= 0; a c of 2^30 or
-    more raises ValueError.
+    come out as -1e-19.  ``t`` must be finite and >= 0; another ``t``, or
+    a c of 2^30 or more, raises ValueError.
     """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and nonnegative (got %r)" % t)
     diag = a.diagonal()
     radius = np.asarray(abs(a).sum(axis=1)).ravel() - np.abs(diag)
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))

@@ -62,11 +62,12 @@ def test_parse_config_text_values():
         'a = 1\nb = 2.5\nc = true\nd = hello\ne = "quoted"\n'
         "f = [1, 2.5, 3]\n# comment\ng = 7 # trailing\n"
         'h = "runs#1"\ni = "a # b"  # note\nj = \'x#y\'\nk = []\n'
+        "l = FALSE\n"
     )
     assert data == {
         "a": 1, "b": 2.5, "c": True, "d": "hello", "e": "quoted",
         "f": [1, 2.5, 3], "g": 7, "h": "runs#1", "i": "a # b", "j": "x#y",
-        "k": [],
+        "k": [], "l": False,
     }
 
 
@@ -422,6 +423,8 @@ _BAD_KIND = ("membership.kind must be pcca_single, pcca_multi, committor, "
      "validate.jump_n_traj"),
     ("validate", VALIDATE_SMALL + "validate.jump_horizon = 0.0\n",
      "validate.jump_horizon"),
+    ("dump-eigen", "eigen.k = 0\n", "eigen.k"),
+    ("dump-eigen", "eigen.k = -2\n", "eigen.k"),
     ("idea4 --workers 0", IDEA4_SMALL, "workers"),
     ("validate --workers -2", VALIDATE_SMALL, "workers"),
     ("idea3", 'rates.norm = "l1"\n', "rates.norm must be ls or lad"),
@@ -436,6 +439,7 @@ _BAD_KIND = ("membership.kind must be pcca_single, pcca_multi, committor, "
         "idea4-membership-max-steps-0", "idea4-n-traj-0",
         "validate-n-traj-0", "validate-horizon-steps-0",
         "validate-jump-n-traj-0", "validate-jump-horizon-0",
+        "dump-eigen-k-0", "dump-eigen-k-negative",
         "idea4-workers-flag-0", "validate-workers-flag-negative",
         "idea3-norm-key-l1",
         *["%s-kind-bogus" % command for command in cli._COMMANDS]])
@@ -458,6 +462,7 @@ def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
     ("dump-chi", 'membership.kind = "mc"\nsde.sigma = -0.5\n',
      "sigma must be"),
     ("idea1", "grid.nx = 0\n", "grid needs at least one cell per axis"),
+    ("idea1", "grid.nx = false\n", "key grid.nx expects an integer"),
     ("idea1", "grid.ny = -3\n", "grid needs at least one cell per axis"),
     ("idea4", IDEA4_SMALL + "grid.nx = 0\n", "grid needs at least one cell"),
     ("dump-chi", 'membership.kind = "mc"\ngrid.nx = 0\n',
@@ -466,6 +471,7 @@ def test_exit_code_lag_checked_before_any_work(tmp_path, capsys, command,
     ("validate", VALIDATE_SMALL + "kbt = -1.0\n", "kbt must be positive"),
 ], ids=["idea1-potential", "idea4-potential", "validate-potential",
         "validate-dt-0", "dump-chi-mc-sigma-negative", "idea1-grid-nx-0",
+        "idea1-grid-nx-false",
         "idea1-grid-ny-negative", "idea4-grid-nx-0", "dump-chi-mc-grid-nx-0",
         "idea1-kbt-0", "validate-kbt-negative"])
 def test_exit_code_dynamics_checked_before_any_work(tmp_path, capsys, command,

@@ -134,6 +134,15 @@ def test_grid_counts_must_be_integers(nx, ny):
     assert RegularGrid(np.int64(3), np.int32(2)).centers.shape == (6, 2)
 
 
+@pytest.mark.parametrize("domain", [((0.0, 0.0), (0.0, 1.0)),
+                                    ((0.0, 1.0), (1.0, 0.5)),
+                                    ((0.0, 0.0), (1.0, float("nan")))],
+                         ids=["flat-x1", "inverted-x2", "nan-x2"])
+def test_grid_domain_must_have_extent(domain):
+    with pytest.raises(ValueError, match="degenerate grid domain"):
+        RegularGrid(2, 2, domain)
+
+
 @pytest.mark.parametrize("kbt", [np.nan, np.inf])
 def test_kbt_must_be_finite(kbt):
     # NaN failed later as a potential not finite; inf gave uniform weights

@@ -2,6 +2,7 @@
 every private top-level function of the package is called from it."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -17,7 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "chi_exit"
 
 def _unused_imports(source: str):
     """Names bound by top-level imports that the module never loads; the
-    entries of ``__all__`` count as loaded."""
+    entries of an ``__all__`` written as a list or tuple literal count as
+    loaded, and a computed ``__all__`` marks no name as loaded."""
     tree = ast.parse(source)
     bound = set()
     read = set()
@@ -25,7 +27,8 @@ def _unused_imports(source: str):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update(alias.asname or alias.name.split(".")[0]
                          for alias in node.names)
-        elif isinstance(node, ast.Assign) and any(
+        elif isinstance(node, ast.Assign) and isinstance(
+                node.value, (ast.List, ast.Tuple)) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
             read.update(ast.literal_eval(node.value))
@@ -42,6 +45,12 @@ def test_scan_finds_an_unused_import():
               "__all__ = ['a']\n"
               "def f() -> List[int]:\n    return sp.eye(2)\n")
     assert _unused_imports(source) == ["Tuple", "b", "os"]
+
+
+def test_scan_reads_no_name_from_a_computed_all():
+    source = ("import os\nfrom .x import a\n"
+              "_HOME = {'a': 'x'}\n__all__ = list(_HOME)\n")
+    assert _unused_imports(source) == ["a", "os"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
@@ -127,10 +136,54 @@ def test_the_cli_formats_numbers_in_one_place():
 
 
 def test_every_public_name_exists():
-    # the scan above counts __all__ entries as read, so a stale entry
-    # would pass it
-    assert [name for name in chi_exit.__all__
-            if not hasattr(chi_exit, name)] == []
+    # the scan above reads no name from the computed __all__; each name
+    # must be the object its table row's module defines, so a stale or
+    # misplaced row fails
+    wrong = []
+    for name in chi_exit.__all__:
+        home = importlib.import_module("chi_exit." + chi_exit._HOME[name])
+        obj = getattr(chi_exit, name, None)
+        if (obj is None or obj is not vars(home).get(name)
+                or obj.__module__ != home.__name__):
+            wrong.append(name)
+    assert wrong == []
+
+
+#: A fresh interpreter that reports, for the lazy public surface, which of
+#: numpy and scipy each step has loaded and what it found.
+_LAZY_SURFACE = """
+import json, sys
+def loaded():
+    return ["numpy" in sys.modules, "scipy" in sys.modules]
+import chi_exit
+seen = {"import": loaded()}
+from chi_exit import benchmark_potential
+seen["potential"] = loaded()
+try:
+    chi_exit.nope
+    seen["nope"] = "found"
+except AttributeError as err:
+    seen["nope"] = str(err)
+from chi_exit import cli
+seen["cli"] = cli.__name__
+seen["dir"] = sorted(set(chi_exit.__all__) - set(dir(chi_exit)))
+print(json.dumps(seen))
+"""
+
+
+def test_public_names_load_their_module_on_first_read():
+    # module sets, not import times: import chi_exit binds only the table,
+    # and a name loads its own module with what that module imports
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", _LAZY_SURFACE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == {
+        "import": [False, False],
+        "potential": [True, False],
+        "nope": "module 'chi_exit' has no attribute 'nope'",
+        "cli": "chi_exit.cli",
+        "dir": [],
+    }
 
 
 #: A fresh interpreter that reports whether scipy.optimize is loaded after

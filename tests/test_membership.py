@@ -154,8 +154,8 @@ def eig5(gen50):
 def test_nelder_mead_repeats_fmin_on_crispness(eig5, m, budget):
     x = eig5.eigenvectors[:, :m]
     a0 = membership._fill_a(
-        np.linalg.inv(x[membership._isa_vertices(x)]), x)
-    _assert_repeats_fmin(membership._crispness, a0[1:, 1:].ravel(), (x, m),
+        np.linalg.inv(x[membership._isa_vertices(x)])[1:, 1:], x)
+    _assert_repeats_fmin(membership._crispness, a0[1:, 1:].ravel(), (x,),
                          budget)
 
 
@@ -175,6 +175,40 @@ def _floors(x):
 ], ids=["rosen2", "rosen3-zero", "rosen4", "floors3"])
 def test_nelder_mead_repeats_fmin(fun, x0, budget):
     _assert_repeats_fmin(fun, np.array(x0), (), budget)
+
+
+def test_fill_a_rejects_a_degenerate_completion(eig3):
+    # all-zero free coefficients leave every membership at 0, so no
+    # scaling reaches a partition of unity
+    with pytest.raises(ValueError, match="degenerate PCCA\\+ feasibility"):
+        membership._fill_a(np.zeros((2, 2)), eig3.eigenvectors)
+
+
+@pytest.mark.parametrize("free", [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+                         ids=["degenerate", "empty-cluster"])
+def test_crispness_penalizes_an_infeasible_point(eig3, free):
+    # the search must not step where the completion fails or where a
+    # cluster's weight (here the third column's) falls to zero
+    assert membership._crispness(np.array(free), eig3.eigenvectors) == 1e6
+
+
+def test_pcca_multi_warns_of_a_weak_spectral_gap(eig3):
+    vals = eig3.eigenvalues.copy()
+    vals[2] = vals[1] * (1.0 + 0.5 * membership.GAP_TOL)
+    eig = EigenSystem(eigenvalues=vals, eigenvectors=eig3.eigenvectors,
+                      grid=eig3.grid)
+    with pytest.warns(UserWarning, match="weak spectral gap after 2 clusters"):
+        chis = pcca_multi(eig, 2)
+    assert len(chis) == 2
+
+
+def test_find_weight_cores_needs_two_components(bench):
+    # the default threshold is an absolute weight: on 16x16 every cell
+    # weighs more, and the cells above it join into one component
+    gen = build_sqrt_generator(bench, RegularGrid(16, 16, bench.domain), 1.0)
+    with pytest.raises(ValueError, match="expected two cores above weight "
+                                         "0.0025, found 1 components"):
+        find_weight_cores(gen, 0.0025)
 
 
 def test_grid_memberships_carry_their_grid(gen50, eig3):

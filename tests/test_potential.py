@@ -126,6 +126,12 @@ def test_flat_potential_constant():
     np.testing.assert_array_equal(pot.grad(pts), np.zeros((9, 2)))
 
 
+@pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+def test_flat_potential_level_must_be_finite(level):
+    with pytest.raises(ValueError, match="level must be finite"):
+        flat_potential(level)
+
+
 @pytest.mark.parametrize("make", [lambda: flat_potential(2.5),
                                   benchmark_potential],
                          ids=["flat", "paper2d"])

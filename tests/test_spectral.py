@@ -142,6 +142,16 @@ def test_nonfinite_tau_rejected(gen50, tau):
         propagate(gen50, np.ones(gen50.n), tau)
 
 
+@pytest.mark.parametrize("t", [-5.0, np.nan, np.inf])
+def test_expm_action_rejects_a_negative_or_nonfinite_t(bench, t):
+    # a negative c used to be floored to 2^-60, which returned about v
+    # where exp(5 L*) v reaches 9e14 on this grid; a NaN t used to blame
+    # the series' range
+    gen = build_sqrt_generator(bench, RegularGrid(10, 10, bench.domain), 1.0)
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+        spectral.expm_action(gen.rates, np.ones(gen.n), t)
+
+
 def test_propagate_rejects_a_tau_past_the_chebyshev_range(gen50):
     # c = tau max L*_ii is past 2^30, where the series would take over
     # 2^18 sparse products; the weights must raise there, not run on
