@@ -7,7 +7,9 @@ Runs one fixed matrix of ``chi-exit`` invocations (``matrix()``), each in a
 fresh interpreter, once on the ``src/`` next to this file and once on the
 other tree, and compares every output CSV, standard output, standard error
 and exit code by SHA-256.  Each output that differs is printed with its
-first differing line; the last line is a one-line summary.  Exit code 0
+first differing line, and a CSV also with the largest relative difference
+over its numeric fields, which sizes a deliberate roundoff-level change in
+one number per file; the last line is a one-line summary.  Exit code 0
 means no difference, 1 a difference, 2 a bad argument.
 
 REV is read with ``git archive`` into a temporary directory, so the working
@@ -18,8 +20,10 @@ prints it.
 """
 
 import argparse
+import csv
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -112,6 +116,40 @@ def _first_difference(a, b):
                      else "<end>" for lines in (la, lb)))
 
 
+def _number(text):
+    """The finite float that a field's text reads as, or None."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def largest_relative_difference(a, b):
+    """The largest |x - y| / max(|x|, |y|) over the fields of ``a`` and
+    ``b`` (CSV bytes, comment lines included) that differ and both read as
+    finite numbers, paired by line and field; lines of unequal field counts
+    are skipped.  Returns (difference, line number, x text, y text), or
+    None when no numeric field differs."""
+    worst = None
+    pairs = zip(a.decode(errors="replace").splitlines(),
+                b.decode(errors="replace").splitlines())
+    for lineno, (la, lb) in enumerate(pairs, 1):
+        if la == lb:
+            continue
+        fa, fb = next(csv.reader([la])), next(csv.reader([lb]))
+        if len(fa) != len(fb):
+            continue
+        for ta, tb in zip(fa, fb):
+            x, y = _number(ta), _number(tb)
+            if ta == tb or x is None or y is None:
+                continue
+            rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+            if worst is None or rel > worst[0]:
+                worst = (rel, lineno, ta, tb)
+    return worst
+
+
 def compare_trees(base, change, cases):
     """Run every case on both ``src`` trees, a case's two runs side by side,
     and print each output that differs.  Returns (outputs compared,
@@ -137,6 +175,11 @@ def compare_trees(base, change, cases):
                 lineno, la, lb = _first_difference(a, b)
                 print("%s: %s (%s vs %s) line %d:\n  base   %s\n  change %s"
                       % (label, name, ha, hb, lineno, la, lb))
+                if not name.endswith(".csv"):
+                    continue
+                worst = largest_relative_difference(a, b)
+                print("  largest relative difference %.3g at line %d: %s vs %s"
+                      % worst if worst else "  no numeric field differs")
     return compared, differ
 
 
