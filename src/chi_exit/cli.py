@@ -307,8 +307,11 @@ def _csv_field(text: str) -> str:
 def _column_text(col) -> List[str]:
     """``_fmt`` of each value as a CSV field; a numeric array in one pass,
     as ``tolist`` yields the float or int that ``_fmt`` converts each value
-    to (a number's text needs no quotes)."""
+    to (a number's text needs no quotes).  A ``str`` array is text this
+    function made, and passes through."""
     if isinstance(col, np.ndarray):
+        if col.dtype.kind == "U":
+            return col.tolist()
         if col.dtype == bool:
             col = col.astype(np.uint8)
         if col.dtype.kind == "f":
@@ -357,11 +360,13 @@ def _write_summary(cfg: ExperimentConfig, summary: Dict[str, object]) -> str:
 def _write_cells(cfg: ExperimentConfig, name: str, header: List[str], columns,
                  comments: List[str] = ()) -> str:
     """A per-cell table of the run's grid: cell, x1 and x2 of the cell
-    center, then columns."""
-    centers = cfg.grid.centers
+    center, then columns.  Each axis's centers are formatted once and laid
+    out in the row-major order of ``RegularGrid.centers``."""
+    grid = cfg.grid
+    c1, c2 = (np.array(_column_text(c)) for c in grid.axis_centers)
     return _write_csv(cfg, name, ["cell", "x1", "x2"] + header,
-                      [np.arange(cfg.grid.n), centers[:, 0], centers[:, 1]]
-                      + list(columns), comments)
+                      [np.arange(grid.n), np.repeat(c1, grid.ny),
+                       np.tile(c2, grid.nx)] + list(columns), comments)
 
 
 def _write_eigen(cfg: ExperimentConfig, eig) -> str:

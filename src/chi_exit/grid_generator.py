@@ -61,13 +61,17 @@ class RegularGrid:
         return (hi1 - lo1) / self.nx, (hi2 - lo2) / self.ny
 
     @property
-    def centers(self) -> Array:
-        """Cell centers, shape (nx*ny, 2), row-major."""
+    def axis_centers(self) -> Tuple[Array, Array]:
+        """The nx centers along x1 and the ny centers along x2."""
         (lo1, lo2), (hi1, hi2) = self.domain
         h1, h2 = self.spacing
-        c1 = lo1 + (np.arange(self.nx) + 0.5) * h1
-        c2 = lo2 + (np.arange(self.ny) + 0.5) * h2
-        g1, g2 = np.meshgrid(c1, c2, indexing="ij")
+        return (lo1 + (np.arange(self.nx) + 0.5) * h1,
+                lo2 + (np.arange(self.ny) + 0.5) * h2)
+
+    @property
+    def centers(self) -> Array:
+        """Cell centers, shape (nx*ny, 2), row-major."""
+        g1, g2 = np.meshgrid(*self.axis_centers, indexing="ij")
         return np.column_stack([g1.ravel(), g2.ravel()])
 
     def cells_of(self, x) -> Array:

@@ -355,6 +355,18 @@ def test_dump_chi_kinds(tmp_path):
         assert len(rows) == 16 * 16
 
 
+def test_cell_centers_follow_the_grid_row_by_row(tmp_path):
+    # on a grid with nx != ny, a transposed repeat/tile of the per-axis
+    # center text would pair the wrong x1 with the wrong x2
+    cfg = _cfg(tmp_path, "grid.nx = 5\ngrid.ny = 3\n")
+    assert main(["dump-chi", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, header, rows = _read_csv(tmp_path / "chi.csv")
+    centers = RegularGrid(5, 3).centers
+    assert [row[:3] for row in rows] == [
+        [str(k), repr(float(c1)), repr(float(c2))]
+        for k, (c1, c2) in enumerate(centers)]
+
+
 def test_committor_routes_need_no_eigenpairs(tmp_path, capsys, monkeypatch):
     def no_eigensolve(gen, k):
         raise RuntimeError("no eigenpairs in this test")
