@@ -449,19 +449,23 @@ def _jump_run(gen: GeneratorMatrix, rng, cell: int, n_traj: int,
     cells, the end times, the stop flags, and the integrals of the table
     ``pen`` along the paths (zeros without ``pen``)."""
     rate_out, neighbors, cum = gen.jump_tables
+    # the last column of cum is exactly 1 and u < 1, so it never counts
+    cut = cum[:, :-1]
     cells = np.full(n_traj, cell, dtype=np.int64)
     clock, integral = np.zeros(n_traj), np.zeros(n_traj)
     idx = np.arange(n_traj)
     while idx.size:
-        at = cells[idx]
+        at, now = cells[idx], clock[idx]
         hold = rng.exponential(size=idx.size) / rate_out[at]
-        end = clock[idx] + hold >= horizon
+        later = now + hold
+        end = later >= horizon
         if pen is not None:
-            integral[idx] += np.where(end, horizon - clock[idx], hold) * pen[at]
-        clock[idx] = np.where(end, horizon, clock[idx] + hold)
+            integral[idx] += np.where(end, horizon - now, hold) * pen[at]
+        later[end] = horizon
+        clock[idx] = later
         go, at = idx[~end], at[~end]
         u = rng.random(go.size)
-        nxt = neighbors[at, (u[:, None] > cum[at]).sum(axis=1)]
+        nxt = neighbors[at, (u[:, None] > cut[at]).sum(axis=1)]
         cells[go] = nxt
         idx = go[~stop[nxt]]
     return cells, clock, stop[cells], integral
