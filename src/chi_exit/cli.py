@@ -424,11 +424,19 @@ def _fit_rate(reg, tau: float, provenance: str):
     return report
 
 
+#: Values whose spread is at most this share of their largest magnitude
+#: differ only by roundoff, and count as one value.
+_ROUNDOFF_SPREAD = 1e-12
+
+
 def _correlation(cfg: ExperimentConfig, quantity: str, a, b):
     """The Pearson correlation of ``a`` and ``b``, and a note.  When a side
-    has fewer than two distinct values it is NaN, and the note, naming
+    has fewer than two distinct values (values that agree to within
+    ``_ROUNDOFF_SPREAD`` count as one) it is NaN, and the note, naming
     ``quantity``, is printed on stderr; otherwise the note is empty."""
-    if min(np.unique(a).size, np.unique(b).size) < 2:
+    if any(side.size < 2
+           or np.ptp(side) <= _ROUNDOFF_SPREAD * np.max(np.abs(side))
+           for side in (np.asarray(a), np.asarray(b))):
         note = ("%s undefined: a side has fewer than two distinct values"
                 % quantity)
         print("%s: %s" % (cfg.experiment, note), file=sys.stderr)

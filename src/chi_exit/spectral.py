@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 splu)
 
 from .grid_generator import GeneratorMatrix, RegularGrid
 
@@ -85,8 +86,14 @@ def eigensolve(gen: GeneratorMatrix, k: int) -> EigenSystem:
         raise ValueError(
             "generator violates detailed balance (residual %.2e)" % resid
         )
+    # minimum degree on A^T + A fills the symmetric 5-point pattern less
+    # than the COLAMD ordering that eigsh would factor with by itself
+    lu = splu(sym - _SHIFT * sp.identity(n, format="csc"),
+              permc_spec="MMD_AT_PLUS_A")
+    op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=sym.dtype)
     try:
-        vals, vecs = eigsh(sym, k=k, sigma=_SHIFT, v0=np.ones(n))
+        vals, vecs = eigsh(sym, k=k, sigma=_SHIFT, v0=np.ones(n),
+                           OPinv=op_inv)
     except ArpackNoConvergence as err:
         got = err.eigenvalues.size
         resid = [

@@ -588,6 +588,20 @@ def test_correlation_without_spread_says_so(tmp_path, capsys, command, text,
         assert summary["note"] == note
 
 
+def test_roundoff_spread_has_no_correlation(capsys):
+    # two symmetric cells whose values came out one ulp apart are one value
+    cfg = load_config("compare-mht", None, {})
+    x = 0.9209010302575361
+    corr, note = cli._correlation(cfg, "q", np.array([x, np.nextafter(x, 1)]),
+                                  np.array([1.0, 2.0]))
+    assert np.isnan(corr)
+    assert note == "q undefined: a side has fewer than two distinct values"
+    assert capsys.readouterr().err == "compare-mht: %s\n" % note
+    corr, note = cli._correlation(cfg, "q", np.array([1.0, 1.0 + 1e-9, 2.0]),
+                                  np.array([1.0, 2.0, 3.0]))
+    assert corr > 0.8 and note == ""
+
+
 def _peaked(grid, cell, weight):
     values = np.zeros(grid.n)
     values[cell] = 1.0

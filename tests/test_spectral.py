@@ -70,6 +70,19 @@ def test_sparse_path_matches_chain_formula():
     np.testing.assert_allclose(eig.eigenvalues[1], expected, rtol=1e-8)
 
 
+def test_eigensolve_matches_dense_reference_on_a_non_square_grid(bench):
+    # a wrong fill-reducing ordering or a transposed factor passes unseen
+    # on a square grid, whose cell numbering is the same either way round
+    gen = build_sqrt_generator(bench, RegularGrid(9, 6, bench.domain), 1.0)
+    eig = eigensolve(gen, 4)
+    dense = np.linalg.eigvalsh(gen.symmetrized().toarray())[:4]
+    assert abs(eig.eigenvalues[0]) < 1e-12 and abs(dense[0]) < 1e-12
+    np.testing.assert_allclose(eig.eigenvalues[1:], dense[1:], rtol=1e-10)
+    f = eig.eigenvectors
+    resid = gen.rates @ f - f * eig.eigenvalues
+    assert np.max(np.abs(resid)) < 1e-9
+
+
 def test_propagate_semigroup(gen50):
     rng = np.random.default_rng(3)
     v = rng.uniform(0, 1, gen50.n)
