@@ -52,28 +52,31 @@ def test_same_bytes_finds_no_difference_and_an_altered_number_format(
     assert any(" line 1:\n  base   idea1: eps_bar=" in line for line in lines)
     # a CSV's numbers moved by the format's six significant digits, or only
     # its config hash did
-    worst = {line.split(" (")[0].removeprefix("tiny: "):
-             line.strip().split("\n  ")[-1]
+    notes = {line.split(" (")[0].removeprefix("tiny: "):
+             line.strip().split("\n  ")[3:]
              for line in lines if ".csv (" in line}
-    assert [name for name, last in worst.items()
-            if last == "no numeric field differs"] == [
+    assert [name for name, note in notes.items()
+            if note == ["no numeric field differs"]] == [
         "dump-generator: generator.csv", "idea1: chi.csv"]
     for name in ("idea1: eigen.csv", "idea1: report.csv"):
-        rel = float(worst[name].split()[3])
-        assert 0 < rel < 1e-5, (name, worst[name])
+        rel, absolute = notes[name]
+        assert rel.startswith("largest relative difference ")
+        assert absolute.startswith("largest absolute difference ")
+        assert 0 < float(rel.split()[3]) < 1e-5, (name, rel)
 
 
-def test_largest_relative_difference_reads_numeric_fields_only():
+def test_largest_differences_read_numeric_fields_only():
     base = (b"# config=aaa seed=0\n# eigenvalue,1,2.0\ncell,x1,note\n"
             b"0,0.5,\"a, b\"\n1,1e-3,c\n2,7,d\n")
-    change = (b"# config=bbb seed=0\n# eigenvalue,1,2.000002\ncell,x1,note\n"
+    change = (b"# config=bbb seed=0\n# eigenvalue,1,2.01\ncell,x1,note\n"
               b"0,0.50,\"a, c\"\n1,1.1e-3,c\n2,7,d,extra\n")
     # "0.5" and "0.50" read alike; the hash and the notes are text; the
     # last line's field counts differ
-    assert same_bytes.largest_relative_difference(base, change) == (
-        (1.1e-3 - 1e-3) / 1.1e-3, 5, "1e-3", "1.1e-3")
-    assert same_bytes.largest_relative_difference(
-        b"x,nan\n1,0\n", b"x,inf\n1,0\n") is None
-    assert same_bytes.largest_relative_difference(
-        b"a\n0.0\n", b"a\n-0.0\n") == (0.0, 2, "0.0", "-0.0")
-    assert same_bytes.largest_relative_difference(base, base) is None
+    rel, absolute = same_bytes.largest_differences(base, change)
+    assert rel == ((1.1e-3 - 1e-3) / 1.1e-3, 5, "1e-3", "1.1e-3")
+    assert absolute == (2.01 - 2.0, 2, "2.0", "2.01")
+    assert same_bytes.largest_differences(
+        b"x,nan\n1,0\n", b"x,inf\n1,0\n") == (None, None)
+    assert same_bytes.largest_differences(b"a\n0.0\n", b"a\n-0.0\n") == (
+        (0.0, 2, "0.0", "-0.0"), (0.0, 2, "0.0", "-0.0"))
+    assert same_bytes.largest_differences(base, base) == (None, None)

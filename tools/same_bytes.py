@@ -7,10 +7,11 @@ Runs one fixed matrix of ``chi-exit`` invocations (``matrix()``), each in a
 fresh interpreter, once on the ``src/`` next to this file and once on the
 other tree, and compares every output CSV, standard output, standard error
 and exit code by SHA-256.  Each output that differs is printed with its
-first differing line, and a CSV also with the largest relative difference
-over its numeric fields, which sizes a deliberate roundoff-level change in
-one number per file; the last line is a one-line summary.  Exit code 0
-means no difference, 1 a difference, 2 a bad argument.
+first differing line, and a CSV also with the largest relative and
+absolute differences over its numeric fields, which size a deliberate
+roundoff-level change in two numbers per file; the last line is a
+one-line summary.  Exit code 0 means no difference, 1 a difference, 2 a
+bad argument.
 
 REV is read with ``git archive`` into a temporary directory, so the working
 tree, the index, the branches and ``.git`` are never written; the
@@ -125,13 +126,15 @@ def _number(text):
     return value if math.isfinite(value) else None
 
 
-def largest_relative_difference(a, b):
-    """The largest |x - y| / max(|x|, |y|) over the fields of ``a`` and
-    ``b`` (CSV bytes, comment lines included) that differ and both read as
+def largest_differences(a, b):
+    """The largest relative difference |x - y| / max(|x|, |y|) and the
+    largest absolute difference |x - y| over the fields of ``a`` and ``b``
+    (CSV bytes, comment lines included) that differ and both read as
     finite numbers, paired by line and field; lines of unequal field counts
-    are skipped.  Returns (difference, line number, x text, y text), or
-    None when no numeric field differs."""
-    worst = None
+    are skipped.  Each is (difference, line number, x text, y text); both
+    are None when no numeric field differs.  The absolute one sizes the
+    change where the relative one is set by a value near 0."""
+    worst = [None, None]
     pairs = zip(a.decode(errors="replace").splitlines(),
                 b.decode(errors="replace").splitlines())
     for lineno, (la, lb) in enumerate(pairs, 1):
@@ -144,10 +147,12 @@ def largest_relative_difference(a, b):
             x, y = _number(ta), _number(tb)
             if ta == tb or x is None or y is None:
                 continue
-            rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
-            if worst is None or rel > worst[0]:
-                worst = (rel, lineno, ta, tb)
-    return worst
+            diff = abs(x - y)
+            rel = diff / max(abs(x), abs(y)) if diff else 0.0
+            for i, d in enumerate((rel, diff)):
+                if worst[i] is None or d > worst[i][0]:
+                    worst[i] = (d, lineno, ta, tb)
+    return tuple(worst)
 
 
 def compare_trees(base, change, cases):
@@ -177,9 +182,13 @@ def compare_trees(base, change, cases):
                       % (label, name, ha, hb, lineno, la, lb))
                 if not name.endswith(".csv"):
                     continue
-                worst = largest_relative_difference(a, b)
-                print("  largest relative difference %.3g at line %d: %s vs %s"
-                      % worst if worst else "  no numeric field differs")
+                worst = largest_differences(a, b)
+                if worst[0] is None:
+                    print("  no numeric field differs")
+                for kind, found in zip(("relative", "absolute"), worst):
+                    if found is not None:
+                        print("  largest %s difference %.3g at line %d: "
+                              "%s vs %s" % (kind, *found))
     return compared, differ
 
 
