@@ -360,7 +360,7 @@ def test_cell_centers_follow_the_grid_row_by_row(tmp_path):
     # center text would pair the wrong x1 with the wrong x2
     cfg = _cfg(tmp_path, "grid.nx = 5\ngrid.ny = 3\n")
     assert main(["dump-chi", "--config", cfg, "--out", str(tmp_path)]) == 0
-    _, header, rows = _read_csv(tmp_path / "chi.csv")
+    rows = _read_csv(tmp_path / "chi.csv")[2]
     centers = RegularGrid(5, 3).centers
     assert [row[:3] for row in rows] == [
         [str(k), repr(float(c1)), repr(float(c2))]

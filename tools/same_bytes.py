@@ -182,13 +182,13 @@ def compare_trees(base, change, cases):
                       % (label, name, ha, hb, lineno, la, lb))
                 if not name.endswith(".csv"):
                     continue
-                worst = largest_differences(a, b)
-                if worst[0] is None:
+                rel, absolute = largest_differences(a, b)
+                if rel is None:
                     print("  no numeric field differs")
-                for kind, found in zip(("relative", "absolute"), worst):
-                    if found is not None:
-                        print("  largest %s difference %.3g at line %d: "
-                              "%s vs %s" % (kind, *found))
+                    continue
+                print("  largest relative difference %.3g at line %d: %s vs %s"
+                      "\n  largest absolute difference %.3g at line %d: "
+                      "%s vs %s" % (*rel, *absolute))
     return compared, differ
 
 
