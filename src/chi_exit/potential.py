@@ -92,14 +92,15 @@ def _benchmark_gradient(x: Array) -> Array:
     np.subtract(sq[5], sq[1:3], out=sq[1:3])  # -ff - dd, -ff - ee
     g = np.exp(sq[1:5], out=sq[1:5])          # g3, g4, g1, g2
     g *= _WEIGHTS
-    v *= -2.0
-    # one row per gradient component: 3 g1 (-2a) - 3 g2 (-2a) - ...
+    # one row per gradient component: 3 g1 a - 3 g2 a - ...
     acc = np.multiply(g[2], v[0:4:3])
     acc -= np.multiply(g[3], v[0:5:4], out=tmp)
     acc -= np.multiply(g[0], v[1:6:4], out=tmp)
     acc -= np.multiply(g[1], v[2:6:3], out=tmp)
-    # the chain rule gives every scaled coordinate a factor 4
-    acc *= 4.0
+    # the factor -2 of every Gaussian's derivative and the chain rule's 4;
+    # scaling by a power of two is exact, so the sum scaled once has the
+    # bits of the sum of the scaled terms
+    acc *= -8.0
     out = np.empty(p.shape)
     np.add(acc, cube, out=out.T)
     return out.reshape(x.shape)

@@ -129,15 +129,22 @@ class TrajectoryStats:
         return steps.mean(axis=1) * self.dt
 
 
-def _advance(potential, sigma, dt, lo, hi, pos, noise):
+def _advance(potential, sigma, dt, lo, hi, pos, noise, out=None, keep=None):
     """One Euler-Maruyama step pos - grad V(pos) dt + sigma sqrt(dt) noise
     for positions of shape (..., 2), clamped to [lo, hi].  Every diffusion
     ensemble steps through it.
 
     Overwrites ``noise`` with the scaled increment, so callers pass an
-    array they own; ``pos`` is only read.
+    array they own; ``pos`` is only read.  The step is written into
+    ``out`` when it is given, an array of ``pos``'s shape that must share
+    no memory with ``pos`` or ``noise``, since ``g dt`` goes into it
+    before the step reads them; into a new array otherwise.  A one-item
+    list ``keep`` is left holding the gradient, so that the caller frees
+    it only once the next step's gradient exists.
     """
     g = potential.grad(pos)
+    if keep is not None:
+        keep[0] = g
     # one reduction covers the common case; a non-finite sum of finite
     # values (overflow) falls through to the per-element check
     if not math.isfinite(g.sum()):
@@ -148,15 +155,17 @@ def _advance(potential, sigma, dt, lo, hi, pos, noise):
                 "non-finite gradient at (%g, %g); trajectory aborted"
                 % (bad[0], bad[1])
             )
-    out = g * dt
+    out = np.multiply(g, dt, out=out)
     np.subtract(pos, out, out=out)
     noise *= sigma * math.sqrt(dt)
     out += noise
     # one coordinate at a time: scalar bounds clip several times faster
-    # than bounds broadcast along a length-2 axis
+    # than bounds broadcast along a length-2 axis, and the ufuncs skip
+    # np.clip's Python wrapper (a clamped -0.0 becomes +0.0)
     for d in range(2):
         col = out[..., d]
-        np.clip(col, lo[d], hi[d], out=col)
+        np.maximum(col, lo[d], out=col)
+        np.minimum(col, hi[d], out=col)
     return out
 
 
@@ -175,6 +184,13 @@ def _run(config: SdeConfig, starts, rngs, n_traj: int, steps: int, stop=None,
     extra work.  A frozen trajectory still steps until its block ends,
     where the live set is compacted once, and a start with no live
     trajectory draws no further blocks.
+
+    The kernel owns its step buffers for the whole call: each step gathers
+    the live noise into one buffer and writes the positions into one of
+    two others in turn (``_advance``'s ``out``).  It holds the last
+    gradient until the next one exists, so that the gradient's temporaries
+    reuse freed memory; else they leave a free block at the top of the
+    heap, which glibc trims and the next step faults back in.
 
     Returns
     -------
@@ -197,7 +213,11 @@ def _run(config: SdeConfig, starts, rngs, n_traj: int, steps: int, stop=None,
     if stop is not None:
         hit_at[np.asarray(stop(pos), dtype=bool)] = 0
     idx = np.flatnonzero(first < 0)
-    live = pos[idx]
+    # the live positions take turns in bufs[0] and bufs[1]
+    bufs = np.empty((2, idx.size, 2))
+    step_noise = np.empty((idx.size, 2))
+    keep, cur = [None], 0
+    live = np.take(pos, idx, axis=0, out=bufs[0])
     # one step of the buffer is kept free for the gathered live noise
     block = max(1, _NOISE_BYTES // (16 * max(1, m * n_traj)) - 1)
     noise = np.empty((m, min(block, steps), n_traj, 2))
@@ -211,13 +231,18 @@ def _run(config: SdeConfig, starts, rngs, n_traj: int, steps: int, stop=None,
         for r in np.flatnonzero(np.bincount(idx // n_traj, minlength=m)):
             rngs[r].standard_normal((k, n_traj, 2), out=noise[r, :k])
         # noise of trajectory (r, c) at step j of the block:
-        # flat_noise[(r * block + j) * n_traj + c]
+        # flat_noise[(r * block + j) * n_traj + c]; at moves one step on
+        # after each gather
         at = idx + (idx // n_traj) * (noise.shape[1] - 1) * n_traj
         alive = np.ones(idx.size, dtype=bool)
         n_alive = idx.size
         for j in range(k):
-            live = _advance(potential, sigma, dt, lo, hi, live,
-                            np.take(flat_noise, at + j * n_traj, axis=0))
+            gathered = np.take(flat_noise, at, axis=0,
+                               out=step_noise[:idx.size])
+            at += n_traj
+            cur = 1 - cur
+            live = _advance(potential, sigma, dt, lo, hi, live, gathered,
+                            out=bufs[cur, :idx.size], keep=keep)
             if stop is None:
                 continue
             s, held = s0 + j + 1, stop(live)
@@ -235,7 +260,9 @@ def _run(config: SdeConfig, starts, rngs, n_traj: int, steps: int, stop=None,
                 if n_alive == 0:
                     break
         if n_alive < idx.size:
-            idx, live = idx[alive], live[alive]
+            cur = 1 - cur
+            idx = idx[alive]
+            live = np.compress(alive, live, axis=0, out=bufs[cur, :idx.size])
     pos[idx] = live
     return (pos.reshape(m, n_traj, 2), first.reshape(m, n_traj),
             hit_at.reshape(m, n_traj))

@@ -86,8 +86,13 @@ def _term_by_term_gradient(x):
     return np.stack([dv1, dv2], axis=-1)
 
 
+# The last two rows make the scaled coordinate b = 4 x2 - 7/3, and then
+# c = 4 x2 - 11/3, exactly 0 (4 x2 gives back the offset exactly), where
+# the sign of a zero term could tell a scaling of the terms from a scaling
+# of their sum.
 _CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
-                     [0.5, 0.5], [0.25, 0.5], [0.75, 0.5], [0.5, 11 / 12]])
+                     [0.5, 0.5], [0.25, 0.5], [0.75, 0.5], [0.5, 11 / 12],
+                     [0.3, 7.0 / 3.0 / 4.0], [0.5, 11.0 / 3.0 / 4.0]])
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 2), (8, 2), (6400, 2),
@@ -99,6 +104,9 @@ def test_gradient_bits_match_term_by_term_formula(shape):
     x = rng.uniform(-0.05, 1.05, size=shape)
     flat = x.reshape(-1, 2)
     flat[:min(len(flat), len(_CORNERS))] = _CORNERS[:len(flat)]
+    if len(flat) >= len(_CORNERS):
+        assert 4.0 * flat[8, 1] - 7.0 / 3.0 == 0.0
+        assert 4.0 * flat[9, 1] - 11.0 / 3.0 == 0.0
     before = x.copy()
     got = _benchmark_gradient(x)
     np.testing.assert_array_equal(x, before)  # works in its own arrays

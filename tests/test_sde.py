@@ -477,6 +477,58 @@ def test_step_leaves_its_arguments_unchanged():
     np.testing.assert_array_equal(x, [0.3, 0.6])
     assert not np.array_equal(out, x)
 
+    # a step into a buffer returns it, and matches a step into a new array
+    # bit for bit; rows past the walls are clamped
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-0.02, 1.02, size=(40, 2))
+    noise = rng.standard_normal((40, 2))
+    before = x.copy()
+    want = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, x,
+                        noise.copy())
+    buf, keep = np.full((40, 2), np.nan), [None]
+    got = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, x,
+                       noise.copy(), out=buf, keep=keep)
+    assert got is buf
+    np.testing.assert_array_equal(x, before)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(keep[0], cfg.potential.grad(x))
+
+
+@pytest.mark.parametrize("stop_from", [0, 21])
+def test_kernel_step_buffers_never_alias(monkeypatch, stop_from):
+    # 4-step blocks, with compactions of the live set between them; a step
+    # that wrote the positions or the noise it reads would move the paths
+    # off the naive loop's
+    monkeypatch.setattr(sde, "_NOISE_BYTES", 16 * 3 * 20 * 5)
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    box = (0.2, 0.3, 0.4, 0.5)
+    pts = np.array([[0.25, 0.45], [0.33, 0.45], [0.4, 0.55]])
+    in_box = lambda p: sde._in_box(p, box)  # noqa: E731
+    step, outs = sde._advance, set()
+
+    def checked(potential, sigma, dt, lo, hi, pos, noise, out=None,
+                keep=None):
+        assert out is not None
+        assert not np.shares_memory(out, pos)
+        assert not np.shares_memory(out, noise)
+        outs.add(out.__array_interface__["data"][0])
+        return step(potential, sigma, dt, lo, hi, pos, noise, out, keep)
+
+    monkeypatch.setattr(sde, "_advance", checked)
+    rngs = [generator_for(4, TAG_CHI, p) for p in pts]
+    pos, first, hit_at = sde._run(cfg, pts, rngs, 20, 60, in_box,
+                                  stop_from=stop_from)
+    monkeypatch.setattr(sde, "_advance", step)
+    ref_ends, ref_first, ref_hit = _naive_run(cfg, pts, TAG_CHI, 4, 20, 60,
+                                              in_box, stop_from=stop_from)
+    # some paths froze within a block, so the live set was compacted
+    assert (ref_first > 0).any() and (ref_first < 0).any()
+    np.testing.assert_array_equal(first, ref_first)
+    np.testing.assert_array_equal(hit_at, ref_hit)
+    np.testing.assert_array_equal(pos, ref_ends)
+    # the steps wrote into the kernel's two position buffers only
+    assert len(outs) == 2
+
 
 def test_sample_set_exit_times_batch_matches_single(gen50, chi1):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)

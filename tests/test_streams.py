@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chi_exit.streams import TAG_CHI, TAG_POINTS, TAG_PTAU, generator_for
+from chi_exit.streams import (TAG_CHI, TAG_JUMP, TAG_POINTS, TAG_PTAU,
+                              generator_for)
 
 
 def _draw(seed, tag, *parts):
@@ -33,6 +34,19 @@ def test_float_keys_resolve_ulps():
 def test_negative_zero_distinct_from_positive_zero():
     # -0.0 and 0.0 have different bit patterns; keys follow the bits
     assert not np.array_equal(_draw(7, TAG_CHI, 0.0), _draw(7, TAG_CHI, -0.0))
+
+
+def test_keys_map_to_recorded_draws():
+    # every Monte Carlo number rests on the key -> stream mapping; a new way
+    # of building the key must give these draws back
+    np.testing.assert_array_equal(
+        generator_for(0, TAG_CHI, (0.25, 0.45)).standard_normal(4),
+        [0.24218865789689828, -2.0415849457665622, 0.44909375512150895,
+         -0.9933897296506027])
+    np.testing.assert_array_equal(
+        generator_for(3, TAG_JUMP, 1234).standard_normal(4),
+        [-0.7482938499508325, -0.03041833909575498, -1.1689419026221473,
+         0.498232569246672])
 
 
 def test_block_draw_equals_successive_draws():

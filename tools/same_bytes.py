@@ -192,11 +192,12 @@ def compare_trees(base, change, cases):
     return compared, differ
 
 
-def _archive(rev, dest):
-    """``src/`` of a revision into ``dest``; CalledProcessError for a bad
-    revision."""
+def _archive(rev, dest, paths=("src",)):
+    """``paths`` (by default ``src/``) of a revision into ``dest``; returns
+    ``dest/src``, and raises CalledProcessError for a bad revision."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
-                          rev, "src"], check=True, capture_output=True).stdout
+                          rev, *paths], check=True,
+                         capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
     return Path(dest, "src")
