@@ -46,8 +46,7 @@ def main():
 
     # route 1: a single eigenpair gives the rate in closed form
     chi = pcca_single(eig, 3)
-    r1 = rate_from_eigenpair(chi.meta["eps_bar"], chi.meta["beta_bar"],
-                             "eigenpair")
+    r1 = rate_from_eigenpair(chi.meta["eps_bar"], chi.meta["beta_bar"])
     print("\n[1] eigenpair      eps1=%.6f  eps2=%.6f  pi_chi=%.4f"
           % (r1.eps1, r1.eps2, r1.pi_chi))
 
@@ -71,7 +70,7 @@ def main():
     q = committor(gen, left, right)
     tau = 100.0
     fit = regress(q.values, propagate(gen, q.values, tau), "least_squares")
-    r3 = gammas_to_rate(fit, tau, "committor")
+    r3 = gammas_to_rate(fit, tau)
     print("[3] committor      eps1=%.6f  (gamma1=%.4f, gamma2=%.4f)"
           % (r3.eps1, fit.gamma1, fit.gamma2))
 
@@ -82,7 +81,7 @@ def main():
     pts = uniform_points(50, pot.domain, seed=0)
     xs, ys = estimate_ptau_chi(sampled, pts, 50)
     fit4 = regress(xs, ys, "least_squares")
-    r4 = gammas_to_rate(fit4, 0.05, "mc")
+    r4 = gammas_to_rate(fit4, 0.05)
     print("[4] simulation     eps1=%.6f  (gamma1=%.4f; on the diffusion "
           "clock rather than the grid operator's, noise-free value "
           "-0.103 over all cells)" % (r4.eps1, fit4.gamma1))

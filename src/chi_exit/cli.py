@@ -19,7 +19,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -345,11 +345,12 @@ def _write_csv(cfg: ExperimentConfig, name: str, header: List[str], columns,
 
 
 def _write_report(cfg: ExperimentConfig, report, reg=None) -> str:
-    """One row: the fields of ``ExitRateReport`` in their order, then the
-    fit's gamma1 and gamma2 (empty without a fit)."""
-    header = [f.name for f in fields(report)] + ["gamma1", "gamma2"]
-    values = [getattr(report, key, getattr(reg, key, None)) for key in header]
-    return _write_csv(cfg, "report.csv", header, [[v] for v in values])
+    """One row: the subcommand as provenance, ``ExitRateReport``'s fields
+    in order, then the fit's gamma1 and gamma2 (empty without a fit)."""
+    keys = [f.name for f in fields(report)] + ["gamma1", "gamma2"]
+    values = [getattr(report, key, getattr(reg, key, None)) for key in keys]
+    return _write_csv(cfg, "report.csv", ["provenance", *keys],
+                      [[v] for v in [cfg.experiment, *values]])
 
 
 def _write_summary(cfg: ExperimentConfig, summary: Dict[str, object]) -> str:
@@ -402,9 +403,8 @@ def _idea1_membership(cfg: ExperimentConfig):
 def _idea1_rate(cfg: ExperimentConfig):
     """The idea1 membership and the rate of its eigenpair."""
     gen, eig, chi = _idea1_membership(cfg)
-    return gen, eig, chi, _stage(
-        "rates", rate_from_eigenpair,
-        chi.meta["eps_bar"], chi.meta["beta_bar"], "idea1")
+    return gen, eig, chi, _stage("rates", rate_from_eigenpair,
+                                 chi.meta["eps_bar"], chi.meta["beta_bar"])
 
 
 def _region(values, threshold: float):
@@ -416,11 +416,11 @@ def _region(values, threshold: float):
     return mask
 
 
-def _fit_rate(reg, tau: float, provenance: str):
+def _fit_rate(cfg: ExperimentConfig, reg, tau: float):
     """The rate of a lag fit; a fit without one prints its note on stderr."""
-    report = _stage("rates", gammas_to_rate, reg, tau, provenance)
+    report = _stage("rates", gammas_to_rate, reg, tau)
     if report.note:
-        print("%s: %s" % (provenance, report.note), file=sys.stderr)
+        print("%s: %s" % (cfg.experiment, report.note), file=sys.stderr)
     return report
 
 
@@ -444,12 +444,12 @@ def _correlation(cfg: ExperimentConfig, quantity: str, a, b):
     return float(np.corrcoef(a, b)[0, 1]), ""
 
 
-def _lag_rate(cfg: ExperimentConfig, gen, values, provenance: str):
+def _lag_rate(cfg: ExperimentConfig, gen, values):
     """P^tau chi at tau = rates.tau, its fit against chi, and the rate."""
     tau = cfg["rates.tau"]
     ptau = _stage("propagate", propagate, gen, values, tau)
     reg = _stage("regress", regress, values, ptau, cfg["rates.norm"])
-    return ptau, reg, _fit_rate(reg, tau, provenance)
+    return ptau, reg, _fit_rate(cfg, reg, tau)
 
 
 def run_idea1(cfg: ExperimentConfig) -> int:
@@ -484,8 +484,8 @@ def run_idea2(cfg: ExperimentConfig) -> int:
     """Rate by regressing the generator action of a PCCA+ membership."""
     gen, eig, chis, chi = _pcca_clusters(cfg)
     m = len(chis)
-    report = replace(_stage("rates", regress_generator_action, gen, chi,
-                            cfg["rates.norm"]), provenance="idea2")
+    report = _stage("rates", regress_generator_action, gen, chi,
+                    cfg["rates.norm"])
     selected = chis.index(chi) + 1
     _write_cells(cfg, "chi.csv", ["chi%d" % (j + 1) for j in range(m)],
                  [c.values for c in chis],
@@ -509,7 +509,7 @@ def _committor(cfg: ExperimentConfig):
 def run_idea3(cfg: ExperimentConfig) -> int:
     """Rate from the committor: propagate, regress, invert the gammas."""
     gen, left, right, chi = _committor(cfg)
-    ptau, reg, report = _lag_rate(cfg, gen, chi.values, "idea3")
+    ptau, reg, report = _lag_rate(cfg, gen, chi.values)
     _write_cells(cfg, "scatter.csv", ["chi", "ptau_chi"], [chi.values, ptau],
                  ["cores,left=%d,right=%d" % (left.size, right.size)])
     _write_report(cfg, report, reg)
@@ -535,7 +535,7 @@ def run_idea4(cfg: ExperimentConfig) -> int:
     _write_csv(cfg, "scatter.csv", ["point", "x1", "x2", "chi", "ptau_chi"],
                [np.arange(len(pts)), pts[:, 0], pts[:, 1], xs, ys])
     reg = _stage("regress", regress, xs, ys, cfg["rates.norm"])
-    report = _fit_rate(reg, cfg["idea4.steps"] * cfg.dynamics.dt, "idea4")
+    report = _fit_rate(cfg, reg, cfg["idea4.steps"] * cfg.dynamics.dt)
     _write_report(cfg, report, reg)
     cost = chi.meta["n_traj"] * (cfg["idea4.steps"] + chi.meta["max_steps"])
     _say(cfg, gamma1=reg.gamma1, gamma2=reg.gamma2, eps1=report.eps1,
@@ -618,7 +618,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
         print("validate: %s" % notes[-1], file=sys.stderr)
 
     # reference eps1 of the same membership on the same clock
-    _, reg, report = _lag_rate(cfg, gen, field, "validate")
+    _, reg, report = _lag_rate(cfg, gen, field)
     ratio = set_rate / report.eps1 if np.isfinite(set_rate) else float("nan")
     _write_summary(cfg, {
         "threshold": threshold,

@@ -12,6 +12,7 @@ passed as what its consumer reads: integer grid cells to the committor
 to the sampler.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -44,9 +45,6 @@ class Membership:
 
     Attributes
     ----------
-    provenance : str
-        Which construction produced it: pcca_single, pcca_multi,
-        committor, or mc_hitting.
     values : ndarray, optional
         Per-cell values; None for the sampler.
     grid : RegularGrid, optional
@@ -55,7 +53,6 @@ class Membership:
         Construction metadata (e.g. eps_bar, beta_bar, weight).
     """
 
-    provenance: str
     values: Optional[Array] = None
     grid: Optional[RegularGrid] = None
     meta: dict = field(default_factory=dict)
@@ -154,7 +151,6 @@ def pcca_single(eig: EigenSystem, which: int) -> Membership:
         raise ValueError("eigenfunction %d is constant; cannot rescale" % which)
     beta_bar = -fmin / (fmax - fmin)
     return Membership(
-        provenance="pcca_single",
         values=(f - fmin) / (fmax - fmin),
         grid=eig.grid,
         meta={"beta_bar": beta_bar, "eps_bar": eps_bar},
@@ -328,7 +324,6 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
     for j in range(m):
         out.append(
             Membership(
-                provenance="pcca_multi",
                 values=chis[:, j],
                 grid=eig.grid,
                 meta={"weight": float(a[0, j])},
@@ -352,7 +347,7 @@ def committor(gen: GeneratorMatrix, core_a, core_b) -> Membership:
     Returns
     -------
     Membership
-        Grid membership with provenance "committor".
+        Grid membership of the committor's values, one per cell.
 
     Raises
     ------
@@ -372,7 +367,7 @@ def committor(gen: GeneratorMatrix, core_a, core_b) -> Membership:
     q = np.zeros(gen.n)
     q[a] = 1.0
     q[free] = spsolve(sub.tocsc(), rhs)
-    return Membership(provenance="committor", values=q, grid=gen.grid)
+    return Membership(values=q, grid=gen.grid)
 
 
 def find_weight_cores(gen: GeneratorMatrix, threshold: float = 0.0025
@@ -436,16 +431,15 @@ def mc_hitting_membership(dynamics: SdeConfig, box, n_traj: int,
     Returns
     -------
     Membership
-        Point-sampler membership with provenance "mc_hitting"; its meta
-        holds the dynamics, box, n_traj, max_steps and seed.
+        Point-sampler membership; its meta holds the dynamics, box,
+        n_traj, max_steps and seed.
     """
     return Membership(
-        provenance="mc_hitting",
         meta={
             "dynamics": dynamics,
             "box": tuple(map(float, box)),
-            "n_traj": int(n_traj),
-            "max_steps": int(max_steps),
-            "seed": int(seed),
+            "n_traj": operator.index(n_traj),
+            "max_steps": operator.index(max_steps),
+            "seed": operator.index(seed),
         },
     )

@@ -26,14 +26,11 @@ class PotentialSurface:
         Maps positions of shape (..., 2) to gradients of shape (..., 2).
     domain : tuple
         ((x1_lo, x2_lo), (x1_hi, x2_hi)) axis-aligned box.
-    name : str
-        Registry name used in configs.
     """
 
     evaluator: Callable[[Array], Array]
     gradient: Callable[[Array], Array]
     domain: Tuple[Tuple[float, float], Tuple[float, float]] = ((0.0, 0.0), (1.0, 1.0))
-    name: str = "custom"
 
     def __call__(self, x: Array) -> Array:
         return self.evaluator(np.asarray(x, dtype=float))
@@ -121,7 +118,6 @@ def benchmark_potential() -> PotentialSurface:
         evaluator=_benchmark_energy,
         gradient=_benchmark_gradient,
         domain=((0.0, 0.0), (1.0, 1.0)),
-        name="paper2d",
     )
 
 
@@ -154,7 +150,6 @@ def flat_potential(level: float = 0.0) -> PotentialSurface:
         evaluator=partial(_flat_energy, float(level)),
         gradient=_flat_gradient,
         domain=((0.0, 0.0), (1.0, 1.0)),
-        name="flat",
     )
 
 

@@ -58,16 +58,15 @@ class RegressionResult:
 class ExitRateReport:
     """Rates of one fuzzy set.
 
-    provenance names the route that made the report.  eps1 = alpha + beta
-    is the chi-exit rate, eps2 = -beta the penalty rate, pi_chi the
-    statistical-weight estimate, and meaningful is the eps2 < eps1
-    criterion (equivalently pi_chi < 1/2).  residual_norm and n_points
-    describe the regression behind the report, when any.  The fields, in
-    this order, are the columns of the CLI's report.csv; build a report
-    by keyword.
+    eps1 = alpha + beta is the chi-exit rate, eps2 = -beta the penalty
+    rate, pi_chi the statistical-weight estimate, and meaningful is the
+    eps2 < eps1 criterion (equivalently pi_chi < 1/2).  tau is the lag of
+    a lag fit, None otherwise; residual_norm and n_points describe the
+    regression behind the report, when any.  The fields, in this order,
+    are the columns of the CLI's report.csv after the route that made it;
+    build a report by keyword.
     """
 
-    provenance: str
     alpha: float
     beta: float
     eps1: float
@@ -136,8 +135,7 @@ def regress(xs, ys, norm_kind: str = "least_squares") -> RegressionResult:
                             n_points=n, norm_kind=kind)
 
 
-def gammas_to_rate(reg: RegressionResult, tau: float,
-                   provenance: str = "regression") -> ExitRateReport:
+def gammas_to_rate(reg: RegressionResult, tau: float) -> ExitRateReport:
     """Convert a (gamma1, gamma2) fit at lag tau into an exit-rate report.
 
     Inverts gamma1 = e^{-tau alpha} and gamma2 = (beta/alpha)(e^{-tau
@@ -150,9 +148,7 @@ def gammas_to_rate(reg: RegressionResult, tau: float,
     ----------
     reg : RegressionResult
     tau : float
-        Lag time of the propagated values, > 0.
-    provenance : str
-        Recorded in the report.
+        Lag time of the propagated values, > 0; the report's tau.
 
     Returns
     -------
@@ -167,30 +163,27 @@ def gammas_to_rate(reg: RegressionResult, tau: float,
         raise ValueError("tau must be positive and finite")
     g1, g2 = reg.gamma1, reg.gamma2
     if not 0 < g1 < 1:
-        return _fit_report(math.nan, math.nan, reg, provenance, float(tau),
+        return _fit_report(math.nan, math.nan, reg, float(tau),
                            "no decay detected" if g1 >= 1
                            else "lag time too long / noise dominated")
     alpha = -math.log(g1) / tau
-    return _fit_report(alpha, alpha * g2 / (g1 - 1.0), reg, provenance,
-                       float(tau))
+    return _fit_report(alpha, alpha * g2 / (g1 - 1.0), reg, float(tau))
 
 
 def _fit_report(alpha: float, beta: float, reg: RegressionResult,
-                provenance: str, tau: Optional[float] = None,
-                note: str = "") -> ExitRateReport:
+                tau: Optional[float] = None, note: str = "") -> ExitRateReport:
     """Report from fitted generator coefficients L* chi ~ alpha chi + beta."""
     eps1, eps2 = alpha + beta, -beta
     return ExitRateReport(
         alpha=alpha, beta=beta, eps1=eps1, eps2=eps2,
         pi_chi=eps2 / (eps1 + eps2) if alpha > 0 else float("nan"),
-        meaningful=bool(eps2 < eps1), provenance=provenance, tau=tau,
+        meaningful=bool(eps2 < eps1), tau=tau,
         residual_norm=reg.residual_norm, n_points=reg.n_points,
         norm_kind=reg.norm_kind, note=note,
     )
 
 
-def rate_from_eigenpair(eps_bar: float, beta_bar: float,
-                        provenance: str = "eigenpair") -> ExitRateReport:
+def rate_from_eigenpair(eps_bar: float, beta_bar: float) -> ExitRateReport:
     """Report from an eigenvalue and the shift of its rescaled eigenfunction.
 
     For chi = alpha_bar f + beta_bar 1 the generator acts exactly:
@@ -217,7 +210,6 @@ def rate_from_eigenpair(eps_bar: float, beta_bar: float,
     return ExitRateReport(
         alpha=alpha, beta=beta, eps1=alpha + beta, eps2=-beta,
         pi_chi=float(beta_bar), meaningful=bool(-beta < alpha + beta),
-        provenance=provenance,
     )
 
 
@@ -249,7 +241,7 @@ def regress_generator_action(gen: GeneratorMatrix, chi,
     """
     vals = gen.grid.cell_values(chi)
     reg = regress(vals, gen.rates @ vals, norm_kind)
-    return _fit_report(reg.gamma1, reg.gamma2, reg, "generator_action")
+    return _fit_report(reg.gamma1, reg.gamma2, reg)
 
 
 def holding_probability(report: ExitRateReport, chi_at_x, t: float):

@@ -21,9 +21,12 @@ for the jump process or for the diffusion's exit
 ``GeneratorMatrix`` they run on.  The diffusion's starts and positions
 get their cells from ``RegularGrid.cells_of``, which rejects a position
 off the grid, and every diffusion ensemble runs through one dispatch.
+Counts, lags and seeds are read with ``operator.index``, so a numpy
+integer counts as its ``int`` and a float raises ``TypeError``.
 """
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -96,8 +99,6 @@ class TrajectoryStats:
 
     Attributes
     ----------
-    starts : ndarray, shape (m, 2)
-        Starting positions.
     endpoints : ndarray, shape (m, n_traj, 2)
         Positions at exit, or at the horizon when censored.
     exit_steps : ndarray of int, shape (m, n_traj)
@@ -108,7 +109,6 @@ class TrajectoryStats:
         Time step, for converting steps to times.
     """
 
-    starts: Array
     endpoints: Array
     exit_steps: Array
     horizon_steps: int
@@ -308,8 +308,8 @@ def _chunked(config: SdeConfig, points, n_traj: int, steps: int, seed: int,
                          % (points.shape,))
     points = np.atleast_2d(points)
     tasks = [
-        (config, points[i:i + _CHUNK], int(n_traj), int(steps), int(seed),
-         int(tag), stop, stop_from)
+        (config, points[i:i + _CHUNK], operator.index(n_traj),
+         operator.index(steps), operator.index(seed), tag, stop, stop_from)
         for i in range(0, max(1, len(points)), _CHUNK)
     ]
     if workers <= 1 or len(tasks) <= 1:
@@ -367,8 +367,8 @@ def endpoint_ensemble(config: SdeConfig, points, steps: int, n_traj: int,
 def uniform_points(n: int, domain, seed: int) -> Array:
     """n uniform points in the box domain from the master-seed stream."""
     (lo1, lo2), (hi1, hi2) = domain
-    rng = generator_for(seed, TAG_POINTS)
-    return rng.uniform((lo1, lo2), (hi1, hi2), size=(int(n), 2))
+    rng = generator_for(operator.index(seed), TAG_POINTS)
+    return rng.uniform((lo1, lo2), (hi1, hi2), size=(operator.index(n), 2))
 
 
 def estimate_ptau_chi(chi, points, steps: int,
@@ -412,7 +412,7 @@ def estimate_ptau_chi(chi, points, steps: int,
     m = chi.meta
     return _chunked(m["dynamics"], points, m["n_traj"], steps + m["max_steps"],
                     m["seed"], TAG_CHI, workers,
-                    partial(_in_box, box=m["box"]), int(steps))
+                    partial(_in_box, box=m["box"]), steps)
 
 
 def _fk_values(gen: GeneratorMatrix, chi, eps2: float, t: float) -> Array:
@@ -534,6 +534,7 @@ def feynman_kac_holding_mc(gen: GeneratorMatrix, chi, eps2: float, cells,
     """
     vals = _fk_values(gen, chi, eps2, t)
     cells = gen.cell_indices(np.ravel(cells))
+    n_traj, seed = operator.index(n_traj), operator.index(seed)
     if not n_traj >= 1:
         raise ValueError("n_traj must be >= 1")
     ests, ses = vals[cells].copy(), np.zeros(cells.size)
@@ -542,7 +543,7 @@ def feynman_kac_holding_mc(gen: GeneratorMatrix, chi, eps2: float, cells,
                        (1.0 - vals) / np.maximum(vals, CHI_MIN), np.inf)
         for k, c in enumerate(cells):
             ests[k], ses[k] = _fk_mc_cell(gen, vals, pen, eps2, int(c), t,
-                                          int(n_traj), int(seed))
+                                          n_traj, seed)
     return ests, ses
 
 
@@ -605,7 +606,7 @@ def sample_set_exit_times(config: SdeConfig, gen: GeneratorMatrix, region_cells,
     pos, exit_steps = _chunked(config, starts, n_traj, horizon_steps, seed,
                                TAG_EXIT, 1,
                                partial(_off_cells, gen.grid, ~inside))
-    return TrajectoryStats(starts=starts, endpoints=pos, exit_steps=exit_steps,
+    return TrajectoryStats(endpoints=pos, exit_steps=exit_steps,
                            horizon_steps=int(horizon_steps), dt=config.dt)
 
 
@@ -651,10 +652,11 @@ def sample_jump_exit_times(gen: GeneratorMatrix, region_cells, start_cell: int,
     start_cell = int(gen.cell_indices(start_cell))
     if not mask[start_cell]:
         raise ValueError("start cell lies outside the region")
+    n_traj = operator.index(n_traj)
     if n_traj < 1 or not 0 < horizon_time < math.inf:
         raise ValueError("n_traj must be >= 1 and horizon_time positive and "
                          "finite")
-    rng = generator_for(seed, TAG_JUMP, start_cell)
-    _, times, exited, _ = _jump_run(gen, rng, start_cell, int(n_traj),
+    rng = generator_for(operator.index(seed), TAG_JUMP, start_cell)
+    _, times, exited, _ = _jump_run(gen, rng, start_cell, n_traj,
                                     float(horizon_time), ~mask)
     return times, ~exited

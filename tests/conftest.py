@@ -46,8 +46,7 @@ def chi1(eig3):
 
 @pytest.fixture(scope="session")
 def report1(chi1):
-    return rate_from_eigenpair(chi1.meta["eps_bar"], chi1.meta["beta_bar"],
-                               "idea1")
+    return rate_from_eigenpair(chi1.meta["eps_bar"], chi1.meta["beta_bar"])
 
 
 @pytest.fixture(scope="session")

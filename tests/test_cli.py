@@ -214,9 +214,11 @@ def test_idea1_run_and_artifacts(tmp_path):
     ("idea2", SMALL),
     ("idea3", SMALL + "membership.core_weight_threshold = 0.02\n"),
     ("idea4", IDEA4_SMALL),
-], ids=["idea1", "idea2", "idea3", "idea4"])
+    ("validate", VALIDATE_SMALL),
+], ids=["idea1", "idea2", "idea3", "idea4", "validate"])
 def test_report_names_its_route(tmp_path, command, text):
-    # idea2's report named the function behind it, generator_action
+    # the CLI writes the subcommand as provenance, for every route alike;
+    # idea2's report once named the function behind it, generator_action
     out = tmp_path / "out"
     assert main([command, "--config", _cfg(tmp_path, text), "--out",
                  str(out)]) == 0
@@ -605,8 +607,7 @@ def test_roundoff_spread_has_no_correlation(capsys):
 def _peaked(grid, cell, weight):
     values = np.zeros(grid.n)
     values[cell] = 1.0
-    return Membership(provenance="test", values=values, grid=grid,
-                      meta={"weight": weight})
+    return Membership(values=values, grid=grid, meta={"weight": weight})
 
 
 @pytest.mark.parametrize("cells,weights,chosen", [
@@ -722,12 +723,13 @@ def test_column_writer_matches_row_writer(tmp_path, n):
 
 
 def test_one_row_report_matches_row_writer(tmp_path):
-    # the columns are ExitRateReport's fields in order, then the gammas
+    # the columns are the run's subcommand, ExitRateReport's fields in
+    # order, then the gammas
     header = ["provenance", "alpha", "beta", "eps1", "eps2", "pi_chi",
               "meaningful", "tau", "residual_norm", "n_points", "norm_kind",
               "note", "gamma1", "gamma2"]
     cfg = _out_cfg(tmp_path)
-    report = rate_from_eigenpair(0.0086, 0.1965, "idea1")
+    report = rate_from_eigenpair(0.0086, 0.1965)
     reg = RegressionResult(gamma1=0.8, gamma2=0.05, residual_norm=0.0,
                            n_points=9, norm_kind="least_squares")
     # meaningful as 0/1, tau None as an empty cell, no note

@@ -157,7 +157,6 @@ def test_potential_not_finite_on_a_cell_rejected(bench):
                                      bench.evaluator(x)),
         gradient=bench.gradient,
         domain=bench.domain,
-        name="holed",
     )
     with pytest.raises(ValueError, match="potential is not finite on all "
                        "grid cells"):
@@ -169,7 +168,6 @@ def test_huge_potential_range_rejected(bench):
         evaluator=lambda x: 400.0 * bench.evaluator(x),
         gradient=lambda x: 400.0 * bench.gradient(x),
         domain=bench.domain,
-        name="steep",
     )
     grid = RegularGrid(20, 20, steep.domain)
     with pytest.raises(ValueError):
@@ -189,7 +187,7 @@ def _quadratic(a1, a2, c1, c2):
         return g
 
     return PotentialSurface(evaluator=_energy, gradient=_gradient,
-                            domain=((0.0, 0.0), (1.0, 1.0)), name="quad")
+                            domain=((0.0, 0.0), (1.0, 1.0)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
-"""Every top-level import of a chi_exit module is read by that module, and
-every private top-level function of the package is called from it."""
+"""Every top-level import of a chi_exit module is read by that module,
+every private top-level function of the package is called from it, and
+every field of its dataclasses is read somewhere."""
 
 import ast
 import importlib
@@ -13,7 +14,8 @@ import pytest
 
 import chi_exit
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "chi_exit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "chi_exit"
 
 
 def _unused_imports(source: str):
@@ -90,6 +92,43 @@ def test_scan_finds_a_dead_helper():
 def test_every_private_function_is_called():
     assert _dead_helpers({path.stem: path.read_text()
                           for path in SRC.glob("*.py")}) == []
+
+
+def _unread_fields(sources, readers):
+    """``module.Class.field`` of each field of a dataclass in ``sources``
+    (module name -> text) that no attribute load in ``readers`` (texts)
+    reads: state written and never read back by name."""
+    read = {node.attr for text in readers for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted("%s.%s.%s" % (mod, top.name, stmt.target.id)
+                  for mod, text in sources.items()
+                  for top in ast.parse(text).body
+                  if isinstance(top, ast.ClassDef)
+                  and any(getattr(getattr(d, "func", d), "id", None)
+                          == "dataclass" for d in top.decorator_list)
+                  for stmt in top.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and stmt.target.id not in read)
+
+
+def test_scan_finds_an_unread_field():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass A:\n    kept: int\n"
+              "    echo: str = 'x'\n    def f(self):\n"
+              "        return self.kept\n"
+              "@dataclass\nclass B:\n    value: int\n"
+              "class C:\n    plain: int\n")
+    reader = "def g(b):\n    b.echo = 1\n    return b.value\n"
+    assert _unread_fields({"m": source}, [source, reader]) == ["m.A.echo"]
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads by name is an echo of its caller
+    readers = [path.read_text() for part in ("src/chi_exit", "tests", "demos")
+               for path in sorted((ROOT / part).glob("*.py"))]
+    assert _unread_fields({path.stem: path.read_text()
+                           for path in SRC.glob("*.py")}, readers) == []
 
 
 def _places_naming(sources, name):

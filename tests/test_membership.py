@@ -31,9 +31,8 @@ BETA_BAR = 0.19627817964037228
 
 def test_membership_range_validation():
     with pytest.raises(ValueError):
-        Membership(provenance="test", values=np.array([-0.1, 0.5]),
-                   grid=RegularGrid(2, 1))
-    chi = Membership(provenance="test", values=np.array([0.0, 1.0 + 5e-10]),
+        Membership(values=np.array([-0.1, 0.5]), grid=RegularGrid(2, 1))
+    chi = Membership(values=np.array([0.0, 1.0 + 5e-10]),
                      grid=RegularGrid(2, 1))
     assert chi.values.max() == 1.0
 
@@ -328,10 +327,10 @@ def test_point_sampler_needs_its_parameters(key):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     meta = dict(mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 10, 10,
                                       seed=0).meta)
-    Membership(provenance="test", meta=meta)
+    Membership(meta=meta)
     del meta[key]
     with pytest.raises(ValueError, match=key):
-        Membership(provenance="test", meta=meta)
+        Membership(meta=meta)
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -350,7 +349,7 @@ def test_point_sampler_checks_itself(key, value, message):
                                       seed=0).meta)
     meta[key] = value
     with pytest.raises(ValueError, match=message):
-        Membership(provenance="test", meta=meta)
+        Membership(meta=meta)
     with pytest.raises(ValueError, match=message):
         mc_hitting_membership(cfg, meta["box"], meta["n_traj"],
                               meta["max_steps"])
@@ -358,10 +357,9 @@ def test_point_sampler_checks_itself(key, value, message):
 
 def test_grid_membership_needs_grid_for_points():
     with pytest.raises(ValueError):
-        Membership(provenance="test", values=np.array([0.2, 0.8]))
+        Membership(values=np.array([0.2, 0.8]))
     # and reads only positions on that grid, NaN never
-    chi = Membership(provenance="test", values=np.array([0.2, 0.8]),
-                     grid=RegularGrid(2, 1))
+    chi = Membership(values=np.array([0.2, 0.8]), grid=RegularGrid(2, 1))
     np.testing.assert_array_equal(chi.evaluate_batch([[0.9, 0.5]]), [0.8])
     for x in ([1.5, 0.5], [np.nan, 0.5], [0.5, np.nan]):
         with pytest.raises(ValueError, match="off the grid"):

@@ -148,13 +148,19 @@ def test_registered_surfaces_pickle(make):
     pot = make()
     back = pickle.loads(pickle.dumps(pot))
     pts = np.random.default_rng(4).uniform(0, 1, size=(7, 2))
-    assert (back.name, back.domain) == (pot.name, pot.domain)
+    assert back.domain == pot.domain
     np.testing.assert_array_equal(back(pts), pot(pts))
     np.testing.assert_array_equal(back.grad(pts), pot.grad(pts))
 
 
 def test_registry_lookup():
-    assert potential_by_name("paper2d").name == "paper2d"
-    assert potential_by_name("flat").name == "flat"
+    # each config name gives its factory's surface
+    pts = np.random.default_rng(5).uniform(0, 1, size=(7, 2))
+    for name, make in (("paper2d", benchmark_potential),
+                       ("flat", flat_potential)):
+        pot, ref = potential_by_name(name), make()
+        assert pot.domain == ref.domain
+        np.testing.assert_array_equal(pot(pts), ref(pts))
+        np.testing.assert_array_equal(pot.grad(pts), ref.grad(pts))
     with pytest.raises(ValueError):
         potential_by_name("unknown-surface")

@@ -112,7 +112,7 @@ def test_lad_reports_a_solver_failure(monkeypatch):
 def test_gammas_to_rate_published_chain():
     fit = RegressionResult(gamma1=0.8201, gamma2=0.0900, residual_norm=0.0,
                            n_points=2500, norm_kind="least_squares")
-    report = gammas_to_rate(fit, 100.0, "route")
+    report = gammas_to_rate(fit, 100.0)
     alpha = -math.log(0.8201) / 100.0
     beta = alpha * 0.0900 / (0.8201 - 1.0)
     np.testing.assert_allclose(report.alpha, alpha, rtol=1e-14)
@@ -137,7 +137,7 @@ def test_gamma_rate_round_trip(eps1, eps2, tau):
     g2 = beta * (g1 - 1.0) / alpha
     fit = RegressionResult(gamma1=g1, gamma2=g2, residual_norm=0.0,
                            n_points=10, norm_kind="least_squares")
-    report = gammas_to_rate(fit, tau, "round-trip")
+    report = gammas_to_rate(fit, tau)
     np.testing.assert_allclose([report.eps1, report.eps2], [eps1, eps2],
                                rtol=1e-12)
 
@@ -145,7 +145,7 @@ def test_gamma_rate_round_trip(eps1, eps2, tau):
 def test_gammas_to_rate_no_decay():
     fit = RegressionResult(gamma1=1.02, gamma2=0.0, residual_norm=0.0,
                            n_points=10, norm_kind="least_squares")
-    report = gammas_to_rate(fit, 1.0, "noisy")
+    report = gammas_to_rate(fit, 1.0)
     assert report.note == "no decay detected"
     assert not report.meaningful
     assert math.isnan(report.eps1)
@@ -154,7 +154,7 @@ def test_gammas_to_rate_no_decay():
 def test_gammas_to_rate_noise_dominated():
     fit = RegressionResult(gamma1=-0.2, gamma2=0.0, residual_norm=0.0,
                            n_points=10, norm_kind="least_squares")
-    report = gammas_to_rate(fit, 1.0, "noisy")
+    report = gammas_to_rate(fit, 1.0)
     assert report.note == "lag time too long / noise dominated"
     assert not report.meaningful
     assert math.isnan(report.eps1)
@@ -162,7 +162,16 @@ def test_gammas_to_rate_noise_dominated():
     for tau in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tau must be positive"):
             gammas_to_rate(RegressionResult(0.5, 0.1, 0.0, 10,
-                                            "least_squares"), tau, "noisy")
+                                            "least_squares"), tau)
+
+
+def test_report_tau_is_the_lag_of_its_fit():
+    # report.csv's tau column: the lag of a lag fit, with or without a
+    # rate, and empty for an eigenpair, which has no lag
+    for g1 in (0.8, 1.02, -0.2):
+        fit = RegressionResult(g1, 0.05, 0.0, 10, "least_squares")
+        assert gammas_to_rate(fit, 40.0).tau == 40.0
+    assert rate_from_eigenpair(0.01, 0.3).tau is None
 
 
 def test_rate_from_eigenpair_frozen(report1):
@@ -179,15 +188,15 @@ def test_rate_from_eigenpair_validation():
     for eps_bar in (-0.01, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="eps_bar must be positive and "
                                              "finite"):
-            rate_from_eigenpair(eps_bar, 0.2, "bad")
+            rate_from_eigenpair(eps_bar, 0.2)
     with pytest.raises(ValueError):
-        rate_from_eigenpair(0.01, 1.2, "bad")
+        rate_from_eigenpair(0.01, 1.2)
 
 
 def test_meaningful_threshold():
     # meaningful iff eps2 < eps1, i.e. pi_chi < 1/2
-    fast = rate_from_eigenpair(0.01, 0.3, "ok")
-    slow = rate_from_eigenpair(0.01, 0.7, "not ok")
+    fast = rate_from_eigenpair(0.01, 0.3)
+    slow = rate_from_eigenpair(0.01, 0.7)
     assert fast.meaningful and not slow.meaningful
 
 
@@ -195,7 +204,7 @@ def test_holding_probability(report1):
     val = holding_probability(report1, 0.8, 10.0)
     np.testing.assert_allclose(val, 0.8 * math.exp(-report1.eps1 * 10.0),
                                rtol=1e-14)
-    bad = rate_from_eigenpair(0.01, 0.9, "bad")
+    bad = rate_from_eigenpair(0.01, 0.9)
     with pytest.raises(ValueError, match="meaningful"):
         holding_probability(bad, 0.8, 10.0)
     with pytest.raises(ValueError, match="t must be nonnegative"):
@@ -326,8 +335,7 @@ def test_exit_path_rejects_extremum(chi1):
 def test_exit_path_rejects_a_flat_cell():
     # no neighbour is strictly above or below, yet the gradient vanishes
     grid = RegularGrid(5, 5, flat_potential().domain)
-    chi = Membership(provenance="test", values=np.full(grid.n, 0.5),
-                     grid=grid)
+    chi = Membership(values=np.full(grid.n, 0.5), grid=grid)
     with pytest.raises(ValueError, match=r"critical point of chi \(gradient"):
         exit_path_direction(chi, np.array([0.5, 0.5]))
 
@@ -335,8 +343,7 @@ def test_exit_path_rejects_a_flat_cell():
 def test_exit_path_linear_field():
     pot = flat_potential()
     grid = RegularGrid(5, 5, pot.domain)
-    chi = Membership(provenance="committor", values=grid.centers[:, 0].copy(),
-                     grid=grid)
+    chi = Membership(values=grid.centers[:, 0].copy(), grid=grid)
     d = exit_path_direction(chi, np.array([0.5, 0.5]))
     np.testing.assert_allclose(d, [-1.0, 0.0], rtol=0, atol=1e-12)
 

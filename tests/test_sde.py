@@ -2,7 +2,6 @@
 
 import pickle
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +75,6 @@ def test_step_rejects_non_finite_gradient():
         evaluator=lambda x: np.zeros(np.asarray(x).shape[:-1]),
         gradient=lambda x: np.full_like(np.asarray(x, dtype=float), np.nan),
         domain=((0.0, 0.0), (1.0, 1.0)),
-        name="bad",
     )
     cfg = SdeConfig(potential=bad, sigma=0.5, dt=0.001)
     lo, hi = cfg.bounds
@@ -122,7 +120,6 @@ def test_uniform_points_deterministic():
 
 def test_trajectory_stats_summaries():
     stats = TrajectoryStats(
-        starts=np.array([[0.5, 0.5]]),
         endpoints=np.zeros((1, 4, 2)),
         exit_steps=np.array([[10, -1, 20, -1]]),
         horizon_steps=50,
@@ -158,8 +155,7 @@ def test_mean_exit_time_is_kaplan_meier_restricted_mean():
     for r, share in enumerate(censored):
         exit_steps[r, :int(share * 200)] = -1
     assert len(np.unique(exit_steps[0])) < 180
-    stats = TrajectoryStats(starts=np.zeros((4, 2)),
-                            endpoints=np.zeros((4, 200, 2)),
+    stats = TrajectoryStats(endpoints=np.zeros((4, 200, 2)),
                             exit_steps=exit_steps, horizon_steps=horizon,
                             dt=0.01)
     np.testing.assert_allclose(stats.censoring_fraction, censored)
@@ -265,19 +261,18 @@ def _three_estimators(cfg, pts):
 
 
 def test_drift_is_the_surface_of_the_config():
-    # the paths follow the config's own surface, whatever its name: a
-    # surface named like the benchmark, but flat, runs flat
+    # the paths follow the config's own surface: a flat surface runs flat
+    # at any level, and the benchmark surface runs otherwise
     flat = flat_potential()
     pts = uniform_points(9, flat.domain, seed=6)
-    named = _three_estimators(
-        SdeConfig(replace(flat, name="paper2d"), sigma=0.8, dt=0.001), pts)
-    custom = _three_estimators(
-        SdeConfig(replace(flat, name="custom"), sigma=0.8, dt=0.001), pts)
+    level0 = _three_estimators(SdeConfig(flat, sigma=0.8, dt=0.001), pts)
+    raised = _three_estimators(
+        SdeConfig(flat_potential(2.5), sigma=0.8, dt=0.001), pts)
     bench = _three_estimators(
         SdeConfig(benchmark_potential(), sigma=0.8, dt=0.001), pts)
-    for a, b in zip(named, custom):
+    for a, b in zip(level0, raised):
         np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(named[-1], bench[-1])
+    assert not np.array_equal(level0[-1], bench[-1])
 
 
 #: The benchmark surface behind module-level lambdas, which do not pickle.
@@ -543,7 +538,6 @@ def test_sample_set_exit_times_batch_matches_single(gen50, chi1):
     for i in range(len(starts)):
         one = sample_set_exit_times(cfg, gen50, region, starts[i:i + 1],
                                     n_traj=15, horizon_steps=400, seed=3)
-        np.testing.assert_array_equal(batch.starts[i], one.starts[0])
         np.testing.assert_array_equal(batch.exit_steps[i], one.exit_steps[0])
         np.testing.assert_array_equal(batch.endpoints[i], one.endpoints[0])
         assert batch.mean_exit_time()[i] == one.mean_exit_time()[0]
@@ -577,6 +571,71 @@ def test_ensembles_reject_an_empty_budget(gen50, chi1):
     for n_traj, horizon in ((0, 10), (5, 0)):
         with pytest.raises(ValueError, match="n_traj and horizon_steps"):
             sample_set_exit_times(cfg, gen50, region, start, n_traj, horizon)
+
+
+_FLAT = SdeConfig(potential=flat_potential(), sigma=0.8, dt=0.001)
+_HALF = (0.0, 0.5, 0.0, 1.0)
+_NEAR = np.array([[0.45, 0.3], [0.55, 0.6], [0.49, 0.9]])
+
+
+def _chain():
+    return build_sqrt_generator(_FLAT.potential,
+                                RegularGrid(4, 4, _FLAT.potential.domain), 1.0)
+
+
+def _exits(horizon):
+    stats = sample_set_exit_times(_FLAT, _chain(), np.arange(8), _NEAR[:1],
+                                  5, horizon, seed=2)
+    return stats.endpoints, stats.exit_steps
+
+
+#: Each count, lag or seed of the samplers, as a call of the one value, and
+#: the integer it is tried with.
+_COUNTS = {
+    "hitting-n_traj": (lambda v: hitting_fractions(_FLAT, _HALF, _NEAR, v,
+                                                   15, seed=4), 2),
+    "hitting-max_steps": (lambda v: hitting_fractions(_FLAT, _HALF, _NEAR,
+                                                      12, v, seed=4), 10),
+    "hitting-seed": (lambda v: hitting_fractions(_FLAT, _HALF, _NEAR, 12, 15,
+                                                 seed=v), 1),
+    "sampler-n_traj": (lambda v: mc_hitting_membership(
+        _FLAT, _HALF, v, 15, seed=4).evaluate_batch(_NEAR), 2),
+    "sampler-max_steps": (lambda v: mc_hitting_membership(
+        _FLAT, _HALF, 12, v, seed=4).evaluate_batch(_NEAR), 10),
+    "sampler-seed": (lambda v: mc_hitting_membership(
+        _FLAT, _HALF, 12, 15, seed=v).evaluate_batch(_NEAR), 1),
+    "ptau-steps": (lambda v: estimate_ptau_chi(mc_hitting_membership(
+        _FLAT, _HALF, 12, 15, seed=4), _NEAR, v), 1),
+    "exit-horizon": (_exits, 10),
+    "points-n": (lambda v: uniform_points(v, _FLAT.potential.domain, 3), 2),
+    "points-seed": (lambda v: uniform_points(5, _FLAT.potential.domain, v),
+                    1),
+    "jump-n_traj": (lambda v: sample_jump_exit_times(
+        _chain(), np.arange(8), 0, v, 5.0, seed=2), 2),
+    "jump-seed": (lambda v: sample_jump_exit_times(
+        _chain(), np.arange(8), 0, 20, 5.0, seed=v), 1),
+    "fk-n_traj": (lambda v: feynman_kac_holding_mc(
+        _chain(), np.linspace(0.1, 0.9, 16), 0.01, [0, 5], 1.0, n_traj=v,
+        seed=2), 2),
+    "fk-seed": (lambda v: feynman_kac_holding_mc(
+        _chain(), np.linspace(0.1, 0.9, 16), 0.01, [0, 5], 1.0, n_traj=20,
+        seed=v), 1),
+}
+
+
+@pytest.mark.parametrize("call,value", list(_COUNTS.values()),
+                         ids=list(_COUNTS))
+def test_counts_and_seeds_are_integers(call, value):
+    # int() truncated a float without a word: n_traj = 2.5 ran 2 paths,
+    # seed = 1.9 drew the streams of seed 1
+    with pytest.raises(TypeError):
+        call(value + 0.5)
+    as_int, as_int64 = call(value), call(np.int64(value))
+    if not isinstance(as_int, tuple):
+        as_int, as_int64 = (as_int,), (as_int64,)
+    for a, b in zip(as_int, as_int64):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes())
 
 
 def test_sample_set_exit_times_batch_rejects_outside_start(gen50, chi1):
@@ -863,7 +922,7 @@ def test_per_cell_readers_reject_a_value_not_finite(gen50, chi1, bad):
     vals = chi1.values.copy()
     vals[7] = bad
     readers = [
-        lambda: Membership(provenance="test", values=vals, grid=gen50.grid),
+        lambda: Membership(values=vals, grid=gen50.grid),
         lambda: propagate(gen50, vals, 1.0),
         lambda: feynman_kac_holding(gen50, vals, 0.0017, t=1.0),
         lambda: feynman_kac_holding_mc(gen50, vals, 0.0017, [0], t=1.0,
