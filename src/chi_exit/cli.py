@@ -691,18 +691,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chi-exit",
         description="Exit rates of rare events from fuzzy metastable sets.",
+        epilog="commands:\n" + "\n".join(
+            "  %-15s %s" % (name, (fn.__doc__ or name).splitlines()[0])
+            for name, fn in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=(fn.__doc__ or name).splitlines()[0])
-        p.add_argument("--config", default=None, help="config file path")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--out", dest="output_dir", metavar="OUT",
-                       default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (never changes results)")
-        p.add_argument("--norm", dest="rates.norm", choices=("ls", "lad"),
-                       default=None, help="regression norm")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", default=None, help="config file path")
+    parser.add_argument("--seed", type=int, default=None, help="master seed")
+    parser.add_argument("--out", dest="output_dir", metavar="OUT",
+                        default=None, help="output directory")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes (never changes results)")
+    parser.add_argument("--norm", dest="rates.norm", choices=("ls", "lad"),
+                        default=None, help="regression norm")
     return parser
 
 

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
 
 from .grid_generator import GeneratorMatrix, RegularGrid
-from .spectral import EigenSystem
+from .spectral import EigenSystem, _factor
 from .sde import SdeConfig, hitting_fractions
 
 Array = np.ndarray
@@ -135,6 +134,7 @@ def pcca_single(eig: EigenSystem, which: int) -> Membership:
         statistical weight pi_chi, and eps_bar, the eigenvalue: all that
         the rate eps1 = eps_bar (1 - beta_bar) reads.
     """
+    which = operator.index(which)
     if which < 2 or which > eig.count:
         raise ValueError("which must be between 2 and %d" % eig.count)
     idx = which - 1
@@ -176,11 +176,12 @@ def _fill_a(free: Array, x: Array) -> Array:
     columns 1..m-1 of ``a``): nonnegative memberships, partition of unity."""
     m = x.shape[1]
     a = np.zeros((m, m))
-    a[1:, 1:] = np.reshape(free, (m - 1, m - 1))
-    a[1:, 0] = -a[1:, 1:].sum(axis=1)
+    a[1:, 1:] = free.reshape(m - 1, m - 1)
+    a[1:, 0] = -np.add.reduce(a[1:, 1:], 1)
+    slow = x[:, 1:]
     for j in range(m):
-        a[0, j] = -(x[:, 1:] @ a[1:, j]).min()
-    total = a[0, :].sum()
+        a[0, j] = -np.minimum.reduce(slow @ a[1:, j])
+    total = np.add.reduce(a[0])
     if total <= 0:
         raise ValueError("degenerate PCCA+ feasibility completion")
     return a / total
@@ -191,10 +192,10 @@ def _crispness(free: Array, x: Array) -> float:
         a = _fill_a(free, x)
     except ValueError:
         return 1e6
-    if np.any(a[0, :] < 1e-12):
+    if np.logical_or.reduce(a[0] < 1e-12):
         return 1e6
     # columns of x are pi-orthonormal, so <chi_j, chi_j>_pi = sum_k a_kj^2
-    return -float(((a * a).sum(axis=0) / a[0, :]).sum())
+    return -float(np.add.reduce(np.add.reduce(a * a, 0) / a[0]))
 
 
 class _BudgetSpent(Exception):
@@ -217,11 +218,11 @@ def _nelder_mead(fun, x0: Array, args: tuple, tol: float, budget: int
         if calls >= budget:
             raise _BudgetSpent
         calls += 1
-        return fun(np.copy(x), *args)
+        return fun(x.copy(), *args)
 
     def ordered(sim, fsim):
-        order = np.argsort(fsim)
-        return np.take(sim, order, 0), np.take(fsim, order, 0)
+        order = fsim.argsort()
+        return sim.take(order, 0), fsim.take(order, 0)
 
     sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
     for k in range(n):
@@ -235,8 +236,8 @@ def _nelder_mead(fun, x0: Array, args: tuple, tol: float, budget: int
     sim, fsim = ordered(*ordered(sim, fsim))  # fmin sorts twice here
     iterations = 1
     while calls < budget and iterations < budget:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= tol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= tol):
+        if (np.maximum.reduce(np.abs(sim[1:] - sim[0]), None) <= tol
+                and np.maximum.reduce(np.abs(fsim[0] - fsim[1:])) <= tol):
             break
         # fmin's rho = 1, chi = 2, psi = sigma = 0.5, written out
         try:
@@ -287,9 +288,10 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
     -------
     list of Membership
         Each with meta "weight" (pi_chi, the coefficient of the constant
-        eigenfunction in its linear combination).
+        eigenfunction in its linear combination), ordered by the center of
+        each one's peak cell, x1 first, then x2.
     """
-    m = int(n_clusters)
+    m = operator.index(n_clusters)
     if m < 2 or m > eig.count:
         raise ValueError("n_clusters must be between 2 and %d" % eig.count)
     if eig.count > m:
@@ -320,16 +322,12 @@ def pcca_multi(eig: EigenSystem, n_clusters: int) -> List[Membership]:
     unity = np.abs(chis.sum(axis=1) - 1.0).max()
     if unity > 1e-10:
         raise ValueError("PCCA+ memberships violate partition of unity")
-    out = []
-    for j in range(m):
-        out.append(
-            Membership(
-                values=chis[:, j],
-                grid=eig.grid,
-                meta={"weight": float(a[0, j])},
-            )
-        )
-    return out
+    # the simplex's vertex order is roundoff's choice between symmetric
+    # wells; the peak cell's center, x1 then x2, is not
+    peaks = eig.grid.centers[chis.argmax(axis=0)]
+    return [Membership(values=chis[:, j], grid=eig.grid,
+                       meta={"weight": float(a[0, j])})
+            for j in np.lexsort((peaks[:, 1], peaks[:, 0]))]
 
 
 def committor(gen: GeneratorMatrix, core_a, core_b) -> Membership:
@@ -366,7 +364,7 @@ def committor(gen: GeneratorMatrix, core_a, core_b) -> Membership:
     rhs = -np.asarray(gen.rates[free][:, a].sum(axis=1)).ravel()
     q = np.zeros(gen.n)
     q[a] = 1.0
-    q[free] = spsolve(sub.tocsc(), rhs)
+    q[free] = _factor(sub).solve(rhs)
     return Membership(values=q, grid=gen.grid)
 
 

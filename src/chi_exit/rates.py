@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .grid_generator import GeneratorMatrix
+from .spectral import _factor
 
 Array = np.ndarray
 
@@ -286,7 +286,7 @@ def set_mean_holding_time(gen: GeneratorMatrix, region_cells) -> Array:
     if mask.all():
         raise ValueError("region complement is empty; no absorbing boundary")
     t = np.zeros(gen.n)
-    t[mask] = spsolve(gen.restricted(mask).tocsc(), np.ones(int(mask.sum())))
+    t[mask] = _factor(gen.restricted(mask)).solve(np.ones(int(mask.sum())))
     return t
 
 

@@ -7,14 +7,24 @@ pi-weighted inner product <u, v>_pi = sum_i u_i v_i pi_i.  The same
 similarity makes the spectrum of L* real, which lets ``expm_action``
 apply exp(-t L*) by a Chebyshev series on its Gershgorin interval.
 
-The shift-invert Lanczos solve factors S - sigma I once with SuperLU's
-minimum-degree ordering on A^T + A.  On the symmetric 5-point pattern it
-fills far less than the COLAMD column ordering ``eigsh`` would use by
-itself: at 70x70 the L+U entries fall from 275,312 to 159,048, and the
-factor plus 21 solves from 25.8 to 12.9 ms (2-core VM, one BLAS thread).
+Every sparse solve of the grid routes goes through one SuperLU
+factorization, ``_factor``: S - sigma I for the shift-invert Lanczos
+solve, and L* restricted to a cell set for the committor and the set
+mean holding time.  It orders by minimum degree on A^T + A, in symmetric
+mode, and takes the diagonal as pivots without a pivot search.  That is
+safe because each matrix has the symmetric 5-point pattern, a positive
+diagonal and diagonal dominance: S - sigma I is symmetric positive
+definite, and a restricted L* is an M-matrix whose singular case
+``GeneratorMatrix.restricted`` rejects.  On this pattern minimum degree
+fills far less than SuperLU's default COLAMD column ordering: at 70x70
+the L+U entries fall from 275,312 to 159,048 for S - sigma I and from
+244,906 to 144,862 for the committor, and the committor's factor and
+solve from 16.7 to 11.8 ms (241 to 157 ms at 200x200; 2-core VM, one
+BLAS thread).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +76,13 @@ def _fix_signs(vecs: Array) -> Array:
     return out
 
 
+def _factor(a: sp.spmatrix):
+    """SuperLU factor of S - sigma I or of a restricted L*, for its solve;
+    the module docstring says why it needs no pivot search."""
+    return splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
 def eigensolve(gen: GeneratorMatrix, k: int) -> EigenSystem:
     """Compute the k smallest eigenpairs of L*.
 
@@ -83,7 +100,7 @@ def eigensolve(gen: GeneratorMatrix, k: int) -> EigenSystem:
     -------
     EigenSystem
     """
-    n = gen.n
+    n, k = gen.n, operator.index(k)
     if not 1 <= k < n:
         raise ValueError("k must be between 1 and %d" % (n - 1))
     sym = gen.symmetrized().tocsc()
@@ -92,8 +109,7 @@ def eigensolve(gen: GeneratorMatrix, k: int) -> EigenSystem:
         raise ValueError(
             "generator violates detailed balance (residual %.2e)" % resid
         )
-    lu = splu(sym - _SHIFT * sp.identity(n, format="csc"),
-              permc_spec="MMD_AT_PLUS_A")
+    lu = _factor(sym - _SHIFT * sp.identity(n, format="csc"))
     op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=sym.dtype)
     try:
         vals, vecs = eigsh(sym, k=k, sigma=_SHIFT, v0=np.ones(n),

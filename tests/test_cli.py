@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, exit codes, CSV format."""
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,14 @@ def test_every_flag_names_the_key_it_overrides():
     for command in cli._COMMANDS:
         dests = set(vars(parser.parse_args([command]))) - {"command", "config"}
         assert dests and dests <= set(DEFAULTS)
+
+
+def test_help_names_every_command_with_its_description():
+    text = cli.build_parser().format_help()
+    for command, fn in cli._COMMANDS.items():
+        line = r"^ +%s +%s$" % (re.escape(command),
+                                re.escape(fn.__doc__.splitlines()[0]))
+        assert re.search(line, text, re.MULTILINE), command
 
 
 def test_a_flag_passes_the_checks_of_a_file_key(tmp_path):

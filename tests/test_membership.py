@@ -123,6 +123,32 @@ def test_pcca_multi_needs_two_clusters(eig3):
             pcca_multi(eig3, m)
 
 
+@pytest.mark.parametrize("call", [
+    lambda eig: pcca_single(eig, 2.5),
+    lambda eig: pcca_multi(eig, 2.7),
+], ids=["pcca_single", "pcca_multi"])
+def test_pcca_counts_must_be_integers(eig3, call):
+    # a float count or index is an error, never truncated to an int
+    with pytest.raises(TypeError):
+        call(eig3)
+
+
+def test_pcca_multi_order_survives_roundoff(eig3):
+    # the two deep wells are mirror images, so which one the simplex
+    # meets first is roundoff's choice; the returned order must not be
+    base = pcca_multi(eig3, 3)
+    peaks = [eig3.grid.centers[np.argmax(c.values), 0] for c in base]
+    assert peaks == sorted(peaks)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        vecs = eig3.eigenvectors * (
+            1.0 + 1e-13 * rng.standard_normal(eig3.eigenvectors.shape))
+        chis = pcca_multi(EigenSystem(eig3.eigenvalues, vecs, eig3.grid), 3)
+        for chi, ref in zip(chis, base):
+            np.testing.assert_allclose(chi.values, ref.values, rtol=0,
+                                       atol=1e-6)
+
+
 def test_pcca_multi_warns_when_its_budget_is_spent(eig3, monkeypatch):
     monkeypatch.setattr(membership, "_CRISPNESS_BUDGET", 50)
     with pytest.warns(UserWarning, match="unconverged after 50 evaluations"):
@@ -156,6 +182,40 @@ def test_nelder_mead_repeats_fmin_on_crispness(eig5, m, budget):
         np.linalg.inv(x[membership._isa_vertices(x)])[1:, 1:], x)
     _assert_repeats_fmin(membership._crispness, a0[1:, 1:].ravel(), (x,),
                          budget)
+
+
+def _crispness_reference(free, x):
+    # the crispness through numpy's Python wrappers, which the direct
+    # ufunc calls of _fill_a and _crispness must repeat bit for bit
+    m = x.shape[1]
+    a = np.zeros((m, m))
+    a[1:, 1:] = np.reshape(free, (m - 1, m - 1))
+    a[1:, 0] = -a[1:, 1:].sum(axis=1)
+    for j in range(m):
+        a[0, j] = -(x[:, 1:] @ a[1:, j]).min()
+    total = a[0, :].sum()
+    if total <= 0:
+        return 1e6
+    a = a / total
+    if np.any(a[0, :] < 1e-12):
+        return 1e6
+    return -float(((a * a).sum(axis=0) / a[0, :]).sum())
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_crispness_repeats_the_wrapper_formula(eig5, m):
+    x = eig5.eigenvectors[:, :m]
+    a0 = membership._fill_a(
+        np.linalg.inv(x[membership._isa_vertices(x)])[1:, 1:], x)
+    rng = np.random.default_rng(m)
+    feasible = 0
+    for scale in np.repeat([1e-3, 1e-2, 0.1, 1.0], 60):
+        free = a0[1:, 1:].ravel() * (1.0 + scale * rng.standard_normal(
+            (m - 1) ** 2))
+        want = _crispness_reference(free, x)
+        assert membership._crispness(free, x).hex() == want.hex()
+        feasible += want != 1e6
+    assert feasible >= 100
 
 
 def _floors(x):

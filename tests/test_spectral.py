@@ -12,9 +12,12 @@ from scipy.sparse.linalg import ArpackNoConvergence, expm_multiply
 from chi_exit import (
     RegularGrid,
     build_sqrt_generator,
+    committor,
     eigensolve,
+    find_weight_cores,
     flat_potential,
     propagate,
+    set_mean_holding_time,
 )
 from chi_exit import spectral
 from chi_exit.grid_generator import GeneratorMatrix
@@ -196,6 +199,9 @@ def test_eigensolve_k_bounds(gen_small):
         eigensolve(gen_small, 0)
     with pytest.raises(ValueError):
         eigensolve(gen_small, gen_small.n)
+    # a float count is a TypeError here, not a SystemError inside ARPACK
+    with pytest.raises(TypeError):
+        eigensolve(gen_small, 2.5)
 
 
 def test_eigensolve_rejects_a_generator_without_detailed_balance():
@@ -219,3 +225,25 @@ def test_eigensolve_reports_arpack_no_convergence(gen_small, monkeypatch):
                        r"residuals \[[0-9.e-]+\]") as info:
         eigensolve(gen_small, 3)
     assert isinstance(info.value.__cause__, ArpackNoConvergence)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_committor_and_holding_time_solve_to_roundoff(bench, n):
+    # both solve with the no-pivot minimum-degree factor; the normwise
+    # relative residual |b - A x| / (|A| |x|), infinity norms
+    gen = build_sqrt_generator(bench, RegularGrid(n, n, bench.domain), 1.0)
+
+    def residual(a, x, b):
+        norm = abs(a).sum(axis=1).max()
+        return np.abs(b - a @ x).max() / (norm * np.abs(x).max())
+
+    left, right = find_weight_cores(gen, 0.0025 * 2500 / gen.n)
+    q = committor(gen, left, right).values
+    core = gen.cell_mask(left)
+    free = ~(core | gen.cell_mask(right))
+    rhs = -np.asarray(gen.rates[free][:, core].sum(axis=1)).ravel()
+    assert residual(gen.restricted(free), q[free], rhs) <= 1e-12
+    # the cells left of the barrier, which hold one deep well
+    mask = np.arange(gen.n) < gen.n // 2
+    t = set_mean_holding_time(gen, mask)
+    assert residual(gen.restricted(mask), t[mask], np.ones(gen.n // 2)) <= 1e-12
