@@ -464,12 +464,10 @@ def run_idea1(cfg: ExperimentConfig) -> int:
 
 
 def _select_cluster(chis):
-    """The heaviest membership; among weights within 1e-9 of the largest,
-    the one whose peak cell lies furthest left."""
+    """The first membership, in ``pcca_multi``'s order (peak cell left
+    first), whose weight is within 1e-9 of the heaviest."""
     best = max(m.meta["weight"] for m in chis)
-    tied = [m for m in chis if m.meta["weight"] >= best - 1e-9]
-    return min(tied,
-               key=lambda m: m.grid.centers[int(np.argmax(m.values)), 0])
+    return next(m for m in chis if m.meta["weight"] >= best - 1e-9)
 
 
 def _pcca_clusters(cfg: ExperimentConfig):
@@ -637,13 +635,12 @@ def run_validate(cfg: ExperimentConfig) -> int:
 
 
 def run_dump_generator(cfg: ExperimentConfig) -> int:
-    """Write the generator matrix as (i, j, value) triplets."""
+    """Write the generator matrix as (i, j, value) triplets in CSR order."""
     gen = _generator(cfg)
     mat = gen.rates.tocoo()
-    order = np.lexsort((mat.col, mat.row))  # (i, j) pairs are unique
     _write_csv(cfg, "generator.csv", ["i", "j", "value"],
-               [mat.row[order], mat.col[order], mat.data[order]])
-    print("dump-generator: %d cells, %d entries" % (gen.n, order.size))
+               [mat.row, mat.col, mat.data])
+    print("dump-generator: %d cells, %d entries" % (gen.n, mat.nnz))
     return 0
 
 

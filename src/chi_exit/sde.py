@@ -415,13 +415,17 @@ def estimate_ptau_chi(chi, points, steps: int,
                     partial(_in_box, box=m["box"]), steps)
 
 
-def _fk_values(gen: GeneratorMatrix, chi, eps2: float, t: float) -> Array:
-    """chi's per-cell values, once eps2 and t are checked."""
+def _fk_values(gen: GeneratorMatrix, chi, eps2: float,
+               t: float) -> Tuple[Array, Array]:
+    """chi's per-cell values and the penalty table (1-chi)/chi, infinite
+    on the dead cells below ``CHI_MIN``, once eps2 and t are checked."""
     if not (math.isfinite(eps2) and eps2 >= 0):
         raise ValueError("eps2 must be finite and nonnegative (got %r)" % eps2)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative (got %r)" % t)
-    return gen.grid.cell_values(chi)
+    vals = gen.grid.cell_values(chi)
+    return vals, np.where(vals >= CHI_MIN,
+                          (1.0 - vals) / np.maximum(vals, CHI_MIN), np.inf)
 
 
 def feynman_kac_holding(gen: GeneratorMatrix, chi, eps2: float,
@@ -431,9 +435,10 @@ def feynman_kac_holding(gen: GeneratorMatrix, chi, eps2: float,
     Solves dp/dt = -L* p - eps2 (1-chi)/chi p from p(0) = chi by the
     Chebyshev propagator ``spectral.expm_action``; its error is absolute,
     near the unit roundoff.  Cells with chi below ``CHI_MIN`` carry an
-    infinite penalty and hold 0, so with no other cell p(t) is 0.  The
-    restricted, penalized operator stays similar to a symmetric matrix,
-    which ``expm_action`` needs.
+    infinite penalty and hold 0; the solve runs on the other cells, and
+    with none p(t) is 0.  ``feynman_kac_holding_mc`` reads the same
+    penalty table.  The restricted, penalized operator stays similar to a
+    symmetric matrix, which ``expm_action`` needs.
 
     Parameters
     ----------
@@ -456,15 +461,15 @@ def feynman_kac_holding(gen: GeneratorMatrix, chi, eps2: float,
         For a negative or non-finite eps2 or t, or a chi that
         ``RegularGrid.cell_values`` of the generator's grid rejects.
     """
-    vals = _fk_values(gen, chi, eps2, t)
+    vals, pen = _fk_values(gen, chi, eps2, t)
     if t == 0:
         return vals.copy()
-    alive = vals >= CHI_MIN
+    alive = np.isfinite(pen)
     out = np.zeros(gen.n)
     if alive.any():
-        pen = (1.0 - vals[alive]) / vals[alive]
         out[alive] = expm_action(gen.rates[alive][:, alive]
-                                 + eps2 * sp.diags(pen), vals[alive], float(t))
+                                 + eps2 * sp.diags(pen[alive]), vals[alive],
+                                 float(t))
     return out
 
 
@@ -498,21 +503,6 @@ def _jump_run(gen: GeneratorMatrix, rng, cell: int, n_traj: int,
     return cells, clock, stop[cells], integral
 
 
-def _fk_mc_cell(gen: GeneratorMatrix, chi: Array, pen: Array, eps2: float,
-                cell: int, t: float, n_traj: int, seed: int
-                ) -> Tuple[float, float]:
-    """Jump-process Feynman-Kac average started from one cell."""
-    if chi[cell] < CHI_MIN:
-        return 0.0, 0.0
-    rng = generator_for(seed, TAG_FK, int(cell))
-    cells, _, dead, integral = _jump_run(gen, rng, cell, n_traj, t,
-                                         chi < CHI_MIN, pen)
-    values = np.where(dead, 0.0, chi[cells] * np.exp(-eps2 * integral))
-    est = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
-    return est, se
-
-
 def feynman_kac_holding_mc(gen: GeneratorMatrix, chi, eps2: float, cells,
                            t: float, n_traj: int = 1000,
                            seed: int = 0) -> Tuple[Array, Array]:
@@ -521,29 +511,34 @@ def feynman_kac_holding_mc(gen: GeneratorMatrix, chi, eps2: float, cells,
     Averages chi(X_t) exp(-eps2 * integral (1-chi)/chi) over ``n_traj``
     trajectories per cell of the jump process generated by L*, which
     shares the grid operator's time unit, on per-cell streams keyed by
-    ``seed``; states with chi below ``CHI_MIN`` carry an infinite penalty
-    and zero out the trajectory.  ``gen``, ``chi``, ``eps2`` and ``t`` are
-    as for ``feynman_kac_holding``, and raise as there; cells that
-    ``GeneratorMatrix.cell_indices`` rejects, or ``n_traj`` < 1, raise
-    ``ValueError``.
+    ``seed``, with ``feynman_kac_holding``'s penalty table: a state with
+    chi below ``CHI_MIN`` zeroes out the trajectory.  ``gen``, ``chi``,
+    ``eps2`` and ``t`` are as for ``feynman_kac_holding``, and raise as
+    there; cells that ``GeneratorMatrix.cell_indices`` rejects, or
+    ``n_traj`` < 1, raise ``ValueError``.
 
     Returns
     -------
     est, se : ndarray, shape (k,)
         Estimates and their standard errors, one per starting cell.
     """
-    vals = _fk_values(gen, chi, eps2, t)
+    vals, pen = _fk_values(gen, chi, eps2, t)
     cells = gen.cell_indices(np.ravel(cells))
     n_traj, seed = operator.index(n_traj), operator.index(seed)
     if not n_traj >= 1:
         raise ValueError("n_traj must be >= 1")
     ests, ses = vals[cells].copy(), np.zeros(cells.size)
-    if t > 0:
-        pen = np.where(vals >= CHI_MIN,
-                       (1.0 - vals) / np.maximum(vals, CHI_MIN), np.inf)
-        for k, c in enumerate(cells):
-            ests[k], ses[k] = _fk_mc_cell(gen, vals, pen, eps2, int(c), t,
-                                          n_traj, seed)
+    dead = np.isinf(pen)
+    for k, c in enumerate(cells if t > 0 else ()):
+        if dead[c]:
+            ests[k] = 0.0
+            continue
+        rng = generator_for(seed, TAG_FK, int(c))
+        at, _, died, integral = _jump_run(gen, rng, int(c), n_traj, t,
+                                          dead, pen)
+        values = np.where(died, 0.0, vals[at] * np.exp(-eps2 * integral))
+        ests[k] = values.mean()
+        ses[k] = values.std(ddof=1) / math.sqrt(n_traj) if n_traj > 1 else 0
     return ests, ses
 
 

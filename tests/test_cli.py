@@ -22,7 +22,7 @@ from chi_exit.cli import (
     parse_config_text,
 )
 from chi_exit.grid_generator import RegularGrid
-from chi_exit.membership import Membership, mc_hitting_membership
+from chi_exit.membership import Membership, mc_hitting_membership, pcca_multi
 from chi_exit.rates import RegressionResult, rate_from_eigenpair
 from chi_exit.sde import estimate_ptau_chi, uniform_points
 
@@ -621,12 +621,25 @@ def _peaked(grid, cell, weight):
 
 @pytest.mark.parametrize("cells,weights,chosen", [
     ((0, 1, 2), (0.44, 0.56, 0.0), 1),  # the heaviest, not one near 0.4452
-    ((2, 0, 1), (0.45, 0.45 - 1e-12, 0.1), 1),  # a tie goes left
+    # in pcca_multi's order, peaks left first: a tie goes to the first
+    ((0, 1, 2), (0.1, 0.45 - 1e-12, 0.45), 1),
 ])
 def test_select_cluster_takes_the_heaviest(cells, weights, chosen):
     grid = RegularGrid(3, 1)
     chis = [_peaked(grid, c, w) for c, w in zip(cells, weights)]
     assert _select_cluster(chis) is chis[chosen]
+
+
+def test_select_cluster_on_pcca_multi_takes_the_leftmost_tie(eig3):
+    # the mirror wells weigh the same up to roundoff; the pick is the one
+    # whose peak lies furthest left, as pcca_multi orders them
+    chis = pcca_multi(eig3, 3)
+    best = max(m.meta["weight"] for m in chis)
+    tied = [m for m in chis if m.meta["weight"] >= best - 1e-9]
+    assert len(tied) == 2
+    left = min(tied, key=lambda m: tuple(
+        eig3.grid.centers[int(np.argmax(m.values))]))
+    assert _select_cluster(chis) is left
 
 
 def test_exit_code_nonfinite_tau(tmp_path, capsys):

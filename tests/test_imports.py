@@ -174,6 +174,21 @@ def test_the_cli_formats_numbers_in_one_place():
                           "repr") == ["cli._column_text", "cli._fmt"]
 
 
+def test_one_place_factors_a_sparse_matrix():
+    # every grid solve (eigensolve's shift-invert, the committor, the set
+    # holding times) factors through spectral._factor, with its options
+    assert _places_naming({path.stem: path.read_text()
+                           for path in SRC.glob("*.py")},
+                          "splu") == ["spectral._factor"]
+
+
+def test_one_place_builds_a_counter_based_stream():
+    # every random stream is a Philox keyed in streams.generator_for
+    assert _places_naming({path.stem: path.read_text()
+                           for path in SRC.glob("*.py")},
+                          "Philox") == ["streams.generator_for"]
+
+
 def test_every_public_name_exists():
     # the scan above reads no name from the computed __all__; each name
     # must be the object its table row's module defines, so a stale or

@@ -1,5 +1,7 @@
 """Membership constructions: PCCA+, committors, MC hitting."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,6 +19,7 @@ from chi_exit import (
     mc_hitting_membership,
     pcca_multi,
     pcca_single,
+    regress_generator_action,
 )
 from chi_exit import membership
 from chi_exit.grid_generator import GeneratorMatrix
@@ -147,6 +150,48 @@ def test_pcca_multi_order_survives_roundoff(eig3):
         for chi, ref in zip(chis, base):
             np.testing.assert_allclose(chi.values, ref.values, rtol=0,
                                        atol=1e-6)
+
+
+def _galerkin(gen, chis):
+    """PCCA+'s coarse-grained generator Q_c = (X^T Pi X)^-1 X^T Pi L* X of
+    the memberships X, and the condition number of X^T Pi X."""
+    x = np.column_stack([c.values for c in chis])
+    px = gen.weights[:, None] * x
+    gram = x.T @ px
+    return np.linalg.solve(gram, px.T @ (gen.rates @ x)), np.linalg.cond(gram)
+
+
+@pytest.mark.parametrize("kbt", [1.0, 0.32])
+def test_pcca_multi_galerkin_generator_is_exact(bench, grid50, kbt):
+    # the memberships span f_1 .. f_m, so L* X = X Q_c holds exactly:
+    # eig(Q_c) are lambda_1 .. lambda_m, whatever point the crispness
+    # search returns, and Q_c 1 = 0 from partition of unity.  Both
+    # tolerances are the pi-weighted eigen residual (1.4e-15 at kbt 1,
+    # 1.6e-15 at 0.32) amplified by the conditioning of the membership
+    # basis, cond(X^T Pi X) (1 at m = 2 up to 1.3e9 at m = 5, kbt 0.32);
+    # the errors read at most 0.072 of them.  At m = 2, L* chi_j = Q_jj
+    # chi_j + Q_kj (1 - chi_j) holds exactly, so idea2's fit on (chi, 1)
+    # returns eps1 = alpha + beta = Q_jj; the least-squares coefficients
+    # move by at most the residual r of that relation over the smallest
+    # singular value of [chi, 1]
+    gen = build_sqrt_generator(bench, grid50, kbt)
+    eig = eigensolve(gen, 5)
+    vecs, lam = eig.eigenvectors, eig.eigenvalues
+    res = np.sqrt(gen.weights @ (gen.rates @ vecs - vecs * lam) ** 2).max()
+    for m in range(2, min(eig.count, 5) + 1):
+        chis = pcca_multi(eig, m)
+        q, cond = _galerkin(gen, chis)
+        tol = cond * res
+        assert np.abs(np.sort_complex(np.linalg.eigvals(q))
+                      - lam[:m]).max() <= tol
+        assert np.abs(q.sum(axis=1)).max() <= tol
+        for j, chi in enumerate(chis if m == 2 else ()):
+            act = gen.rates @ chi.values
+            r = act - q[j, j] * chi.values - q[1 - j, j] * chis[1 - j].values
+            smin = np.linalg.svd(np.column_stack([chi.values, np.ones(gen.n)]),
+                                 compute_uv=False)[-1]
+            err = regress_generator_action(gen, chi).eps1 - q[j, j]
+            assert abs(err) <= math.sqrt(2) * np.linalg.norm(r) / smin
 
 
 def test_pcca_multi_warns_when_its_budget_is_spent(eig3, monkeypatch):
