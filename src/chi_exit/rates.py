@@ -378,14 +378,14 @@ def fit_survival_rate(times, censored=None) -> float:
     -------
     float
         The fitted exit rate; NaN when the curve keeps fewer than two
-        points (fewer than two exits, or two with none censored, whose
-        last survival fraction is zero).
+        distinct exit times (fewer than two exits, two with none censored,
+        whose last survival fraction is zero, or exits all at one time).
 
     Raises
     ------
     ValueError
         When censored and times differ in length, or an exit time that
-        is not censored is not finite.
+        is not censored is negative or not finite.
     """
     times = np.asarray(times, dtype=float).ravel()
     if censored is None:
@@ -398,9 +398,13 @@ def fit_survival_rate(times, censored=None) -> float:
     exits = np.sort(times[~censored])
     if not np.isfinite(exits).all():
         raise ValueError("exit times that are not censored must be finite")
+    if exits.size and exits[0] < 0:
+        raise ValueError("exit times that are not censored must be >= 0, "
+                         "not %g" % exits[0])
     survival = (n - np.arange(1, exits.size + 1)) / n
     keep = survival > 0
-    if keep.sum() < 2:
+    # exits is sorted, so the kept times are distinct unless all are equal
+    if keep.sum() < 2 or exits[keep][0] == exits[keep][-1]:
         return float("nan")
     reg = regress(exits[keep], np.log(survival[keep]), "least_squares")
     return -reg.gamma1

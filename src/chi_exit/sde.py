@@ -129,18 +129,13 @@ class TrajectoryStats:
         return steps.mean(axis=1) * self.dt
 
 
-def _advance(potential, sigma, dt, lo, hi, pos, noise, out=None, keep=None):
+def _advance(potential, sigma, dt, lo, hi, pos, noise, keep=None):
     """One Euler-Maruyama step pos - grad V(pos) dt + sigma sqrt(dt) noise
-    for positions of shape (..., 2), clamped to [lo, hi].  Every diffusion
-    ensemble steps through it.
-
-    Overwrites ``noise`` with the scaled increment, so callers pass an
-    array they own; ``pos`` is only read.  The step is written into
-    ``out`` when it is given, an array of ``pos``'s shape that must share
-    no memory with ``pos`` or ``noise``, since ``g dt`` goes into it
-    before the step reads them; into a new array otherwise.  A one-item
-    list ``keep`` is left holding the gradient, so that the caller frees
-    it only once the next step's gradient exists.
+    for positions of shape (..., 2), clamped to [lo, hi], written over
+    ``noise`` and returned; ``pos`` is only read.  Every diffusion ensemble
+    steps through it.  A one-item list ``keep`` is left holding the
+    gradient, so that the caller frees it only once the next step's
+    gradient exists.
     """
     g = potential.grad(pos)
     if keep is not None:
@@ -155,18 +150,18 @@ def _advance(potential, sigma, dt, lo, hi, pos, noise, out=None, keep=None):
                 "non-finite gradient at (%g, %g); trajectory aborted"
                 % (bad[0], bad[1])
             )
-    out = np.multiply(g, dt, out=out)
-    np.subtract(pos, out, out=out)
+    drift = np.multiply(g, dt)
+    np.subtract(pos, drift, out=drift)
     noise *= sigma * math.sqrt(dt)
-    out += noise
+    noise += drift
     # one coordinate at a time: scalar bounds clip several times faster
     # than bounds broadcast along a length-2 axis, and the ufuncs skip
     # np.clip's Python wrapper (a clamped -0.0 becomes +0.0)
     for d in range(2):
-        col = out[..., d]
+        col = noise[..., d]
         np.maximum(col, lo[d], out=col)
         np.minimum(col, hi[d], out=col)
-    return out
+    return noise
 
 
 def _run(config: SdeConfig, starts, rngs, n_traj: int, steps: int, stop=None,
@@ -176,21 +171,21 @@ def _run(config: SdeConfig, starts, rngs, n_traj: int, steps: int, stop=None,
     Start ``r`` draws its noise from ``rngs[r]`` in blocks of shape
     (b, n_traj, 2), which yields the same values as b draws of (n_traj, 2),
     so a start's stream never depends on the other starts or on b.  When
-    ``stop`` maps positions (k, 2) to booleans, a trajectory freezes at the
-    first step from ``stop_from`` on (step 0 included when it is 0) where
-    it is true: its position and step are recorded then and never change.
-    The first step from 0 on where ``stop`` held is recorded too; it is
-    the freezing step when ``stop_from`` is 0, and only then costs no
-    extra work.  A frozen trajectory still steps until its block ends,
-    where the live set is compacted once, and a start with no live
-    trajectory draws no further blocks.
+    ``stop`` maps positions (..., 2) to booleans (...), a trajectory
+    freezes at the first step from ``stop_from`` on (step 0 included when
+    it is 0) where it is true: its position and step are recorded then.
+    The first step from 0 on where ``stop`` held is recorded too, in the
+    same array when ``stop_from`` is 0.
 
-    The kernel owns its step buffers for the whole call: each step gathers
-    the live noise into one buffer and writes the positions into one of
-    two others in turn (``_advance``'s ``out``).  It holds the last
-    gradient until the next one exists, so that the gradient's temporaries
-    reuse freed memory; else they leave a free block at the top of the
-    heap, which glibc trims and the next step faults back in.
+    A block's positions live in one buffer of shape (b + 1, n_live, 2),
+    row 0 the block's start.  One gather fills rows 1..b with the live
+    noise, step j reads row j and writes row j + 1, ``stop`` is called once
+    on rows 1..b, and the live set is compacted once; a start with no live
+    trajectory draws no further blocks.  The noise and the buffer share
+    ``_NOISE_BYTES``.  The kernel holds the last gradient until the next
+    one exists, so that the gradient's temporaries reuse freed memory;
+    else they leave a free block at the top of the heap, which glibc trims
+    and the next step faults back in.
 
     Returns
     -------
@@ -213,56 +208,48 @@ def _run(config: SdeConfig, starts, rngs, n_traj: int, steps: int, stop=None,
     if stop is not None:
         hit_at[np.asarray(stop(pos), dtype=bool)] = 0
     idx = np.flatnonzero(first < 0)
-    # the live positions take turns in bufs[0] and bufs[1]
-    bufs = np.empty((2, idx.size, 2))
-    step_noise = np.empty((idx.size, 2))
-    keep, cur = [None], 0
-    live = np.take(pos, idx, axis=0, out=bufs[0])
-    # one step of the buffer is kept free for the gathered live noise
-    block = max(1, _NOISE_BYTES // (16 * max(1, m * n_traj)) - 1)
-    noise = np.empty((m, min(block, steps), n_traj, 2))
+    b = max(1, min(steps, _NOISE_BYTES // (32 * max(1, m * n_traj))))
+    noise = np.empty((m, b, n_traj, 2))
     flat_noise = noise.reshape(-1, 2)
-    for s0 in range(0, steps, block):
+    space = np.empty((b + 1) * idx.size * 2)
+    live = np.take(pos, idx, axis=0, out=space[:idx.size * 2].reshape(-1, 2))
+    keep = [None]
+    for s0 in range(0, steps, b):
         if idx.size == 0:
             break
-        k = min(block, steps - s0)
+        k, n = min(b, steps - s0), idx.size
         # the starts with a live trajectory (bincount is far cheaper than
         # np.unique here)
         for r in np.flatnonzero(np.bincount(idx // n_traj, minlength=m)):
             rngs[r].standard_normal((k, n_traj, 2), out=noise[r, :k])
         # noise of trajectory (r, c) at step j of the block:
-        # flat_noise[(r * block + j) * n_traj + c]; at moves one step on
-        # after each gather
-        at = idx + (idx // n_traj) * (noise.shape[1] - 1) * n_traj
-        alive = np.ones(idx.size, dtype=bool)
-        n_alive = idx.size
+        # flat_noise[(r * b + j) * n_traj + c].  mode="clip" gathers
+        # straight into the buffer, where "raise" would buffer the result,
+        # so the range is checked here, once
+        at = idx + (idx // n_traj) * (b - 1) * n_traj
+        if at.max() + (k - 1) * n_traj >= len(flat_noise):
+            raise IndexError("noise index past the block")
+        buf = space[:(k + 1) * n * 2].reshape(k + 1, n, 2)
+        np.take(flat_noise, at + n_traj * np.arange(k)[:, None], axis=0,
+                out=buf[1:], mode="clip")
         for j in range(k):
-            gathered = np.take(flat_noise, at, axis=0,
-                               out=step_noise[:idx.size])
-            at += n_traj
-            cur = 1 - cur
-            live = _advance(potential, sigma, dt, lo, hi, live, gathered,
-                            out=bufs[cur, :idx.size], keep=keep)
-            if stop is None:
-                continue
-            s, held = s0 + j + 1, stop(live)
+            _advance(potential, sigma, dt, lo, hi, buf[j], buf[j + 1], keep)
+        alive = np.ones(n, dtype=bool)
+        if stop is not None:
+            held = np.asarray(stop(buf[1:]), dtype=bool)
             if stop_from:
-                new = idx[held]
-                hit_at[new[hit_at[new] < 0]] = s
-                if s < stop_from:
-                    continue
-            hit = np.flatnonzero(np.logical_and(alive, held))
-            if hit.size:
-                pos[idx[hit]] = live[hit]
-                first[idx[hit]] = s
-                alive[hit] = False
-                n_alive -= hit.size
-                if n_alive == 0:
-                    break
-        if n_alive < idx.size:
-            cur = 1 - cur
-            idx = idx[alive]
-            live = np.compress(alive, live, axis=0, out=bufs[cur, :idx.size])
+                new = held.any(axis=0) & (hit_at[idx] < 0)
+                hit_at[idx[new]] = s0 + 1 + held[:, new].argmax(axis=0)
+            j0 = max(0, stop_from - s0 - 1)
+            alive = ~held[j0:].any(axis=0)
+            done = np.flatnonzero(~alive)
+            if done.size:
+                j = j0 + held[j0:, done].argmax(axis=0)
+                pos[idx[done]] = buf[j + 1, done]
+                first[idx[done]] = s0 + 1 + j
+                idx = idx[alive]
+        live = np.compress(alive, buf[k], axis=0,
+                           out=space[:idx.size * 2].reshape(-1, 2))
     pos[idx] = live
     return (pos.reshape(m, n_traj, 2), first.reshape(m, n_traj),
             hit_at.reshape(m, n_traj))
@@ -297,8 +284,10 @@ def _chunked(config: SdeConfig, points, n_traj: int, steps: int, seed: int,
              stop_from: Optional[int] = None) -> Tuple[Array, ...]:
     """The one dispatch of every diffusion ensemble: the kernel from
     ``points`` (one point, or shape (m, 2)) in tasks of ``_CHUNK`` starts,
-    joining each column ``_chunk`` returns.  Every task carries ``config``
-    and the picklable predicate ``stop``; no points make one empty task.
+    joining each column ``_chunk`` returns.  A point off the potential's
+    domain (NaN included) raises ``ValueError``; one on its boundary runs.
+    Every task carries ``config`` and the picklable predicate ``stop``; no
+    points make one empty task.
     Several tasks run in up to ``workers`` processes; a task that does not
     pickle (a surface built from lambdas or closures) raises the pool's
     error there, so it runs only at ``workers = 1``."""
@@ -307,6 +296,12 @@ def _chunked(config: SdeConfig, points, n_traj: int, steps: int, seed: int,
         raise ValueError("points must have shape (2,) or (m, 2), not %s"
                          % (points.shape,))
     points = np.atleast_2d(points)
+    lo, hi = config.bounds
+    off = ~((points >= lo) & (points <= hi)).all(axis=1)
+    if off.any():
+        bad = points[off][0]
+        raise ValueError("start (%g, %g) is off the potential's domain %s"
+                         % (bad[0], bad[1], config.potential.domain))
     tasks = [
         (config, points[i:i + _CHUNK], operator.index(n_traj),
          operator.index(steps), operator.index(seed), tag, stop, stop_from)

@@ -102,3 +102,28 @@ def test_bad_arguments_exit_2(capsys, tmp_path):
         assert bench.main(["HEAD", "--workload", "mc-idea4", "--record",
                            str(ROOT / path)]) == 2
         assert "will not write" in capsys.readouterr().err
+
+
+def test_record_names_the_code_the_working_tree_ran(tmp_path):
+    # perfbench's env line names HEAD's commit for a working tree whose
+    # src holds uncommitted changes; the record's own fields tell the two
+    # apart by perfbench's digest of src, which skips compiled files
+    def tree(name, text):
+        pkg = tmp_path / name / "src" / "chi_exit"
+        (pkg / "__pycache__").mkdir(parents=True)
+        (pkg / "cli.py").write_text(text)
+        (pkg / "__pycache__" / "cli.cpython-311.pyc").write_bytes(
+            name.encode())
+        return tmp_path / name
+
+    head, clean, edited = (tree("head", "x = 1\n"), tree("clean", "x = 1\n"),
+                           tree("edited", "x = 2\n"))
+    digest = bench.environment.code_identity(str(head))["src_sha256"]
+    assert bench.code_fields(clean, head, "abc123") == {
+        "change_src_sha256": digest, "head_commit": "abc123",
+        "head_src_sha256": digest, "change_src_differs_from_head": False}
+    fields = bench.code_fields(edited, head, "abc123")
+    assert fields["change_src_differs_from_head"] is True
+    assert fields["head_src_sha256"] == digest
+    assert fields["change_src_sha256"] == bench.environment.code_identity(
+        str(edited))["src_sha256"] != digest

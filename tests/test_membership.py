@@ -26,6 +26,7 @@ from chi_exit.grid_generator import GeneratorMatrix
 from chi_exit.membership import Membership
 from chi_exit.spectral import EigenSystem
 from chi_exit.sde import _in_box
+from wells import galerkin
 
 # frozen from the 50x50 benchmark build
 EPS_BAR = 0.008840173485250052
@@ -152,15 +153,6 @@ def test_pcca_multi_order_survives_roundoff(eig3):
                                        atol=1e-6)
 
 
-def _galerkin(gen, chis):
-    """PCCA+'s coarse-grained generator Q_c = (X^T Pi X)^-1 X^T Pi L* X of
-    the memberships X, and the condition number of X^T Pi X."""
-    x = np.column_stack([c.values for c in chis])
-    px = gen.weights[:, None] * x
-    gram = x.T @ px
-    return np.linalg.solve(gram, px.T @ (gen.rates @ x)), np.linalg.cond(gram)
-
-
 @pytest.mark.parametrize("kbt", [1.0, 0.32])
 def test_pcca_multi_galerkin_generator_is_exact(bench, grid50, kbt):
     # the memberships span f_1 .. f_m, so L* X = X Q_c holds exactly:
@@ -180,7 +172,7 @@ def test_pcca_multi_galerkin_generator_is_exact(bench, grid50, kbt):
     res = np.sqrt(gen.weights @ (gen.rates @ vecs - vecs * lam) ** 2).max()
     for m in range(2, min(eig.count, 5) + 1):
         chis = pcca_multi(eig, m)
-        q, cond = _galerkin(gen, chis)
+        q, cond = galerkin(gen, chis)
         tol = cond * res
         assert np.abs(np.sort_complex(np.linalg.eigvals(q))
                       - lam[:m]).max() <= tol

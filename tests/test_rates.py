@@ -310,6 +310,25 @@ def test_fit_survival_rate_rejects_an_exit_time_not_finite(bad):
                              [False, True, False, False]) > 0
 
 
+def test_fit_survival_rate_rejects_a_negative_exit_time():
+    # a negative exit time fitted a rate of 0.231 without a word
+    with pytest.raises(ValueError, match="must be >= 0, not -1"):
+        fit_survival_rate([-1.0, 2.0, 3.0], [False] * 3)
+    # a censored entry is no exit, whatever it holds; an exit at 0 is one
+    assert fit_survival_rate([-1.0, 1.0, 2.0, 3.0],
+                             [True, False, False, False]) > 0
+    assert fit_survival_rate([0.0, 1.0, 2.0, 3.0]) > 0
+
+
+def test_fit_survival_rate_of_exits_at_one_time_is_nan():
+    # the curve keeps two points at one time, which raised "degenerate
+    # regression" where the docstring promises NaN
+    assert math.isnan(fit_survival_rate([5.0, 5.0, 5.0]))
+    assert math.isnan(fit_survival_rate([5.0, 5.0, 7.0], [False, False, True]))
+    assert math.isnan(fit_survival_rate([1.0, 1.0, 2.0]))
+    assert fit_survival_rate([1.0, 2.0, 2.0, 3.0]) > 0
+
+
 def test_exit_path_direction_unit_norm(chi1):
     d = exit_path_direction(chi1, np.array([0.52, 0.88]))
     np.testing.assert_allclose(np.linalg.norm(d), 1.0, rtol=1e-12)

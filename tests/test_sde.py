@@ -327,6 +327,32 @@ def test_ensembles_reject_points_of_another_shape():
         chi.evaluate_batch([0.1, 0.2, 0.3, 0.4])
 
 
+_OFF_DOMAIN = {
+    "hitting": lambda cfg, chi, pts: hitting_fractions(cfg, chi.meta["box"],
+                                                       pts, 5, 5),
+    "endpoints": lambda cfg, chi, pts: endpoint_ensemble(cfg, pts, 3, 2),
+    "ptau": lambda cfg, chi, pts: estimate_ptau_chi(chi, pts, 3)[1],
+    "sampler": lambda cfg, chi, pts: chi.evaluate_batch(pts),
+}
+
+
+@pytest.mark.parametrize("run", list(_OFF_DOMAIN.values()),
+                         ids=list(_OFF_DOMAIN))
+def test_ensembles_reject_a_start_off_the_domain(run):
+    # (1.5, 0.5) was clamped onto the wall by the first step: hitting
+    # fractions read 0 and endpoints lay inside, without a word
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    chi = mc_hitting_membership(cfg, (0.2, 0.3, 0.4, 0.5), 5, 5, seed=0)
+    for bad, text in (([1.5, 0.5], r"\(1\.5, 0\.5\)"),
+                      ([0.5, np.nan], r"\(0\.5, nan\)"),
+                      ([-1e-12, 0.5], r"\(-1e-12, 0\.5\)")):
+        with pytest.raises(ValueError, match=text + " is off the potential's "
+                           "domain"):
+            run(cfg, chi, [[0.3, 0.45], bad])
+    # a start on the boundary is in the domain
+    assert np.all(np.isfinite(run(cfg, chi, [[1.0, 0.5], [0.0, 1.0]])))
+
+
 def test_sample_set_exit_times_contract(gen50, chi1):
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     region = chi1.values > 0.22
@@ -385,7 +411,11 @@ def _naive_run(cfg, starts, tag, seed, n_traj, steps, stop, stop_from=0):
     return ends, first, hit_at
 
 
-@pytest.mark.parametrize("noise_bytes", [sde._NOISE_BYTES, 16 * 3 * 20 * 5])
+#: A noise budget of 4-step blocks for 3 starts of 20 paths.
+_FOUR_STEPS = 32 * 3 * 20 * 4
+
+
+@pytest.mark.parametrize("noise_bytes", [sde._NOISE_BYTES, _FOUR_STEPS])
 def test_kernel_matches_naive_loop(monkeypatch, gen50, chi1, noise_bytes):
     # a small noise budget forces several 4-step blocks per call
     monkeypatch.setattr(sde, "_NOISE_BYTES", noise_bytes)
@@ -472,17 +502,19 @@ def test_step_leaves_its_arguments_unchanged():
     np.testing.assert_array_equal(x, [0.3, 0.6])
     assert not np.array_equal(out, x)
 
-    # a step into a buffer returns it, and matches a step into a new array
-    # bit for bit; rows past the walls are clamped
+    # the step is written over the noise, which it returns, and matches
+    # the formula bit for bit; rows past the walls are clamped, and the
+    # gradient is left in keep
     rng = np.random.default_rng(5)
     x = rng.uniform(-0.02, 1.02, size=(40, 2))
     noise = rng.standard_normal((40, 2))
     before = x.copy()
-    want = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, x,
-                        noise.copy())
-    buf, keep = np.full((40, 2), np.nan), [None]
-    got = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, x,
-                       noise.copy(), out=buf, keep=keep)
+    want = (x - cfg.potential.grad(x) * cfg.dt) + noise * (
+        cfg.sigma * np.sqrt(cfg.dt))
+    for d in range(2):
+        want[:, d] = np.minimum(np.maximum(want[:, d], lo[d]), hi[d])
+    buf, keep = noise.copy(), [None]
+    got = sde._advance(cfg.potential, cfg.sigma, cfg.dt, lo, hi, x, buf, keep)
     assert got is buf
     np.testing.assert_array_equal(x, before)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -491,23 +523,24 @@ def test_step_leaves_its_arguments_unchanged():
 
 @pytest.mark.parametrize("stop_from", [0, 21])
 def test_kernel_step_buffers_never_alias(monkeypatch, stop_from):
-    # 4-step blocks, with compactions of the live set between them; a step
-    # that wrote the positions or the noise it reads would move the paths
-    # off the naive loop's
-    monkeypatch.setattr(sde, "_NOISE_BYTES", 16 * 3 * 20 * 5)
+    # 4-step blocks, with compactions of the live set between them: each
+    # step reads row j of the block's one buffer and writes row j + 1, the
+    # next row; a step that wrote the positions it reads would move the
+    # paths off the naive loop's
+    monkeypatch.setattr(sde, "_NOISE_BYTES", _FOUR_STEPS)
     cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
     box = (0.2, 0.3, 0.4, 0.5)
     pts = np.array([[0.25, 0.45], [0.33, 0.45], [0.4, 0.55]])
     in_box = lambda p: sde._in_box(p, box)  # noqa: E731
-    step, outs = sde._advance, set()
+    step, bases = sde._advance, set()
 
-    def checked(potential, sigma, dt, lo, hi, pos, noise, out=None,
-                keep=None):
-        assert out is not None
-        assert not np.shares_memory(out, pos)
-        assert not np.shares_memory(out, noise)
-        outs.add(out.__array_interface__["data"][0])
-        return step(potential, sigma, dt, lo, hi, pos, noise, out, keep)
+    def checked(potential, sigma, dt, lo, hi, pos, noise, keep=None):
+        assert not np.shares_memory(pos, noise)
+        assert pos.base is noise.base
+        start = pos.__array_interface__["data"][0]
+        assert noise.__array_interface__["data"][0] == start + pos.nbytes
+        bases.add(id(noise.base))
+        return step(potential, sigma, dt, lo, hi, pos, noise, keep)
 
     monkeypatch.setattr(sde, "_advance", checked)
     rngs = [generator_for(4, TAG_CHI, p) for p in pts]
@@ -521,8 +554,41 @@ def test_kernel_step_buffers_never_alias(monkeypatch, stop_from):
     np.testing.assert_array_equal(first, ref_first)
     np.testing.assert_array_equal(hit_at, ref_hit)
     np.testing.assert_array_equal(pos, ref_ends)
-    # the steps wrote into the kernel's two position buffers only
-    assert len(outs) == 2
+    # every block's rows are views of the kernel's one buffer
+    assert len(bases) == 1
+
+
+@pytest.mark.parametrize("stop_from", [0, 21])
+def test_kernel_calls_stop_once_per_block(monkeypatch, stop_from):
+    # 60 steps in 4-step blocks: stop sees the starts once, then the 4
+    # stepped rows of each block's live paths in one call; the live set
+    # shrinks between blocks, and the results are the naive loop's
+    monkeypatch.setattr(sde, "_NOISE_BYTES", _FOUR_STEPS)
+    cfg = SdeConfig(potential=benchmark_potential(), sigma=0.8, dt=0.001)
+    box = (0.2, 0.3, 0.4, 0.5)
+    pts = np.array([[0.25, 0.45], [0.33, 0.45], [0.4, 0.55]])
+    shapes = []
+
+    def in_box(p):
+        shapes.append(p.shape)
+        return sde._in_box(p, box)
+
+    rngs = [generator_for(4, TAG_CHI, p) for p in pts]
+    pos, first, hit_at = sde._run(cfg, pts, rngs, 20, 60, in_box,
+                                  stop_from=stop_from)
+    ref_ends, ref_first, ref_hit = _naive_run(
+        cfg, pts, TAG_CHI, 4, 20, 60, lambda p: sde._in_box(p, box),
+        stop_from=stop_from)
+    np.testing.assert_array_equal(first, ref_first)
+    np.testing.assert_array_equal(hit_at, ref_hit)
+    np.testing.assert_array_equal(pos, ref_ends)
+    # some path never stops, so all 15 blocks run
+    assert (ref_first < 0).any()
+    assert len(shapes) == 1 + 60 // 4
+    assert shapes[0] == (60, 2)
+    live = [n for k, n, _ in shapes[1:]]
+    assert {k for k, _, _ in shapes[1:]} == {4}
+    assert live == sorted(live, reverse=True) and live[-1] < live[0]
 
 
 def test_sample_set_exit_times_batch_matches_single(gen50, chi1):

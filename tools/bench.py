@@ -28,7 +28,11 @@ temporary directory, so the working tree, the index, the branches and
 ``.git`` are never written.  ``--src DIR`` takes the other ``chi_exit``
 package from under DIR and runs it with a copy of the working tree's
 ``perfbench``.  ``--record FILE`` writes the command, the revision,
-every pair's metrics and ``env`` lines, and the summary as JSON.  Nothing
+every pair's metrics and ``env`` lines, and the summary as JSON, with the
+code the working tree ran: its ``src`` digest (perfbench's
+``src_sha256``), HEAD's commit and digest, and whether the two differ,
+since perfbench's ``env`` line names HEAD's commit whatever ``src``
+holds.  Nothing
 is written under ``perfbench/`` or ``.git``, or into ``BENCHMARK.json``;
 each perfbench run keeps its scratch output in its own tree's
 ``.perfbench_work``, which it removes.
@@ -37,6 +41,7 @@ run, 2 a bad argument.
 """
 
 import argparse
+import importlib.util
 import json
 import shutil
 import statistics
@@ -49,6 +54,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 sys.path.insert(0, str(ROOT / "tools"))
 from same_bytes import _archive  # noqa: E402
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_environment", ROOT / "perfbench" / "environment.py")
+environment = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(environment)
 
 #: Pairs for a ``worse`` or ``better`` verdict, and the share of them the
 #: working tree must win for ``better``.
@@ -126,6 +136,17 @@ def format_table(rows):
     return lines
 
 
+def code_fields(change, head, commit):
+    """The record's fields naming the code of the working tree ``change``
+    against HEAD (``commit``, its ``src`` under ``head``), with
+    perfbench's digest of each ``src``."""
+    ours = environment.code_identity(str(change))["src_sha256"]
+    theirs = environment.code_identity(str(head))["src_sha256"]
+    return {"change_src_sha256": ours, "head_commit": commit,
+            "head_src_sha256": theirs, "change_src_differs_from_head":
+            ours != theirs}
+
+
 def run_perfbench(tree, workload, seed, seconds):
     """One perfbench run of ``tree``; its metrics and env, or RuntimeError
     when it printed no result."""
@@ -196,9 +217,15 @@ def main(argv=None):
             print("cannot read revision %s" % args.rev, file=sys.stderr)
             return 2
         revision = found.stdout.strip()
-    pairs = []
+    pairs, code = [], {}
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         base = _base_tree(args.src, revision, tmp)
+        if args.record is not None:
+            head = subprocess.run(["git", "-C", str(ROOT), "rev-parse",
+                                   "HEAD"], capture_output=True, text=True,
+                                  check=True).stdout.strip()
+            _archive(head, Path(tmp, "head"))
+            code = code_fields(ROOT, Path(tmp, "head"), head)
         print("bench: %s seed %d, %d pairs of --seconds %g; base %s, change "
               "the working tree" % (args.workload, args.seed, args.pairs,
                                     args.seconds, args.src or args.rev))
@@ -229,7 +256,7 @@ def main(argv=None):
             "base": args.rev if args.rev is not None else "--src",
             "revision": revision, "workload": args.workload,
             "seed": args.seed, "seconds": args.seconds, "pairs": pairs,
-            "summary": rows}, indent=1, sort_keys=True) + "\n")
+            "summary": rows, **code}, indent=1, sort_keys=True) + "\n")
     return 1 if any(r["verdict"] == "worse" for r in rows) else 0
 
 
